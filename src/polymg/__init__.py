@@ -28,8 +28,8 @@ from .bounds import (
 from .fem import GridSpec, ProlongationOp, assemble_poisson_q1, build_prolongation, jacobi_smoother
 from .linalg import (
     CholeskySolver,
+    lanczos_max,
     load_matrix_market,
-    power_method,
     save_matrix_market,
     validate_csr,
 )
@@ -63,7 +63,7 @@ __all__ = [
     "build_prolongation",
     "jacobi_smoother",
     "CholeskySolver",
-    "power_method",
+    "lanczos_max",
     "validate_csr",
     "save_matrix_market",
     "load_matrix_market",

@@ -38,6 +38,8 @@ from .smoothers import SmootherConfig
 __all__ = ["ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
 _MAX_K = 200
+# m = 12 needs over 6 GB for the COO assembly alone
+_MAX_M = 11
 _COLUMNS = ("w43", "w32", "cheb", "opt")
 
 
@@ -80,6 +82,16 @@ def _parse_k_range(text: str) -> list[int]:
     if not ks or any(k < 1 or k > _MAX_K for k in ks):
         raise argparse.ArgumentTypeError(f"degrees must lie in [1, {_MAX_K}]")
     return ks
+
+
+def _parse_m(text: str) -> int:
+    try:
+        m = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad refinement level {text!r}") from exc
+    if not 2 <= m <= _MAX_M:
+        raise argparse.ArgumentTypeError(f"m must lie in [2, {_MAX_M}]")
+    return m
 
 
 def _parse_degree(text: str) -> int:
@@ -311,13 +323,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("assemble", help="write the Q1 Poisson matrix in Matrix Market format")
-    p.add_argument("--m", type=int, default=5, help="refinement level (2^m cells per side)")
+    p.add_argument("--m", type=_parse_m, default=5, help="refinement level (2^m cells per side)")
     p.add_argument("--aspect", type=float, default=1.0, help="domain aspect ratio, >= 1")
     p.add_argument("--out", type=Path, required=True, help="output .mtx path")
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("run", help="measure V-cycle contraction factors with bound curves")
-    p.add_argument("--m", type=int, default=8, help="refinement level (default 8)")
+    p.add_argument("--m", type=_parse_m, default=8, help="refinement level (default 8)")
     p.add_argument("--aspect", type=float, default=1.0)
     p.add_argument("--k", type=_parse_k_range, default=list(range(1, 7)), metavar="RANGE",
                    help="degrees, e.g. '1..6' or '1,2,4'")
@@ -351,7 +363,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gamma_table)
 
     p = sub.add_parser("measure-c", help="measure the approximation constant C")
-    p.add_argument("--m", type=int, default=5)
+    p.add_argument("--m", type=_parse_m, default=5)
     p.add_argument("--aspect", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_measure_c)

@@ -10,12 +10,14 @@ like ``2 * aspect^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
+import numbers
 import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import power_method, weighted_inner
+from .linalg import lanczos_max
 from .smoothers import DiagonalSmoother
 
 __all__ = [
@@ -35,10 +37,14 @@ class GridSpec:
     aspect: float = 1.0
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral):
+            raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 2:
             raise ValueError("need m >= 2 (at least a 3x3 interior)")
         if not self.aspect >= 1.0:
             raise ValueError("aspect ratio must be >= 1")
+        if not math.isfinite(self.aspect):
+            raise ValueError("aspect ratio must be finite")
 
     @property
     def n_side(self) -> int:
@@ -160,26 +166,23 @@ def jacobi_smoother(A, tol: float = 1e-10, max_iter: int = 5000,
                     seed: int = 0) -> DiagonalSmoother:
     """Point-Jacobi preconditioner ``B = diag(A)^{-1}`` with measured ``rho(BA)``.
 
-    The spectral radius is estimated by the power method in the A-inner
-    product, where ``BA`` is self-adjoint.  A non-converged estimate is
+    ``BA`` is similar to the symmetric ``D^{-1/2} A D^{-1/2}``, whose top
+    eigenvalue :func:`~polymg.linalg.lanczos_max` estimates from above with
+    one SpMV per step, so the spectrum of ``BA / rho(BA)`` lies in (0, 1].
+    ``tol`` bounds the relative Ritz residual.  A non-converged estimate is
     used but reported via a warning.
     """
     diag = A.diagonal()
     if np.any(diag <= 0.0):
         raise ValueError("matrix diagonal must be positive")
     inv_diag = 1.0 / diag
-    result = power_method(
-        lambda v: inv_diag * (A @ v),
-        lambda u, v: weighted_inner(u, v, A),
-        A.shape[0],
-        tol=tol,
-        max_iter=max_iter,
-        seed=seed,
-    )
+    s = np.sqrt(inv_diag)
+    result = lanczos_max(lambda v: s * (A @ (s * v)), A.shape[0],
+                         tol=tol, max_iter=max_iter, seed=seed)
     if not result.converged:
         warnings.warn(
-            f"rho(BA) power iteration reached {max_iter} iterations "
-            f"(last estimate {result.value:.12g})",
+            f"rho(BA) Lanczos estimate not converged after {max_iter} steps "
+            f"(estimate {result.value:.12g}, residual {result.residual:.3g})",
             stacklevel=2,
         )
     return DiagonalSmoother(inverse_diagonal=inv_diag, rho_BA=result.value)

@@ -16,13 +16,12 @@ import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
-    "PowerResult",
+    "LanczosResult",
     "CholeskySolver",
     "as_csr",
     "validate_csr",
     "spmv",
-    "weighted_inner",
-    "power_method",
+    "lanczos_max",
     "dense_cholesky_solve",
     "save_matrix_market",
     "load_matrix_market",
@@ -52,10 +51,12 @@ def validate_csr(A, symmetric: bool = False, tol: float = 0.0) -> None:
         raise ValueError("row offsets are inconsistent with the index array")
     if np.any(np.diff(indptr) < 0):
         raise ValueError("row offsets must be nondecreasing")
-    for row in range(n_rows):
-        cols = indices[indptr[row]:indptr[row + 1]]
-        if cols.size and (np.any(np.diff(cols) <= 0) or cols[0] < 0 or cols[-1] >= n_cols):
-            raise ValueError(f"row {row}: column indices not strictly increasing in range")
+    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
+    bad = (indices < 0) | (indices >= n_cols)
+    bad[1:] |= (np.diff(indices) <= 0) & (np.diff(row_of) == 0)
+    if bad.any():
+        row = row_of[np.argmax(bad)]
+        raise ValueError(f"row {row}: column indices not strictly increasing in range")
     if symmetric:
         if n_rows != n_cols:
             raise ValueError("symmetry requires a square matrix")
@@ -73,71 +74,66 @@ def spmv(A, x: np.ndarray) -> np.ndarray:
     return A @ x
 
 
-def weighted_inner(u: np.ndarray, v: np.ndarray, weight=None) -> float:
-    """Inner product ``<u, v>_W = u^T W v``.
-
-    ``weight`` is ``None`` (identity), a 1-D array (diagonal W), or a
-    matrix operator applied as ``W @ v``.
-    """
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise ValueError("u and v must have identical shapes")
-    if weight is None:
-        return float(u @ v)
-    if isinstance(weight, np.ndarray) and weight.ndim == 1:
-        if weight.shape != v.shape:
-            raise ValueError("diagonal weight length must match the vectors")
-        return float(u @ (weight * v))
-    return float(u @ (weight @ v))
-
-
-class PowerResult(NamedTuple):
-    """Dominant-eigenpair estimate from :func:`power_method`."""
+class LanczosResult(NamedTuple):
+    """Largest-eigenvalue estimate from :func:`lanczos_max`."""
 
     value: float
-    vector: np.ndarray
     converged: bool
     iterations: int
+    residual: float
 
 
-def power_method(
-    apply_operator: Callable[[np.ndarray], np.ndarray],
-    inner: Callable[[np.ndarray, np.ndarray], float],
+# Steps between Ritz checks; one check costs O(j) against O(n) per step.
+_CHECK_EVERY = 5
+# A remainder this small relative to the step's coefficients is rounding
+# noise: the Krylov space is invariant and the Ritz values are exact.
+_BREAKDOWN = float(np.sqrt(np.finfo(float).eps))
+
+
+def lanczos_max(
+    apply: Callable[[np.ndarray], np.ndarray],
     n: int,
+    *,
     tol: float = 1e-10,
     max_iter: int = 5000,
     seed: int = 0,
-    v0: np.ndarray | None = None,
-) -> PowerResult:
-    """Estimate the dominant eigenvalue of a self-adjoint operator.
+) -> LanczosResult:
+    """Upper estimate of the largest eigenvalue of a symmetric operator.
 
-    The operator must be self-adjoint in the given inner product (e.g.
-    ``B A`` is self-adjoint in the A-inner product).  Iterates
-    ``v <- apply(v) / ||apply(v)||`` and tracks the Rayleigh quotient until
-    its successive relative change drops below ``tol``.
-
-    Returns the best estimate flagged ``converged=False`` when ``max_iter``
-    is exhausted; the caller decides whether that is acceptable.
+    Plain three-term Lanczos from a seeded random start: one ``apply`` per
+    step, three stored vectors, no reorthogonalisation (lost orthogonality
+    only adds ghost copies of converged Ritz values).  Every few steps the
+    top Ritz value ``theta`` and its residual bound ``r = beta_j |s_j|`` are
+    formed; the run stops once ``r <= tol * theta`` or on breakdown.  Ritz
+    values approach the top eigenvalue from below and an eigenvalue lies
+    within ``r`` of ``theta``, so ``value = theta + r`` is an upper estimate.
+    Exhausting ``max_iter`` returns the last estimate with ``converged=False``.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n) if v0 is None else np.asarray(v0, dtype=float).copy()
-    nv = np.sqrt(inner(v, v))
-    if nv == 0.0:
-        raise ValueError("start vector has zero norm in the given inner product")
-    v /= nv
-    value = 0.0
-    for it in range(1, max_iter + 1):
-        w = apply_operator(v)
-        new_value = inner(v, w)  # Rayleigh quotient; v has unit norm
-        nw = np.sqrt(max(inner(w, w), 0.0))
-        if nw == 0.0:
-            return PowerResult(0.0, v, True, it)
-        v = w / nw
-        if it >= 3 and abs(new_value - value) <= tol * max(abs(new_value), 1e-300):
-            return PowerResult(float(new_value), v, True, it)
-        value = new_value
-    return PowerResult(float(value), v, False, max_iter)
+    q = rng.standard_normal(n)
+    q /= np.linalg.norm(q)
+    q_prev, b = np.zeros(n), 0.0
+    alpha: list[float] = []
+    beta: list[float] = []
+    for j in range(1, max_iter + 1):
+        w = apply(q)
+        a = float(q @ w)
+        w = w - a * q  # a new array: ``apply`` may return its argument
+        w -= b * q_prev
+        alpha.append(a)
+        b_prev, b = b, float(np.linalg.norm(w))
+        breakdown = b <= _BREAKDOWN * (abs(a) + b_prev)
+        if breakdown or j % _CHECK_EVERY == 0 or j == max_iter:
+            theta, s = scipy.linalg.eigh_tridiagonal(
+                alpha, beta, select="i", select_range=(j - 1, j - 1))
+            r = b * abs(float(s[-1, 0]))
+            converged = breakdown or r <= tol * abs(theta[0])
+            if converged or j == max_iter:
+                return LanczosResult(float(theta[0]) + r, bool(converged), j, r)
+        beta.append(b)
+        q_prev, q = q, w / b
 
 
 class CholeskySolver:

@@ -228,8 +228,10 @@ def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec,
 
     ``N^{-1} = A (I - p(BA)^2)^{-1}`` is evaluated through the
     eigendecomposition of the symmetrized smoothed operator; requires
-    ``|p| < 1`` on the spectrum of the normalized ``BA``.  The cycle bound
-    ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.
+    ``|p| < 1`` on (0, 1].  That is checked on the spectrum of the
+    normalized ``BA`` and at the endpoint 1, so rounding in ``rho(BA)``
+    cannot decide it.  The cycle bound ``||E||_A^2 <= 1 - 1/C_N`` is sharp
+    over errors in the fine space.
     """
     n = A.shape[0]
     if n > dense_cap:
@@ -239,8 +241,8 @@ def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec,
     sym = s[:, None] * Ad * s[None, :]
     lam, Q = np.linalg.eigh(0.5 * (sym + sym.T))
     pv = p.evaluate(lam)
-    if np.max(np.abs(pv)) >= 1.0:
-        raise ValueError("polynomial is not a contraction on the spectrum; N is singular")
+    if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
+        raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
     # N^{-1} = S^{-1} Q diag(lam / (1 - p(lam)^2)) Q^T S^{-1}
     mid = lam / (1.0 - pv * pv)
     n_inv = (Q * mid) @ Q.T

@@ -157,6 +157,9 @@ def test_measure_c_close_to_analytic():
     ("opt-poly", "--k", "201"),
     ("bounds", "--C", "2"),  # missing required --k
     (),
+    ("run", "--m", "12"),  # m = 12 needs over 6 GB to assemble
+    ("assemble", "--m", "12", "--out", "never-written.mtx"),
+    ("measure-c", "--m", "1"),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)

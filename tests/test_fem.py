@@ -32,6 +32,13 @@ def test_grid_spec_geometry():
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(m=1, aspect=1.0)
+    with pytest.raises(ValueError, match="integer"):
+        GridSpec(m=3.5, aspect=1.0)
+    with pytest.raises(ValueError, match="finite"):
+        GridSpec(m=3, aspect=float("inf"))
+    with pytest.raises(ValueError):
+        GridSpec(m=3, aspect=float("nan"))
+    assert GridSpec(m=np.int64(3)).n_side == 7
     with pytest.raises(ValueError):
         GridSpec(m=3, aspect=0.5)
     with pytest.raises(ValueError):
@@ -122,3 +129,10 @@ def test_jacobi_spectral_radius_approaches_three_halves():
     B = jacobi_smoother(A)
     assert B.rho_BA == pytest.approx(1.495196, abs=1e-4)
     assert B.rho_BA < 1.5
+
+
+def test_jacobi_smoother_warns_when_not_converged():
+    A = assemble_poisson_q1(GridSpec(m=4, aspect=2.0))
+    with pytest.warns(UserWarning, match="not converged after 3 steps"):
+        B = jacobi_smoother(A, max_iter=3)
+    assert np.isfinite(B.rho_BA) and B.rho_BA > 0.0

@@ -9,12 +9,11 @@ from polymg.linalg import (
     CholeskySolver,
     as_csr,
     dense_cholesky_solve,
+    lanczos_max,
     load_matrix_market,
-    power_method,
     save_matrix_market,
     spmv,
     validate_csr,
-    weighted_inner,
 )
 
 
@@ -52,6 +51,21 @@ def test_validate_csr_rejects_duplicate_columns():
         validate_csr(A)
 
 
+def test_validate_csr_rejects_unsorted_row():
+    # row 1 holds columns 2, 0: both in range, out of order
+    A = sp.csr_array((np.ones(3), np.array([1, 2, 0]), np.array([0, 1, 3, 3])), shape=(3, 3))
+    with pytest.raises(ValueError, match="row 1: column indices not strictly increasing"):
+        validate_csr(A)
+
+
+def test_validate_csr_rejects_out_of_range_column():
+    # row 2 is sorted but its last column exceeds the width
+    A = sp.csr_array((np.ones(5), np.array([0, 1, 2, 0, 3]), np.array([0, 1, 3, 5])),
+                     shape=(3, 3))
+    with pytest.raises(ValueError, match="row 2: column indices not strictly increasing in range"):
+        validate_csr(A)
+
+
 def test_validate_csr_rejects_wrong_format():
     with pytest.raises(ValueError, match="CSR"):
         validate_csr(sp.coo_array(np.eye(3)))
@@ -76,50 +90,51 @@ def test_spmv_rejects_shape_mismatch():
         spmv(A, np.ones(5))
 
 
-def test_weighted_inner_variants():
-    rng = np.random.default_rng(7)
-    u, v = rng.standard_normal(12), rng.standard_normal(12)
-    d = rng.random(12) + 0.1
-    W = _random_spd(12, seed=8)
-    assert weighted_inner(u, v) == pytest.approx(u @ v, rel=1e-14)
-    assert weighted_inner(u, v, d) == pytest.approx(u @ (d * v), rel=1e-14)
-    assert weighted_inner(u, v, W) == pytest.approx(u @ W @ v, rel=1e-13)
-    with pytest.raises(ValueError):
-        weighted_inner(u, v[:-1])
-
-
-def test_power_method_diagonal_operator():
-    d = np.array([0.3, 1.7, 0.9, 2.4, 2.399, 0.01])
-    res = power_method(lambda v: d * v, lambda a, b: float(a @ b), n=6, tol=1e-12,
-                       max_iter=20000, seed=1)
+def test_lanczos_max_diagonal_operator():
+    d = np.array([0.3, 1.7, 0.9, 2.4, 2.399, 0.01] * 20)
+    res = lanczos_max(lambda v: d * v, n=d.size, tol=1e-12, seed=1)
     assert res.converged
-    assert res.value == pytest.approx(2.4, abs=1e-8)
+    assert 0.0 <= res.residual <= 1e-12 * res.value
+    # theta + residual: an upper estimate
+    assert 2.4 <= res.value <= 2.4 * (1 + 2e-12)
 
 
-def test_power_method_self_adjoint_in_energy_inner():
-    # B A with diagonal B is self-adjoint in the A-inner product; its top
-    # eigenvalue equals that of D^{1/2} A D^{1/2}
+def test_lanczos_max_matches_dense_spectrum():
+    # B A with diagonal B = D^-1 is similar to D^{-1/2} A D^{-1/2}
     A = _random_spd(20, seed=11)
-    d = 1.0 / np.diag(A)
-    res = power_method(lambda v: d * (A @ v), lambda u, v: float(u @ A @ v),
-                       n=20, tol=1e-13, seed=2)
-    s = np.sqrt(d)
-    expected = scipy.linalg.eigh(s[:, None] * A * s[None, :], eigvals_only=True)[-1]
+    s = 1.0 / np.sqrt(np.diag(A))
+    S = s[:, None] * A * s[None, :]
+    res = lanczos_max(lambda v: S @ v, n=20, tol=1e-13, seed=2)
+    expected = scipy.linalg.eigh(S, eigvals_only=True)[-1]
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-9)
 
 
-def test_power_method_zero_start_rejected():
-    with pytest.raises(ValueError, match="zero norm"):
-        power_method(lambda v: v, lambda a, b: float(a @ b), n=3, v0=np.zeros(3))
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_lanczos_max_breakdown_is_converged(n):
+    # n steps span the whole space; with tol = 0 only breakdown can stop the run
+    d = np.linspace(0.5, 3.0, n)
+    res = lanczos_max(lambda v: d * v, n=n, tol=0.0, max_iter=50, seed=4)
+    assert res.converged
+    assert res.iterations == n
+    assert res.value == pytest.approx(d[-1], rel=1e-13)
 
 
-def test_power_method_flags_exhaustion():
-    d = np.array([2.0, 1.0])
-    res = power_method(lambda v: d * v, lambda a, b: float(a @ b), n=2,
-                       tol=1e-30, max_iter=4)
+def test_lanczos_max_flags_exhaustion():
+    d = np.random.default_rng(5).random(200)
+    res = lanczos_max(lambda v: d * v, n=200, tol=1e-12, max_iter=3)
     assert not res.converged
-    assert res.iterations == 4
+    assert res.iterations == 3
+    assert res.residual > 1e-12 * res.value
+    with pytest.raises(ValueError, match="max_iter"):
+        lanczos_max(lambda v: d * v, n=200, max_iter=0)
+
+
+def test_lanczos_max_deterministic_per_seed():
+    A = _random_sparse_symmetric(300, seed=6)
+    runs = [lanczos_max(lambda v: A @ v, n=300, tol=1e-10, seed=seed) for seed in (3, 3, 4)]
+    assert runs[0] == runs[1]
+    assert runs[0].value == pytest.approx(runs[2].value, rel=1e-9)
 
 
 def test_cholesky_solver_roundtrip():

@@ -1,5 +1,7 @@
 """V-cycle behavior, contraction measurement, and the model-problem constants."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -45,6 +47,36 @@ def test_hierarchy_structure(hierarchy_m4_a2):
         assert lvl.P is not None and lvl.smoother is not None
         assert lvl.smoother.rho_BA > 1.0
     assert h.levels[-1].P is None and h.levels[-1].smoother is None
+
+
+def _exact_rho_jacobi(grid):
+    """rho(D^-1 A) of the Q1 operator Kx(x)My + Mx(x)Ky from its 1-D spectra."""
+    n = grid.n_side
+    c = np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    cx, cy = c[:, None], c[None, :]
+    hx, hy = grid.hx, grid.hy
+    lam = ((2 - 2 * cx) / hx * hy * (4 + 2 * cy) / 6
+           + hx * (4 + 2 * cx) / 6 * (2 - 2 * cy) / hy)
+    return float(lam.max()) / ((8 / 6) * (hy / hx + hx / hy))
+
+
+def test_exact_rho_reference_value():
+    assert _exact_rho_jacobi(GridSpec(m=8, aspect=2.0)) == pytest.approx(
+        2.3998569363292814, rel=1e-15)
+
+
+@pytest.mark.parametrize("m, aspect", [(7, 1.0), (7, 2.0), (7, 4.0), (8, 2.0)])
+def test_rho_matches_closed_form_on_every_level(m, aspect):
+    # Galerkin coarse operators equal the rediscretisation, so each level's
+    # rho(D^-1 A) has the closed form; the estimate must sit on its upper side
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = build_hierarchy(GridSpec(m=m, aspect=aspect))
+    for lvl in h.levels[:-1]:
+        exact = _exact_rho_jacobi(lvl.grid)
+        rho = lvl.smoother.rho_BA
+        assert abs(rho - exact) <= 1e-10 * exact, lvl.grid
+        assert rho >= exact * (1 - 1e-14), lvl.grid
 
 
 def test_hierarchy_levels_are_galerkin(hierarchy_m4_a2):
