@@ -25,7 +25,7 @@ from .bounds import (
     omega_max_exact,
     sharp_constants,
 )
-from .fem import GridSpec, ProlongationOp, assemble_poisson_q1, build_prolongation, jacobi_smoother
+from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother
 from .linalg import (
     CholeskySolver,
     lanczos_max,
@@ -45,20 +45,12 @@ from .multigrid import (
 )
 from .optpoly import EquioscillationState, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec, cheb4_coefficients, cheb4_smoother_poly, cheb_w, gamma_mu
-from .smoothers import (
-    DiagonalSmoother,
-    SmootherConfig,
-    apply_smoother,
-    smooth_cheb4,
-    smooth_opt,
-    smooth_simple,
-)
+from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec",
-    "ProlongationOp",
     "assemble_poisson_q1",
     "build_prolongation",
     "jacobi_smoother",
@@ -78,9 +70,6 @@ __all__ = [
     "DiagonalSmoother",
     "SmootherConfig",
     "apply_smoother",
-    "smooth_simple",
-    "smooth_cheb4",
-    "smooth_opt",
     "Level",
     "Hierarchy",
     "VCycleConfig",

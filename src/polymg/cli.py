@@ -156,7 +156,7 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]
 def _measured_c(m: int, aspect: float, seed: int) -> float:
     hier = build_hierarchy(GridSpec(m=m, aspect=aspect), seed=seed)
     top = hier.levels[0]
-    return measure_C(top.A, top.smoother, top.P.matrix, hier.levels[1].A)
+    return measure_C(top.A, top.smoother, top.P, hier.levels[1].A)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:

@@ -22,7 +22,6 @@ from .smoothers import DiagonalSmoother
 
 __all__ = [
     "GridSpec",
-    "ProlongationOp",
     "assemble_poisson_q1",
     "build_prolongation",
     "jacobi_smoother",
@@ -130,20 +129,7 @@ def _prolongation_1d(n_coarse: int) -> sp.csr_array:
     return sp.csr_array(mat)
 
 
-@dataclass(frozen=True)
-class ProlongationOp:
-    """Bilinear interpolation from a coarse grid to the next finer grid."""
-
-    fine: GridSpec
-    coarse: GridSpec
-    matrix: sp.csr_array
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def build_prolongation(fine: GridSpec, coarse: GridSpec) -> ProlongationOp:
+def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
     """Bilinear prolongation between nested grids (factor-2 coarsening).
 
     Coarse node ``(I, J)`` coincides with fine node ``(2I, 2J)``; the
@@ -156,10 +142,10 @@ def build_prolongation(fine: GridSpec, coarse: GridSpec) -> ProlongationOp:
     if coarse.aspect != fine.aspect:
         raise ValueError("grids must share the aspect ratio")
     p1 = _prolongation_1d(coarse.n_side)
-    matrix = sp.csr_array(sp.kron(p1, p1, format="csr"))
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return ProlongationOp(fine=fine, coarse=coarse, matrix=matrix)
+    P = sp.csr_array(sp.kron(p1, p1, format="csr"))
+    P.sum_duplicates()
+    P.sort_indices()
+    return P
 
 
 def jacobi_smoother(A, tol: float = 1e-10, max_iter: int = 5000,

@@ -20,9 +20,7 @@ __all__ = [
     "CholeskySolver",
     "as_csr",
     "validate_csr",
-    "spmv",
     "lanczos_max",
-    "dense_cholesky_solve",
     "save_matrix_market",
     "load_matrix_market",
 ]
@@ -64,14 +62,6 @@ def validate_csr(A, symmetric: bool = False, tol: float = 0.0) -> None:
         err = np.max(np.abs(diff.data)) if diff.nnz else 0.0
         if err > tol:
             raise ValueError(f"matrix is not symmetric: max|A - A^T| = {err:.3e}")
-
-
-def spmv(A, x: np.ndarray) -> np.ndarray:
-    """Sparse matrix-vector product ``A @ x`` with shape validation."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: A is {A.shape}, x has shape {x.shape}")
-    return A @ x
 
 
 class LanczosResult(NamedTuple):
@@ -156,11 +146,6 @@ class CholeskySolver:
         if b.shape != (self.n,):
             raise ValueError("right-hand side length mismatch")
         return scipy.linalg.cho_solve(self._factor, b)
-
-
-def dense_cholesky_solve(M: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``M x = b`` for dense SPD ``M``; raises ``ValueError`` if not SPD."""
-    return CholeskySolver(M).solve(b)
 
 
 def save_matrix_market(path, A) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .fem import GridSpec, ProlongationOp, assemble_poisson_q1, build_prolongation, jacobi_smoother
+from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother
 from .linalg import CholeskySolver, as_csr
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
@@ -47,12 +47,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Level:
-    """One grid level; the coarsest level has no smoother or prolongation."""
+    """One grid level; the coarsest level has no smoother or transfers.
+
+    ``A`` is the canonical CSR matrix (export, Galerkin products, dense
+    measurements).  ``op`` is the same operator in banded ``dia_array``
+    form, which the smoother, the residual and the A-norms apply.  ``P``
+    prolongs from the next coarser level and ``R = P^T`` restricts to it.
+    """
 
     grid: GridSpec
     A: sp.csr_array
+    op: sp.dia_array
     smoother: DiagonalSmoother | None
-    P: ProlongationOp | None
+    P: sp.csr_array | None
+    R: sp.csr_array | None
 
 
 @dataclass(frozen=True)
@@ -94,6 +102,8 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3, rho_tol: float = 1e-1
 
     Every level gets a Jacobi smoother with its own measured ``rho(BA)``;
     coarse operators are Galerkin products of the bilinear prolongation.
+    Each level keeps its operator in CSR and, for the cycle, in DIA form:
+    the model problem is a 9-point band on every level.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
@@ -101,37 +111,41 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3, rho_tol: float = 1e-1
     g = grid
     A = assemble_poisson_q1(g)
     while g.n_side > min_interior and g.m > 2:
-        B = jacobi_smoother(A, tol=rho_tol, seed=seed)
+        op = A.todia()
+        B = jacobi_smoother(op, tol=rho_tol, seed=seed)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
-        Ac = as_csr(P.matrix.T @ A @ P.matrix)
-        levels.append(Level(grid=g, A=A, smoother=B, P=P))
+        Ac = as_csr(P.T @ A @ P)
+        levels.append(Level(grid=g, A=A, op=op, smoother=B, P=P, R=as_csr(P.T)))
         g, A = cg, Ac
-    levels.append(Level(grid=g, A=A, smoother=None, P=None))
+    levels.append(Level(grid=g, A=A, op=A.todia(), smoother=None, P=None, R=None))
     coarse_solver = CholeskySolver(A.toarray())
     return Hierarchy(levels=tuple(levels), coarse_solver=coarse_solver)
 
 
 def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray,
                    level: int) -> np.ndarray:
+    """Cycle from ``level`` down, updating ``x`` in place; returns the new iterate."""
     lvl = h.levels[level]
     if lvl.P is None:
         return h.coarse_solver.solve(b)
     for _ in range(cfg.pre_steps):
-        x = apply_smoother(lvl.A, lvl.smoother, x, b, cfg.smoother)
-    r = b - lvl.A @ x
-    Pm = lvl.P.matrix
-    ec = _v_cycle_level(h, cfg, np.zeros(Pm.shape[1]), Pm.T @ r, level + 1)
-    x = x + Pm @ ec
+        apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+    r = b - lvl.op @ x
+    ec = _v_cycle_level(h, cfg, np.zeros(lvl.R.shape[0]), lvl.R @ r, level + 1)
+    x += lvl.P @ ec
     for _ in range(cfg.post_steps):
-        x = apply_smoother(lvl.A, lvl.smoother, x, b, cfg.smoother)
+        apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
     return x
 
 
 def v_cycle(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """One V-cycle for ``A x = b`` starting from ``x`` on the finest level."""
+    """One V-cycle for ``A x = b`` starting from ``x`` on the finest level.
+
+    Returns the new iterate; ``x`` itself is left unchanged.
+    """
     n = h.finest.A.shape[0]
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != (n,) or b.shape != (n,):
         raise ValueError("x and b must match the finest-level size")
@@ -156,14 +170,14 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     the error), renormalizing each cycle, and tracks the per-cycle A-norm
     ratio until its relative change falls below ``tol``.  For a symmetric
     cycle the limit is ``||E||_A^2``.  When ``max_cycles`` is exhausted the
-    last ratio is returned flagged not-converged.
+    last ratio is returned flagged not-converged.  ``x0`` is left unchanged.
     """
     if not cfg.is_symmetric:
         raise ValueError("contraction measurement requires a symmetric cycle (pre == post)")
-    A = h.finest.A
+    A = h.finest.op
     n = A.shape[0]
     rng = np.random.default_rng(seed)
-    e = rng.standard_normal(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    e = rng.standard_normal(n) if x0 is None else np.array(x0, dtype=float)
     zero = np.zeros(n)
     ratio_prev = None
     ratio = 0.0
@@ -171,7 +185,7 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
         norm = np.sqrt(e @ (A @ e))
         if norm == 0.0:
             return ContractionResult(0.0, True, cycle, e)
-        e = e / norm
+        e /= norm
         e = _v_cycle_level(h, cfg, e, zero, 0)
         ratio = float(np.sqrt(max(e @ (A @ e), 0.0)))
         if cycle >= 3 and ratio_prev is not None and abs(ratio - ratio_prev) <= tol * ratio:
@@ -180,19 +194,14 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     return ContractionResult(ratio, False, max_cycles, e)
 
 
-def _unwrap_prolongation(P) -> sp.csr_array:
-    return P.matrix if isinstance(P, ProlongationOp) else as_csr(P)
-
-
 def fine_space_projector(A, P, A_c) -> np.ndarray:
     """Dense A-orthogonal projector ``pi_f = I - P A_c^{-1} P^T A``.
 
     ``pi_f`` annihilates the range of ``P`` and reproduces its A-orthogonal
     complement; it is the error propagator of exact coarse correction.
     """
-    Pm = _unwrap_prolongation(P)
     Ad = A.toarray()
-    Pd = Pm.toarray()
+    Pd = P.toarray()
     Acd = A_c.toarray()
     X = scipy.linalg.solve(Acd, Pd.T @ Ad, assume_a="pos")
     return np.eye(Ad.shape[0]) - Pd @ X
@@ -210,11 +219,10 @@ def measure_C(A, B: DiagonalSmoother, P, A_c, dense_cap: int = 4000) -> float:
     n = A.shape[0]
     if n > dense_cap:
         raise ValueError(f"dense path capped at n = {dense_cap}; got {n}")
-    Pm = _unwrap_prolongation(P)
-    if Pm.shape[0] == Pm.shape[1]:
+    if P.shape[0] == P.shape[1]:
         warnings.warn("coarse space spans the fine space; C is degenerate", stacklevel=2)
         return 0.0
-    pif = fine_space_projector(A, Pm, A_c)
+    pif = fine_space_projector(A, P, A_c)
     b_hat_inv = B.rho_BA / B.inverse_diagonal  # inverse of B/rho(BA)
     M = pif.T @ (b_hat_inv[:, None] * pif)
     M = 0.5 * (M + M.T)

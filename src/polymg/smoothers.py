@@ -1,15 +1,25 @@
 """Polynomial smoothers for SPD systems preconditioned by a diagonal.
 
 Every smoother realizes an error propagation ``e <- p(BA/rho(BA)) e`` for
-some polynomial ``p`` with ``p(0) = 1``:
+some polynomial ``p`` with ``p(0) = 1``, and every one runs the same
+three-term recurrence with per-step constants ``(a_i, c_i, beta_i)``:
 
-* ``smooth_simple``: damped preconditioned Richardson, ``p = (1 - omega lam)^k``;
-* ``smooth_cheb4``: fourth-kind Chebyshev acceleration, ``p = W_k(1-2 lam)/(2k+1)``;
-* ``smooth_opt``: the same three-term recurrence with per-step over-relaxation
-  weights ``beta_i``, realizing ``p = sum_i ((beta_i - beta_{i+1})/(2i+1)) W_i(1-2 lam)``.
+    z_0 = 0, r_0 = b - A x_0, and for i = 1..k:
+        z_i = a_i z_{i-1} + c_i (1/rho) B r_{i-1}
+        x_i = x_{i-1} + beta_i z_i
+        r_i = r_{i-1} - A z_i
 
-``smooth_cheb4`` is exactly ``smooth_opt`` with all betas equal to one; both
-run the same operation sequence, so the equivalence is bitwise.
+* ``simple``: damped preconditioned Richardson, ``(0, omega, 1)``, so
+  ``p = (1 - omega lam)^k``;
+* ``cheb4``: fourth-kind Chebyshev, ``a_i = (2i-3)/(2i+1)``,
+  ``c_i = (8i-4)/(2i+1)`` and ``beta_i = 1``, so ``p = W_k(1-2 lam)/(2k+1)``;
+* ``opt``: the ``cheb4`` constants with over-relaxation weights ``beta_i``,
+  realizing ``p = sum_i ((beta_i - beta_{i+1})/(2i+1)) W_i(1-2 lam)``.
+
+``cheb4`` is exactly ``opt`` with all betas equal to one and runs the same
+operation sequence, so the equivalence is bitwise.  ``r_i`` tracks
+``b - A (x_{i-1} + z_i)``; it is the residual of ``x_i`` only when
+``beta_i = 1``.
 """
 
 from __future__ import annotations
@@ -21,9 +31,6 @@ import numpy as np
 __all__ = [
     "DiagonalSmoother",
     "SmootherConfig",
-    "smooth_simple",
-    "smooth_cheb4",
-    "smooth_opt",
     "apply_smoother",
 ]
 
@@ -58,13 +65,16 @@ class SmootherConfig:
     """Selects a smoother variant and its degree.
 
     ``kind`` is one of ``"simple"``, ``"cheb4"``, ``"opt"``.  ``omega`` is
-    required for ``simple``; ``betas`` (length ``k``) for ``opt``.
+    required for ``simple``; ``betas`` (length ``k``) for ``opt``.  ``steps``
+    holds the recurrence constants ``(a_i, c_i, beta_i)``, one per step.
     """
 
     kind: str
     k: int
     omega: float | None = None
     betas: np.ndarray | None = field(default=None, repr=False)
+    steps: tuple[tuple[float, float, float], ...] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("simple", "cheb4", "opt"):
@@ -74,15 +84,22 @@ class SmootherConfig:
         if self.kind == "simple":
             if self.omega is None or not 0.0 < self.omega < 2.0:
                 raise ValueError("simple smoother needs 0 < omega < 2")
-        if self.kind == "cheb4" and self.k < 1:
-            raise ValueError("cheb4 smoother needs k >= 1")
-        if self.kind == "opt":
-            if self.betas is None:
+            steps = ((0.0, float(self.omega), 1.0),) * self.k
+        else:
+            if self.k < 1:
+                raise ValueError(f"{self.kind} smoother needs k >= 1")
+            if self.kind == "cheb4":
+                betas = np.ones(self.k)
+            elif self.betas is None:
                 raise ValueError("opt smoother needs its beta array")
-            b = np.asarray(self.betas, dtype=float)
-            if b.shape != (self.k,):
-                raise ValueError("need exactly k betas")
-            object.__setattr__(self, "betas", b)
+            else:
+                betas = np.asarray(self.betas, dtype=float)
+                if betas.shape != (self.k,):
+                    raise ValueError("need exactly k betas")
+                object.__setattr__(self, "betas", betas)
+            steps = tuple(((2 * i - 3) / (2 * i + 1), (8 * i - 4) / (2 * i + 1), float(beta))
+                          for i, beta in enumerate(betas, start=1))
+        object.__setattr__(self, "steps", steps)
 
     @classmethod
     def simple(cls, omega: float, k: int) -> "SmootherConfig":
@@ -98,74 +115,30 @@ class SmootherConfig:
         return cls(kind="opt", k=len(betas), betas=betas)
 
 
-def smooth_simple(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,
-                  omega: float, k: int) -> np.ndarray:
-    """Run ``k`` damped Jacobi steps ``x <- x + (omega/rho) B (b - A x)``."""
-    if not 0.0 < omega < 2.0:
-        raise ValueError("need 0 < omega < 2")
-    if k < 0:
-        raise ValueError("step count must be nonnegative")
-    x = np.array(x, dtype=float)
-    scale = omega / B.rho_BA
-    for _ in range(k):
-        x = x + scale * (B.inverse_diagonal * (b - A @ x))
-    return x
-
-
-def _cheb4_core(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,
-                betas: np.ndarray) -> np.ndarray:
-    """Three-term fourth-kind Chebyshev recurrence with over-relaxed updates.
-
-    z_0 = 0, r_0 = b - A x_0, and for i = 1..k:
-        z_i = ((2i-3)/(2i+1)) z_{i-1} + ((8i-4)/(2i+1)) (1/rho) B r_{i-1}
-        x_i = x_{i-1} + beta_i z_i
-        r_i = r_{i-1} - A z_i
-
-    Note r_i tracks b - A (x_{i-1} + z_i); it feeds the recurrence and is
-    not the residual of x_i unless beta_i = 1.
-    """
-    k = len(betas)
-    x = np.array(x, dtype=float)
-    if k == 0:
-        return x
-    inv_rho = 1.0 / B.rho_BA
-    r = b - A @ x
-    z = np.zeros_like(x)
-    for i in range(1, k + 1):
-        z = ((2 * i - 3) / (2 * i + 1)) * z \
-            + ((8 * i - 4) / (2 * i + 1)) * inv_rho * (B.inverse_diagonal * r)
-        x = x + betas[i - 1] * z
-        if i < k:  # final residual update would be unused
-            r = r - A @ z
-    return x
-
-
-def smooth_cheb4(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,
-                 k: int) -> np.ndarray:
-    """Run the degree-``k`` fourth-kind Chebyshev smoother.
-
-    Error propagation is ``p_k((1/rho) B A)`` with
-    ``p_k(lam) = W_k(1 - 2 lam)/(2k+1)``.
-    """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    return _cheb4_core(A, B, x, b, np.ones(k))
-
-
-def smooth_opt(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,
-               betas) -> np.ndarray:
-    """Run the over-relaxed Chebyshev iteration with the given betas."""
-    betas = np.asarray(betas, dtype=float)
-    if betas.ndim != 1 or betas.size < 1:
-        raise ValueError("betas must be a nonempty 1-D array")
-    return _cheb4_core(A, B, x, b, betas)
-
-
 def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,
                    cfg: SmootherConfig) -> np.ndarray:
-    """Dispatch one application of the configured smoother."""
-    if cfg.kind == "simple":
-        return smooth_simple(A, B, x, b, cfg.omega, cfg.k)
-    if cfg.kind == "cheb4":
-        return smooth_cheb4(A, B, x, b, cfg.k)
-    return smooth_opt(A, B, x, b, cfg.betas)
+    """Run the configured smoother on ``x`` in place and return ``x``.
+
+    ``x`` must be a float array the caller may overwrite; ``b`` is only
+    read.  Besides the products with ``A``, one call allocates three work
+    vectors: the recurrence residual ``r``, the update ``z`` and a scratch
+    ``t``.
+    """
+    if not cfg.steps:
+        return x
+    inv_rho = 1.0 / B.rho_BA
+    dinv = B.inverse_diagonal
+    r = b - A @ x
+    z = np.zeros_like(x)
+    t = np.empty_like(x)
+    last = len(cfg.steps) - 1
+    for i, (a, c, beta) in enumerate(cfg.steps):
+        np.multiply(dinv, r, out=t)
+        t *= c * inv_rho
+        z *= a
+        z += t
+        np.multiply(z, beta, out=t)
+        x += t
+        if i < last:  # the final residual update would be unused
+            r -= A @ z
+    return x

@@ -18,6 +18,7 @@ from polymg import (
     PolynomialSpec,
     SmootherConfig,
     VCycleConfig,
+    apply_smoother,
     build_hierarchy,
     cheb4_coefficients,
     gamma_mu,
@@ -26,8 +27,6 @@ from polymg import (
     measure_contraction,
     optimal_polynomial,
     optimal_roots,
-    smooth_cheb4,
-    smooth_opt,
 )
 from polymg.bounds import (
     beta_constant,
@@ -209,21 +208,21 @@ def test_iteration_realizes_polynomial(scorecard):
             return s_hat * (U @ (p_vals * (U.T @ (e / s_hat))))
 
         for k in (1, 2, 3, 5):
-            out = smooth_cheb4(A, B, x0.copy(), b, k)
+            out = apply_smoother(A, B, x0.copy(), b, SmootherConfig.cheb4(k))
             want = x_star + realized_error(
                 PolynomialSpec.fourth_kind(k).evaluate(lam_hat))
             worst = max(worst, float(np.max(np.abs(out - want))
                                      / np.linalg.norm(e0)))
         for k in (1, 2, 4):
             spec = optimal_polynomial(k)
-            out = smooth_opt(A, B, x0.copy(), b,
-                             np.asarray(spec.iteration_betas))
+            out = apply_smoother(A, B, x0.copy(), b,
+                                 SmootherConfig.optimized(spec.iteration_betas))
             want = x_star + realized_error(spec.evaluate(lam_hat))
             worst = max(worst, float(np.max(np.abs(out - want))
                                      / np.linalg.norm(e0)))
         for k in (1, 3, 6):
-            ones = smooth_opt(A, B, x0.copy(), b, np.ones(k))
-            ref = smooth_cheb4(A, B, x0.copy(), b, k)
+            ones = apply_smoother(A, B, x0.copy(), b, SmootherConfig.optimized(np.ones(k)))
+            ref = apply_smoother(A, B, x0.copy(), b, SmootherConfig.cheb4(k))
             exact_ties = exact_ties and bool(np.array_equal(ones, ref))
     ok = worst <= 1e-10 and exact_ties
     scorecard(f"05 smoothing realizes claimed polynomials (worst {worst:.2e})", ok)
@@ -276,7 +275,7 @@ def test_two_level_chain_inequality(scorecard):
     for aspect in (1.0, 2.0):
         hier = build_hierarchy(GridSpec(m=5, aspect=aspect), min_interior=15)
         top = hier.levels[0]
-        P, A_c = top.P.matrix, hier.levels[1].A
+        P, A_c = top.P, hier.levels[1].A
         C = measure_C(top.A, top.smoother, P, A_c)
         for k in (1, 2, 3):
             p = PolynomialSpec.fourth_kind(k)

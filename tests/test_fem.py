@@ -85,7 +85,7 @@ def test_assembled_matrix_is_spd(aspect):
 
 def test_prolongation_weights():
     fine, coarse = GridSpec(m=3, aspect=1.0), GridSpec(m=2, aspect=1.0)
-    P = build_prolongation(fine, coarse).matrix
+    P = build_prolongation(fine, coarse)
     assert P.shape == (49, 9)
     dense = P.toarray()
     assert set(np.unique(dense[dense != 0.0])) == {0.25, 0.5, 1.0}
@@ -110,7 +110,7 @@ def test_galerkin_product_reassembles_coarse_problem(aspect):
     # bilinear coarse functions embed exactly, so P^T A P is the coarse matrix
     fine, coarse = GridSpec(m=3, aspect=aspect), GridSpec(m=2, aspect=aspect)
     A = assemble_poisson_q1(fine)
-    P = build_prolongation(fine, coarse).matrix
+    P = build_prolongation(fine, coarse)
     Ac = (P.T @ A @ P).toarray()
     assert np.allclose(Ac, assemble_poisson_q1(coarse).toarray(), atol=1e-12)
 

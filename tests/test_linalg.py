@@ -8,11 +8,9 @@ import scipy.sparse as sp
 from polymg.linalg import (
     CholeskySolver,
     as_csr,
-    dense_cholesky_solve,
     lanczos_max,
     load_matrix_market,
     save_matrix_market,
-    spmv,
     validate_csr,
 )
 
@@ -77,19 +75,6 @@ def test_validate_csr_flags_asymmetry():
         validate_csr(A, symmetric=True, tol=1e-12)
 
 
-def test_spmv_matches_dense():
-    rng = np.random.default_rng(3)
-    A = _random_sparse_symmetric(30, seed=3)
-    x = rng.standard_normal(30)
-    assert np.allclose(spmv(A, x), A.toarray() @ x, atol=1e-13)
-
-
-def test_spmv_rejects_shape_mismatch():
-    A = as_csr(sp.eye(4))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        spmv(A, np.ones(5))
-
-
 def test_lanczos_max_diagonal_operator():
     d = np.array([0.3, 1.7, 0.9, 2.4, 2.399, 0.01] * 20)
     res = lanczos_max(lambda v: d * v, n=d.size, tol=1e-12, seed=1)
@@ -142,7 +127,6 @@ def test_cholesky_solver_roundtrip():
     x = np.random.default_rng(5).standard_normal(25)
     solver = CholeskySolver(A)
     assert np.allclose(solver.solve(A @ x), x, atol=1e-9)
-    assert np.allclose(dense_cholesky_solve(A, A @ x), x, atol=1e-9)
 
 
 def test_cholesky_rejects_indefinite_and_asymmetric():

@@ -79,11 +79,22 @@ def test_rho_matches_closed_form_on_every_level(m, aspect):
         assert rho >= exact * (1 - 1e-14), lvl.grid
 
 
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 4.0])
+def test_level_operators_are_nine_point_bands(aspect):
+    h = build_hierarchy(GridSpec(m=6, aspect=aspect))
+    x = np.random.default_rng(6).standard_normal(h.finest.A.shape[0])
+    for lvl in h.levels[:-1]:
+        n_side = lvl.grid.n_side
+        assert sorted(lvl.op.offsets) == [d + e for d in (-n_side, 0, n_side) for e in (-1, 0, 1)]
+        v = x[: lvl.A.shape[0]]
+        assert np.array_equal(lvl.op @ v, lvl.A @ v)
+        assert (lvl.R != lvl.P.T).nnz == 0
+
+
 def test_hierarchy_levels_are_galerkin(hierarchy_m4_a2):
     h = hierarchy_m4_a2
     for fine, coarse in zip(h.levels, h.levels[1:]):
-        Pm = fine.P.matrix
-        diff = (coarse.A - as_csr(Pm.T @ fine.A @ Pm)).toarray()
+        diff = (coarse.A - as_csr(fine.P.T @ fine.A @ fine.P)).toarray()
         assert np.max(np.abs(diff)) < 1e-12
 
 
@@ -120,6 +131,20 @@ def test_v_cycle_reduces_residual(hierarchy_m4_a2):
         res = new_res
 
 
+def test_cycle_and_contraction_leave_inputs_unchanged(hierarchy_m4_a2):
+    h = hierarchy_m4_a2
+    rng = np.random.default_rng(7)
+    x, b = rng.standard_normal(h.finest.A.shape[0]), rng.standard_normal(h.finest.A.shape[0])
+    x_before, b_before = x.copy(), b.copy()
+    for sm in (SmootherConfig.simple(4.0 / 3.0, 2), SmootherConfig.cheb4(2)):
+        cfg = VCycleConfig(smoother=sm)
+        out = v_cycle(h, cfg, x, b)
+        assert out is not x and not np.array_equal(out, x)
+        res = measure_contraction(h, cfg, tol=1e-6, max_cycles=5, x0=x)
+        assert res.vector is not x
+        assert np.array_equal(x, x_before) and np.array_equal(b, b_before)
+
+
 def test_v_cycle_shape_validation(hierarchy_m4_a2):
     cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
     with pytest.raises(ValueError, match="finest-level size"):
@@ -137,7 +162,7 @@ def test_zero_smoothing_cycle_is_coarse_projection(two_level_m5_a2):
     h = two_level_m5_a2
     assert h.n_levels == 2
     top = h.levels[0]
-    pif = fine_space_projector(top.A, top.P.matrix, h.levels[1].A)
+    pif = fine_space_projector(top.A, top.P, h.levels[1].A)
     cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1), pre_steps=0, post_steps=0)
     e = np.random.default_rng(3).standard_normal(top.A.shape[0])
     out = v_cycle(h, cfg, e, np.zeros_like(e))
@@ -148,7 +173,7 @@ def test_projector_pythagoras(two_level_m5_a2):
     h = two_level_m5_a2
     top = h.levels[0]
     A = top.A
-    pif = fine_space_projector(A, top.P.matrix, h.levels[1].A)
+    pif = fine_space_projector(A, top.P, h.levels[1].A)
     e = np.random.default_rng(4).standard_normal(A.shape[0])
     ef = pif @ e
     ec = e - ef
@@ -156,7 +181,7 @@ def test_projector_pythagoras(two_level_m5_a2):
     assert ef @ (A @ ef) + ec @ (A @ ec) == pytest.approx(total, rel=1e-10)
     # pi_f is idempotent and annihilates the coarse space
     assert np.max(np.abs(pif @ pif - pif)) < 1e-9
-    assert np.max(np.abs(pif @ top.P.matrix.toarray())) < 1e-9
+    assert np.max(np.abs(pif @ top.P.toarray())) < 1e-9
 
 
 def test_measured_contraction_matches_operator_norm(hierarchy_m4_a2):
@@ -212,7 +237,7 @@ def test_measure_contraction_deterministic_and_warm_startable(hierarchy_m4_a2):
 def test_measured_C_reference_values(aspect):
     h = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
     top = h.levels[0]
-    C = measure_C(top.A, top.smoother, top.P.matrix, h.levels[1].A)
+    C = measure_C(top.A, top.smoother, top.P, h.levels[1].A)
     assert C == pytest.approx(C_M4[aspect], abs=2e-3)
     assert C >= 1.0
     # approaches 2 * aspect^2 from below on refined grids
@@ -224,7 +249,7 @@ def test_measured_C_grows_with_anisotropy():
     for aspect in (1.0, 2.0, 4.0):
         h = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
         top = h.levels[0]
-        values.append(measure_C(top.A, top.smoother, top.P.matrix, h.levels[1].A))
+        values.append(measure_C(top.A, top.smoother, top.P, h.levels[1].A))
     assert values[0] < values[1] < values[2]
 
 
@@ -235,7 +260,7 @@ def test_measure_C_degenerate_and_capped(hierarchy_m4_a2):
     with pytest.warns(UserWarning, match="degenerate"):
         assert measure_C(top.A, top.smoother, eye, top.A) == 0.0
     with pytest.raises(ValueError, match="capped"):
-        measure_C(top.A, top.smoother, top.P.matrix, hierarchy_m4_a2.levels[1].A,
+        measure_C(top.A, top.smoother, top.P, hierarchy_m4_a2.levels[1].A,
                   dense_cap=10)
 
 
@@ -243,10 +268,10 @@ def test_CN_bracket_and_bound_chain(two_level_m5_a2):
     h = two_level_m5_a2
     top = h.levels[0]
     Ac = h.levels[1].A
-    C = measure_C(top.A, top.smoother, top.P.matrix, Ac)
+    C = measure_C(top.A, top.smoother, top.P, Ac)
     for k in (1, 2, 3):
         p = PolynomialSpec.fourth_kind(k)
-        CN = measure_CN(top.A, top.smoother, top.P.matrix, Ac, p)
+        CN = measure_CN(top.A, top.smoother, top.P, Ac, p)
         gamma = gamma_mu(p)
         assert 1.0 <= CN <= 1.0 + gamma * C + 1e-9
         cfg = VCycleConfig(smoother=SmootherConfig.cheb4(k))
@@ -260,7 +285,7 @@ def test_CN_reference_chain_values(two_level_m5_a2):
     h = two_level_m5_a2
     top = h.levels[0]
     Ac = h.levels[1].A
-    CN = measure_CN(top.A, top.smoother, top.P.matrix, Ac, PolynomialSpec.fourth_kind(1))
+    CN = measure_CN(top.A, top.smoother, top.P, Ac, PolynomialSpec.fourth_kind(1))
     cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
     measured = measure_contraction(h, cfg, seed=0, tol=1e-9).factor
     assert measured == pytest.approx(0.688237, abs=1e-3)
@@ -272,4 +297,4 @@ def test_measure_CN_rejects_non_contraction(two_level_m5_a2):
     top = h.levels[0]
     bad = PolynomialSpec.from_roots(np.array([0.5]))
     with pytest.raises(ValueError, match="not a contraction"):
-        measure_CN(top.A, top.smoother, top.P.matrix, h.levels[1].A, bad)
+        measure_CN(top.A, top.smoother, top.P, h.levels[1].A, bad)

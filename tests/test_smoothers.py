@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymg.linalg import as_csr
 from polymg.optpoly import opt_betas, optimal_roots
 from polymg.poly import PolynomialSpec, cheb4_smoother_poly
-from polymg.smoothers import (
-    DiagonalSmoother,
-    SmootherConfig,
-    apply_smoother,
-    smooth_cheb4,
-    smooth_opt,
-    smooth_simple,
-)
+from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 
 def _setup(n, seed):
@@ -32,6 +27,18 @@ def _setup(n, seed):
     return A, B, s, evals / rho, U
 
 
+def _simple(A, B, x, b, omega, k):
+    return apply_smoother(A, B, x.copy(), b, SmootherConfig.simple(omega, k))
+
+
+def _cheb4(A, B, x, b, k):
+    return apply_smoother(A, B, x.copy(), b, SmootherConfig.cheb4(k))
+
+
+def _opt(A, B, x, b, betas):
+    return apply_smoother(A, B, x.copy(), b, SmootherConfig.optimized(betas))
+
+
 def _apply_poly(p_vals, s, U, e):
     # p(BA) e through the eigendecomposition of the symmetrized operator
     return s * (U @ (p_vals * (U.T @ (e / s))))
@@ -45,7 +52,7 @@ def test_simple_realizes_damped_polynomial(k):
     b = A @ x_star
     x0 = rng.standard_normal(25)
     for omega in (1.0, 4.0 / 3.0, 1.5):
-        out = smooth_simple(A, B, x0, b, omega, k)
+        out = _simple(A, B, x0, b, omega, k)
         expected = x_star + _apply_poly((1.0 - omega * lam) ** k, s, U, x0 - x_star)
         assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
 
@@ -57,7 +64,7 @@ def test_cheb4_realizes_shifted_chebyshev(k):
     x_star = rng.standard_normal(25)
     b = A @ x_star
     x0 = rng.standard_normal(25)
-    out = smooth_cheb4(A, B, x0, b, k)
+    out = _cheb4(A, B, x0, b, k)
     expected = x_star + _apply_poly(cheb4_smoother_poly(k, lam), s, U, x0 - x_star)
     assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
 
@@ -71,7 +78,7 @@ def test_opt_realizes_beta_polynomial(k):
     x_star = rng.standard_normal(22)
     b = A @ x_star
     x0 = rng.standard_normal(22)
-    out = smooth_opt(A, B, x0, b, betas)
+    out = _opt(A, B, x0, b, betas)
     expected = x_star + _apply_poly(p(lam), s, U, x0 - x_star)
     assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
 
@@ -81,15 +88,15 @@ def test_fixed_point_is_preserved():
     rng = np.random.default_rng(9)
     x_star = rng.standard_normal(18)
     b = A @ x_star
-    assert np.array_equal(smooth_simple(A, B, x_star, b, 1.2, 3), x_star)
-    assert np.array_equal(smooth_cheb4(A, B, x_star, b, 4), x_star)
-    assert np.array_equal(smooth_opt(A, B, x_star, b, np.array([1.1, 1.2])), x_star)
+    assert np.array_equal(_simple(A, B, x_star, b, 1.2, 3), x_star)
+    assert np.array_equal(_cheb4(A, B, x_star, b, 4), x_star)
+    assert np.array_equal(_opt(A, B, x_star, b, np.array([1.1, 1.2])), x_star)
 
 
 def test_simple_zero_steps_copies():
     A, B, _, _, _ = _setup(10, seed=6)
     x = np.arange(10, dtype=float)
-    out = smooth_simple(A, B, x, np.zeros(10), 1.0, 0)
+    out = _simple(A, B, x, np.zeros(10), 1.0, 0)
     assert np.array_equal(out, x)
     assert out is not x
 
@@ -98,16 +105,16 @@ def test_cheb4_k1_matches_simple_four_thirds():
     A, B, _, _, _ = _setup(20, seed=12)
     rng = np.random.default_rng(13)
     x, b = rng.standard_normal(20), rng.standard_normal(20)
-    assert np.allclose(smooth_cheb4(A, B, x, b, 1),
-                       smooth_simple(A, B, x, b, 4.0 / 3.0, 1), rtol=1e-13, atol=0)
+    assert np.allclose(_cheb4(A, B, x, b, 1),
+                       _simple(A, B, x, b, 4.0 / 3.0, 1), rtol=1e-13, atol=0)
 
 
 def test_opt_k1_matches_simple_three_halves():
     A, B, _, _, _ = _setup(20, seed=14)
     rng = np.random.default_rng(15)
     x, b = rng.standard_normal(20), rng.standard_normal(20)
-    assert np.allclose(smooth_opt(A, B, x, b, np.array([9.0 / 8.0])),
-                       smooth_simple(A, B, x, b, 1.5, 1), rtol=1e-13, atol=0)
+    assert np.allclose(_opt(A, B, x, b, np.array([9.0 / 8.0])),
+                       _simple(A, B, x, b, 1.5, 1), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6])
@@ -115,8 +122,8 @@ def test_unit_betas_reproduce_cheb4_exactly(k):
     A, B, _, _, _ = _setup(24, seed=20 + k)
     rng = np.random.default_rng(k)
     x, b = rng.standard_normal(24), rng.standard_normal(24)
-    assert np.array_equal(smooth_opt(A, B, x, b, np.ones(k)),
-                          smooth_cheb4(A, B, x, b, k))
+    assert np.array_equal(_opt(A, B, x, b, np.ones(k)),
+                          _cheb4(A, B, x, b, k))
 
 
 def test_error_propagator_is_a_self_adjoint():
@@ -125,9 +132,9 @@ def test_error_propagator_is_a_self_adjoint():
     u, v = rng.standard_normal(16), rng.standard_normal(16)
     zero = np.zeros(16)
     for smoothed in (
-        lambda w: smooth_cheb4(A, B, w, zero, 3),
-        lambda w: smooth_simple(A, B, w, zero, 1.4, 2),
-        lambda w: smooth_opt(A, B, w, zero, opt_betas(optimal_roots(2))),
+        lambda w: _cheb4(A, B, w, zero, 3),
+        lambda w: _simple(A, B, w, zero, 1.4, 2),
+        lambda w: _opt(A, B, w, zero, opt_betas(optimal_roots(2))),
     ):
         lhs = (A @ smoothed(u)) @ v
         rhs = u @ (A @ smoothed(v))
@@ -141,25 +148,52 @@ def test_smoothing_contracts_energy_norm():
     zero = np.zeros(16)
     norm0 = u @ (A @ u)
     for out in (
-        smooth_cheb4(A, B, u, zero, 2),
-        smooth_simple(A, B, u, zero, 1.0, 1),
-        smooth_opt(A, B, u, zero, opt_betas(optimal_roots(3))),
+        _cheb4(A, B, u, zero, 2),
+        _simple(A, B, u, zero, 1.0, 1),
+        _opt(A, B, u, zero, opt_betas(optimal_roots(3))),
     ):
         assert out @ (A @ out) < norm0
 
 
-def test_apply_smoother_dispatch():
-    A, B, _, _, _ = _setup(15, seed=36)
-    rng = np.random.default_rng(37)
-    x, b = rng.standard_normal(15), rng.standard_normal(15)
-    betas = opt_betas(optimal_roots(2))
-    pairs = [
-        (SmootherConfig.simple(1.3, 2), smooth_simple(A, B, x, b, 1.3, 2)),
-        (SmootherConfig.cheb4(3), smooth_cheb4(A, B, x, b, 3)),
-        (SmootherConfig.optimized(betas), smooth_opt(A, B, x, b, betas)),
-    ]
-    for cfg, expected in pairs:
-        assert np.array_equal(apply_smoother(A, B, x, b, cfg), expected)
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=2, max_value=24),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+    betas=st.lists(st.floats(min_value=1.0, max_value=1.6, exclude_max=True),
+                   min_size=1, max_size=8),
+)
+def test_apply_smoother_realizes_random_beta_polynomial(n, seed, betas):
+    A, B, s, lam, U = _setup(n, seed)
+    rng = np.random.default_rng(seed)
+    x_star = rng.standard_normal(n)
+    b = A @ x_star
+    x0 = rng.standard_normal(n)
+    out = _opt(A, B, x0, b, betas)
+    expected = x_star + _apply_poly(PolynomialSpec.from_betas(betas)(lam), s, U, x0 - x_star)
+    assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
+    k = len(betas)
+    assert np.array_equal(_opt(A, B, x0, b, np.ones(k)), _cheb4(A, B, x0, b, k))
+
+
+def test_apply_smoother_updates_x_in_place():
+    A, B, _, _, _ = _setup(12, seed=38)
+    rng = np.random.default_rng(39)
+    x, b = rng.standard_normal(12), rng.standard_normal(12)
+    b_before = b.copy()
+    for cfg in (SmootherConfig.simple(1.3, 2), SmootherConfig.cheb4(3),
+                SmootherConfig.optimized(opt_betas(optimal_roots(2)))):
+        y = x.copy()
+        assert apply_smoother(A, B, y, b, cfg) is y
+        assert not np.array_equal(y, x)
+        assert np.array_equal(b, b_before)
+
+
+def test_smoother_config_steps():
+    assert SmootherConfig.simple(1.25, 3).steps == ((0.0, 1.25, 1.0),) * 3
+    assert SmootherConfig.cheb4(2).steps == ((-1 / 3, 4 / 3, 1.0), (1 / 5, 12 / 5, 1.0))
+    opt = SmootherConfig.optimized([1.5, 1.25])
+    assert [step[2] for step in opt.steps] == [1.5, 1.25]
+    assert [step[:2] for step in opt.steps] == [step[:2] for step in SmootherConfig.cheb4(2).steps]
 
 
 def test_smoother_config_validation():
@@ -173,6 +207,8 @@ def test_smoother_config_validation():
         SmootherConfig(kind="simple", k=1)  # omega missing
     with pytest.raises(ValueError):
         SmootherConfig.optimized(np.ones((2, 2)))
+    with pytest.raises(ValueError):
+        SmootherConfig.optimized([])
 
 
 def test_diagonal_smoother_validation():
