@@ -22,9 +22,8 @@ import argparse
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,12 +34,29 @@ from .multigrid import VCycleConfig, build_hierarchy, measure_C, measure_contrac
 from .optpoly import optimal_polynomial, optimal_roots
 from .smoothers import SmootherConfig
 
-__all__ = ["ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
+__all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
 _MAX_K = 200
 # m = 12 needs over 6 GB for the COO assembly alone
 _MAX_M = 11
-_COLUMNS = ("w43", "w32", "cheb", "opt")
+
+
+class Column(NamedTuple):
+    """A ``run`` column: its smoother for degree k and its V-cycle bound for (C, k)."""
+
+    smoother: Callable[[int], SmootherConfig]
+    bound: Callable[[float, int], float]
+
+
+COLUMNS = {
+    "w43": Column(lambda k: SmootherConfig.simple(4.0 / 3.0, k),
+                  lambda C, k: bnd.bound_simple(C, 4.0 / 3.0, k).value),
+    "w32": Column(lambda k: SmootherConfig.simple(1.5, k),
+                  lambda C, k: bnd.bound_simple(C, 1.5, k).value),
+    "cheb": Column(SmootherConfig.cheb4, bnd.bound_cheb),
+    "opt": Column(lambda k: SmootherConfig.optimized(optimal_polynomial(k).iteration_betas),
+                  bnd.bound_opt_conjecture),
+}
 
 
 @dataclass(frozen=True)
@@ -50,7 +66,7 @@ class ExperimentConfig:
     m: int = 8
     aspect: float = 1.0
     k_values: tuple[int, ...] = tuple(range(1, 7))
-    smoothers: tuple[str, ...] = _COLUMNS
+    smoothers: tuple[str, ...] = tuple(COLUMNS)
     c_mode: str = "analytic"
     seed: int = 0
     tol: float = 1e-8
@@ -63,10 +79,12 @@ class ExperimentConfig:
             raise ValueError("need aspect >= 1")
         if not self.k_values or any(k < 1 or k > _MAX_K for k in self.k_values):
             raise ValueError(f"degrees must lie in [1, {_MAX_K}]")
-        if any(name not in _COLUMNS for name in self.smoothers):
-            raise ValueError(f"smoother columns must be among {_COLUMNS}")
+        if any(name not in COLUMNS for name in self.smoothers):
+            raise ValueError(f"smoother columns must be among {tuple(COLUMNS)}")
         if self.c_mode not in ("analytic", "measured"):
             raise ValueError("c_mode must be 'analytic' or 'measured'")
+        if not 0.0 < self.tol < 1.0:
+            raise ValueError("tol must lie in (0, 1)")
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -104,6 +122,16 @@ def _parse_degree(text: str) -> int:
     return k
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise argparse.ArgumentTypeError("tol must lie in (0, 1)")
+    return tol
+
+
 def _parse_c_list(text: str) -> list[float]:
     try:
         cs = [float(tok) for tok in text.split(",") if tok]
@@ -112,35 +140,6 @@ def _parse_c_list(text: str) -> list[float]:
     if not cs or any(c < 1.0 for c in cs):
         raise argparse.ArgumentTypeError("C values must be >= 1")
     return cs
-
-
-@lru_cache(maxsize=None)
-def _opt_betas(k: int) -> tuple[float, ...]:
-    return tuple(float(b) for b in optimal_polynomial(k).iteration_betas)
-
-
-def _column_smoother(name: str, k: int) -> SmootherConfig:
-    if name == "w43":
-        return SmootherConfig.simple(4.0 / 3.0, k)
-    if name == "w32":
-        return SmootherConfig.simple(1.5, k)
-    if name == "cheb":
-        return SmootherConfig.cheb4(k)
-    if name == "opt":
-        return SmootherConfig.optimized(np.array(_opt_betas(k)))
-    raise ValueError(f"unknown smoother column {name!r}")
-
-
-def _column_bound(name: str, C: float, k: int) -> float:
-    if name == "w43":
-        return bnd.bound_simple(C, 4.0 / 3.0, k).value
-    if name == "w32":
-        return bnd.bound_simple(C, 1.5, k).value
-    if name == "cheb":
-        return bnd.bound_cheb(C, k)
-    if name == "opt":
-        return bnd.bound_opt_conjecture(C, k)
-    raise ValueError(f"unknown smoother column {name!r}")
 
 
 def _fmt(value: float) -> str:
@@ -185,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
             try:
                 res = measure_contraction(
                     hier,
-                    VCycleConfig(smoother=_column_smoother(name, k)),
+                    VCycleConfig(smoother=COLUMNS[name].smoother(k)),
                     seed=cfg.seed,
                     tol=cfg.tol,
                     x0=vec,
@@ -213,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
 
     curves = out.with_name(out.stem + "-bounds" + out.suffix)
     bound_rows = [
-        [str(k)] + [_fmt(_column_bound(name, C, k)) for name in cfg.smoothers]
+        [str(k)] + [_fmt(COLUMNS[name].bound(C, k)) for name in cfg.smoothers]
         for k in cfg.k_values
     ]
     _write_table(curves, header, bound_rows)
@@ -249,12 +248,11 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    selected = tuple(args.smoother) if args.smoother else _COLUMNS
     cfg = ExperimentConfig(
         m=10 if args.full_scale else args.m,
         aspect=args.aspect,
         k_values=tuple(args.k),
-        smoothers=tuple(name for name in _COLUMNS if name in set(selected)),
+        smoothers=tuple(name for name in COLUMNS if not args.smoother or name in args.smoother),
         c_mode=args.c_mode,
         seed=args.seed,
         tol=args.tol,
@@ -333,10 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aspect", type=float, default=1.0)
     p.add_argument("--k", type=_parse_k_range, default=list(range(1, 7)), metavar="RANGE",
                    help="degrees, e.g. '1..6' or '1,2,4'")
-    p.add_argument("--smoother", action="append", choices=_COLUMNS,
+    p.add_argument("--smoother", action="append", choices=tuple(COLUMNS),
                    help="column to measure (repeatable; default all)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-8, help="contraction-estimate tolerance")
+    p.add_argument("--tol", type=_parse_tol, default=1e-8, help="contraction-estimate tolerance")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--c-mode", choices=("analytic", "measured"), default="analytic",
                    dest="c_mode", help="C for bound curves: 2*aspect^2 or measured")

@@ -96,8 +96,7 @@ class VCycleConfig:
         return self.pre_steps == self.post_steps
 
 
-def build_hierarchy(grid: GridSpec, min_interior: int = 3, rho_tol: float = 1e-10,
-                    seed: int = 0) -> Hierarchy:
+def build_hierarchy(grid: GridSpec, min_interior: int = 3, seed: int = 0) -> Hierarchy:
     """Assemble the model problem and coarsen until ``n_side <= min_interior``.
 
     Every level gets a Jacobi smoother with its own measured ``rho(BA)``;
@@ -112,7 +111,7 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3, rho_tol: float = 1e-1
     A = assemble_poisson_q1(g)
     while g.n_side > min_interior and g.m > 2:
         op = A.todia()
-        B = jacobi_smoother(op, tol=rho_tol, seed=seed)
+        B = jacobi_smoother(op, seed=seed)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
         Ac = as_csr(P.T @ A @ P)

@@ -20,7 +20,6 @@ the backward recursion ``beta_j = beta_{j-1} - (2j-1) alpha_{j-1}`` from
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,10 +33,12 @@ __all__ = [
     "opt_betas",
     "optimal_polynomial",
     "quadrature_nodes_weights",
-    "quadrature_check",
 ]
 
 _MAX_DEGREE = 200  # initial guesses are validated for 1 <= k <= 200
+_NEWTON_TOL = 1e-14  # equioscillation residual, and step size of the extremum search
+_NEWTON_MAX_ITER = 100  # iteration cap of both Newton solves
+_BETA_RESIDUAL_TOL = 1e-8  # largest accepted |beta_(k+1)|, which should vanish
 
 
 def _p_eval(lam, roots):
@@ -62,7 +63,7 @@ def _neg_g_prime(x, roots):
     return np.sum((_p_eval(x, roots)[..., None] ** 2 + roots / d) / d, axis=-1)
 
 
-def find_extrema(roots, guesses=None, tol: float = 1e-14, max_iter: int = 100) -> np.ndarray:
+def find_extrema(roots, guesses=None) -> np.ndarray:
     """Locate the k-1 extrema of ``f`` strictly between consecutive roots.
 
     Runs a bracket-safeguarded Newton iteration on ``g`` simultaneously for
@@ -86,7 +87,7 @@ def find_extrema(roots, guesses=None, tol: float = 1e-14, max_iter: int = 100) -
             raise ValueError("need k-1 extremum guesses")
         margin = 1e-3 * (hi - lo)
         x = np.clip(x, lo + margin, hi - margin)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         gx = _g_eval(x, roots)
         pos = gx > 0.0
         lo = np.where(pos, x, lo)
@@ -94,11 +95,11 @@ def find_extrema(roots, guesses=None, tol: float = 1e-14, max_iter: int = 100) -
         x_new = x + gx / _neg_g_prime(x, roots)
         outside = (x_new <= lo) | (x_new >= hi)
         x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-        done = np.all(np.abs(x_new - x) <= tol * np.maximum(1.0, np.abs(x)))
+        done = np.all(np.abs(x_new - x) <= _NEWTON_TOL * np.maximum(1.0, np.abs(x)))
         x = x_new
         if done:
             return x
-    raise RuntimeError(f"extremum search did not converge in {max_iter} iterations")
+    raise RuntimeError(f"extremum search did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,11 @@ class EquioscillationState:
     iterations: int
 
     @property
-    def gamma(self) -> float:
-        return self.f0 ** 2
-
-    @property
     def gamma_inv(self) -> float:
         return 2.0 * float(np.sum(1.0 / self.roots))
 
-    def polynomial(self) -> PolynomialSpec:
-        return PolynomialSpec(degree=self.degree, roots=self.roots)
 
-
-def optimal_roots(k: int, tol: float = 1e-14, max_iter: int = 100) -> EquioscillationState:
+def optimal_roots(k: int) -> EquioscillationState:
     """Solve the equioscillation system for the optimal degree-k roots.
 
     Newton's method on the k residuals ``F_i = f(0) - |f(x_i)|`` (with
@@ -141,7 +135,7 @@ def optimal_roots(k: int, tol: float = 1e-14, max_iter: int = 100) -> Equioscill
     x_int = (0.5 - 0.5 * np.cos((i + 0.5) * np.pi / (k + 0.5)))[: k - 1]
     best = np.inf
     stall = 0
-    for outer in range(1, max_iter + 1):
+    for outer in range(1, _NEWTON_MAX_ITER + 1):
         x_int = find_extrema(r, x_int) if k > 1 else np.empty(0)
         xs = np.concatenate([x_int, [1.0]])
         f0 = (-2.0 * _q_eval(0.0, r)) ** -0.5
@@ -149,7 +143,7 @@ def optimal_roots(k: int, tol: float = 1e-14, max_iter: int = 100) -> Equioscill
         f_abs = np.sqrt(w) * np.abs(_p_eval(xs, r))
         F = f0 - f_abs
         res = float(np.max(np.abs(F)))
-        if res < tol:
+        if res < _NEWTON_TOL:
             return EquioscillationState(k, r, x_int, float(f0), res, outer)
         if res >= 0.5 * best:
             stall += 1
@@ -168,7 +162,7 @@ def optimal_roots(k: int, tol: float = 1e-14, max_iter: int = 100) -> Equioscill
         r = r + np.linalg.solve(J, -F)
         if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0) or r[-1] >= 1.0:
             raise RuntimeError(f"Newton step left the feasible root region for k={k}")
-    raise RuntimeError(f"equioscillation Newton did not converge in {max_iter} iterations")
+    raise RuntimeError(f"equioscillation Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
 def quadrature_nodes_weights(k: int):
@@ -185,12 +179,6 @@ def quadrature_nodes_weights(k: int):
     x = np.cos(i * np.pi / (k + 0.5))
     w = (1.0 - x) / (k + 0.5)
     return x, w
-
-
-def quadrature_check(fn: Callable[[np.ndarray], np.ndarray], k: int) -> float:
-    """Apply the k-node fourth-kind Gauss rule to ``fn`` on [-1, 1]."""
-    x, w = quadrature_nodes_weights(k)
-    return float(np.sum(w * fn(x)))
 
 
 def cheb4_expansion(state: EquioscillationState) -> np.ndarray:
@@ -217,12 +205,12 @@ def cheb4_expansion(state: EquioscillationState) -> np.ndarray:
     return alphas
 
 
-def opt_betas(state: EquioscillationState, residual_tol: float = 1e-8) -> np.ndarray:
+def opt_betas(state: EquioscillationState) -> np.ndarray:
     """Over-relaxation weights ``beta_1..beta_k`` realizing the optimal polynomial.
 
     ``beta_{j+1} = beta_j - (2j+1) alpha_j`` from ``beta_0 = 1``; the
-    terminal value ``beta_{k+1}`` must vanish and is checked against
-    ``residual_tol`` as an internal consistency test of the expansion.
+    terminal value ``beta_{k+1}`` must vanish; ``|beta_{k+1}| <= 1e-8`` is
+    checked as an internal consistency test of the expansion.
     """
     alphas = cheb4_expansion(state)
     k = state.degree
@@ -230,16 +218,17 @@ def opt_betas(state: EquioscillationState, residual_tol: float = 1e-8) -> np.nda
     betas[0] = 1.0
     for j in range(k + 1):
         betas[j + 1] = betas[j] - (2 * j + 1) * alphas[j]
-    if abs(betas[k + 1]) > residual_tol:
+    if abs(betas[k + 1]) > _BETA_RESIDUAL_TOL:
         raise ValueError(
-            f"expansion inconsistent: beta_(k+1) = {betas[k + 1]:.3e} exceeds {residual_tol:.1e}"
+            f"expansion inconsistent: beta_(k+1) = {betas[k + 1]:.3e}"
+            f" exceeds {_BETA_RESIDUAL_TOL:.1e}"
         )
     return betas[1 : k + 1]
 
 
-def optimal_polynomial(k: int, tol: float = 1e-14) -> PolynomialSpec:
+def optimal_polynomial(k: int) -> PolynomialSpec:
     """Optimal degree-k smoother polynomial with roots, expansion, and betas."""
-    state = optimal_roots(k, tol=tol)
+    state = optimal_roots(k)
     alphas = cheb4_expansion(state)
     betas = opt_betas(state)
     return PolynomialSpec(

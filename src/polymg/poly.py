@@ -21,12 +21,12 @@ from .scalar import golden_section_min
 
 __all__ = [
     "cheb_w",
-    "cheb4_smoother_poly",
     "cheb4_coefficients",
     "PolynomialSpec",
     "gamma_mu",
-    "poly_is_valid",
 ]
+
+_GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
 
 
 def cheb_w(n: int, x):
@@ -45,15 +45,6 @@ def cheb_w(n: int, x):
     for _ in range(2, int(n) + 1):
         w_prev, w = w, 2.0 * x * w - w_prev
     return w if w.ndim else float(w)
-
-
-def cheb4_smoother_poly(k: int, lam):
-    """Evaluate the fourth-kind smoother polynomial ``W_k(1-2 lam)/(2k+1)``."""
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    lam = np.asarray(lam, dtype=float)
-    out = cheb_w(k, 1.0 - 2.0 * lam) / (2 * k + 1)
-    return out if np.ndim(out) else float(out)
 
 
 def cheb4_coefficients(k: int) -> np.ndarray:
@@ -150,11 +141,6 @@ class PolynomialSpec:
         return cls(degree=len(roots), roots=roots)
 
     @classmethod
-    def from_cheb4_coeffs(cls, coeffs) -> "PolynomialSpec":
-        coeffs = np.asarray(coeffs, dtype=float)
-        return cls(degree=len(coeffs) - 1, cheb4_coeffs=coeffs)
-
-    @classmethod
     def from_betas(cls, betas) -> "PolynomialSpec":
         """Polynomial realized by the over-relaxed iteration with these betas.
 
@@ -186,61 +172,60 @@ class PolynomialSpec:
 
     __call__ = evaluate
 
-    def derivative_at_zero(self) -> float:
-        """``p'(0)``; negative for any valid smoother polynomial."""
+    def one_minus(self, lam):
+        """``1 - p(lam)``, without the cancellation of ``1 - evaluate(lam)`` near 0."""
+        lam = np.asarray(lam, dtype=float)
         if self.degree == 0:
-            return 0.0
-        if self.roots is not None:
-            return float(-np.sum(1.0 / self.roots))
-        i = np.arange(self.degree + 1, dtype=float)
-        # d/dlam W_i(1-2 lam) at 0 is -2 W_i'(1) = -2 i(i+1)(2i+1)/3
-        return float(-(2.0 / 3.0) * np.sum(self.cheb4_coeffs * i * (i + 1) * (2 * i + 1)))
+            out = np.zeros_like(lam)
+        elif self.roots is not None:
+            # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no cancellation
+            s = np.minimum(lam[..., None] / self.roots, 0.5)
+            out = np.where(lam <= 0.5 * np.min(self.roots),
+                           -np.expm1(np.sum(np.log1p(-s), axis=-1)), 1.0 - self.evaluate(lam))
+        else:
+            # p(0) = 1 gives 1 - p = sum_i alpha_i D_i with D_i = W_i(1) - W_i(1-2 lam)
+            # = 2 D_{i-1} - D_{i-2} + 4 lam W_{i-1}(1-2 lam), from D_0 = D_{-1} = 0
+            x = 1.0 - 2.0 * lam
+            w_prev, w, d_prev, d = -np.ones_like(x), np.ones_like(x), 0.0, 0.0
+            out = np.zeros_like(x)
+            for alpha in self.cheb4_coeffs[1:]:
+                d_prev, d = d, 2.0 * d - d_prev + 4.0 * lam * w
+                w_prev, w = w, 2.0 * x * w - w_prev
+                out = out + alpha * d
+        return out if out.ndim else float(out)
 
 
 def _gamma_objective(p: PolynomialSpec, lam):
     pv = p.evaluate(lam)
-    return lam * pv * pv / (1.0 - pv * pv)
+    return lam * pv * pv / (p.one_minus(lam) * (1.0 + pv))
 
 
-def gamma_mu(p: PolynomialSpec, mu: float = 0.0, grid_density: int | None = None) -> float:
+def gamma_mu(p: PolynomialSpec, mu: float = 0.0) -> float:
     """Evaluate ``sup_{mu < lam <= 1} lam p(lam)^2 / (1 - p(lam)^2)``.
 
-    A Chebyshev-spaced grid locates candidate maxima, each refined by
-    golden section; for ``mu = 0`` the limit value ``1 / (-2 p'(0))`` at
-    ``lam -> 0`` joins the candidate set.  Raises ``ValueError`` when the
-    polynomial is not a contraction on ``(mu, 1]``.
+    A Chebyshev-spaced grid on ``[max(mu, eps^2), 1]`` locates candidate
+    maxima, each refined by golden section.  ``1 - p`` comes from
+    :meth:`PolynomialSpec.one_minus`, so the left end gives the limit at
+    ``mu`` (``1 / (-2 p'(0))`` for ``mu = 0``) to rounding.  Raises
+    ``ValueError`` when the polynomial is not a contraction on ``(mu, 1]``.
     """
     if not 0.0 <= mu < 1.0:
         raise ValueError("need 0 <= mu < 1")
-    n_grid = grid_density if grid_density is not None else 64 * (p.degree + 1)
+    lo = max(mu, np.finfo(float).eps ** 2)  # keeps lam / r_i clear of underflow
+    n_grid = _GAMMA_GRID_PER_DEGREE * (p.degree + 1)
     j = np.arange(n_grid + 1)
-    xs = mu + (1.0 - mu) * 0.5 * (1.0 - np.cos(np.pi * j / n_grid))
-    if mu == 0.0:
-        xs = xs[1:]  # interval is open at 0; the limit enters separately
-    pv = p.evaluate(xs)
-    if np.max(np.abs(pv)) >= 1.0:
+    xs = lo + (1.0 - lo) * 0.5 * (1.0 - np.cos(np.pi * j / n_grid))
+    pv, dv = p.evaluate(xs), p.one_minus(xs)
+    if np.any(dv <= 0.0) or np.any(pv <= -1.0):
         raise ValueError(f"|p| >= 1 inside ({mu}, 1]: not a valid smoother polynomial")
-    h = xs * pv * pv / (1.0 - pv * pv)
+    h = xs * pv * pv / (dv * (1.0 + pv))
     best = float(np.max(h))
-    if mu == 0.0:
-        d0 = p.derivative_at_zero()
-        if d0 < 0.0:
-            best = max(best, 1.0 / (-2.0 * d0))
-    # golden-section refinement around each interior local maximum
+    # golden-section refinement around each interior local maximum; for mu
+    # within a few ulps of 1 the grid points coincide and there is nothing to refine
     for t in range(1, len(xs) - 1):
-        if h[t] >= h[t - 1] and h[t] >= h[t + 1]:
+        if h[t] >= h[t - 1] and h[t] >= h[t + 1] and xs[t + 1] > xs[t - 1]:
             xm = golden_section_min(
                 lambda x: -_gamma_objective(p, x), xs[t - 1], xs[t + 1], tol=1e-13
             )
             best = max(best, float(_gamma_objective(p, xm)))
     return best
-
-
-def poly_is_valid(p: PolynomialSpec, grid_density: int | None = None) -> bool:
-    """Whether ``p(0) = 1`` and ``|p| < 1 - 1e-12`` on a dense grid of ``(0, 1]``."""
-    if abs(p.evaluate(0.0) - 1.0) > 1e-12:
-        return False
-    n_grid = grid_density if grid_density is not None else 64 * (p.degree + 1)
-    j = np.arange(1, n_grid + 1)
-    xs = 0.5 * (1.0 - np.cos(np.pi * j / n_grid))
-    return bool(np.max(np.abs(p.evaluate(xs))) < 1.0 - 1e-12)

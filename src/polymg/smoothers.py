@@ -24,7 +24,7 @@ operation sequence, so the equivalence is bitwise.  ``r_i`` tracks
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,64 +55,38 @@ class DiagonalSmoother:
         if not self.rho_BA > 0.0:
             raise ValueError("rho(BA) must be positive")
 
-    @property
-    def n(self) -> int:
-        return self.inverse_diagonal.shape[0]
-
 
 @dataclass(frozen=True)
 class SmootherConfig:
-    """Selects a smoother variant and its degree.
+    """The recurrence constants ``(a_i, c_i, beta_i)`` of a smoother, one per step.
 
-    ``kind`` is one of ``"simple"``, ``"cheb4"``, ``"opt"``.  ``omega`` is
-    required for ``simple``; ``betas`` (length ``k``) for ``opt``.  ``steps``
-    holds the recurrence constants ``(a_i, c_i, beta_i)``, one per step.
+    Build it with ``simple``, ``cheb4`` or ``optimized``; they check their
+    arguments.  ``cheb4(k)`` is ``optimized(np.ones(k))``.
     """
 
-    kind: str
-    k: int
-    omega: float | None = None
-    betas: np.ndarray | None = field(default=None, repr=False)
-    steps: tuple[tuple[float, float, float], ...] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.kind not in ("simple", "cheb4", "opt"):
-            raise ValueError(f"unknown smoother kind {self.kind!r}")
-        if self.k < 0:
-            raise ValueError("polynomial degree must be nonnegative")
-        if self.kind == "simple":
-            if self.omega is None or not 0.0 < self.omega < 2.0:
-                raise ValueError("simple smoother needs 0 < omega < 2")
-            steps = ((0.0, float(self.omega), 1.0),) * self.k
-        else:
-            if self.k < 1:
-                raise ValueError(f"{self.kind} smoother needs k >= 1")
-            if self.kind == "cheb4":
-                betas = np.ones(self.k)
-            elif self.betas is None:
-                raise ValueError("opt smoother needs its beta array")
-            else:
-                betas = np.asarray(self.betas, dtype=float)
-                if betas.shape != (self.k,):
-                    raise ValueError("need exactly k betas")
-                object.__setattr__(self, "betas", betas)
-            steps = tuple(((2 * i - 3) / (2 * i + 1), (8 * i - 4) / (2 * i + 1), float(beta))
-                          for i, beta in enumerate(betas, start=1))
-        object.__setattr__(self, "steps", steps)
+    steps: tuple[tuple[float, float, float], ...]
 
     @classmethod
     def simple(cls, omega: float, k: int) -> "SmootherConfig":
-        return cls(kind="simple", k=k, omega=omega)
+        if not 0.0 < omega < 2.0:
+            raise ValueError("simple smoother needs 0 < omega < 2")
+        if k < 0:
+            raise ValueError("polynomial degree must be nonnegative")
+        return cls(((0.0, float(omega), 1.0),) * k)
 
     @classmethod
     def cheb4(cls, k: int) -> "SmootherConfig":
-        return cls(kind="cheb4", k=k)
+        if k < 1:
+            raise ValueError("cheb4 smoother needs k >= 1")
+        return cls.optimized(np.ones(k))
 
     @classmethod
     def optimized(cls, betas) -> "SmootherConfig":
         betas = np.asarray(betas, dtype=float)
-        return cls(kind="opt", k=len(betas), betas=betas)
+        if betas.ndim != 1 or betas.size < 1:
+            raise ValueError("opt smoother needs a 1-D array of k >= 1 betas")
+        return cls(tuple(((2 * i - 3) / (2 * i + 1), (8 * i - 4) / (2 * i + 1), float(beta))
+                         for i, beta in enumerate(betas, start=1)))
 
 
 def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,

@@ -13,27 +13,21 @@ import pytest
 import scipy.sparse as sp
 
 from polymg import (
-    DiagonalSmoother,
     GridSpec,
     PolynomialSpec,
     SmootherConfig,
     VCycleConfig,
-    apply_smoother,
     build_hierarchy,
-    cheb4_coefficients,
     gamma_mu,
     measure_C,
     measure_CN,
     measure_contraction,
     optimal_polynomial,
-    optimal_roots,
 )
 from polymg.bounds import (
     beta_constant,
-    bound_cheb,
     bound_cheb_sharp,
     bound_opt_conjecture,
-    bound_simple,
     cheb_sharp_exact_discount,
     crossover_C,
     limit_constants,
@@ -43,12 +37,13 @@ from polymg.bounds import (
     sharp_constants,
     sharp_f_factor,
 )
-from polymg.cli import emit_gamma_table
-from polymg.optpoly import cheb4_expansion, opt_betas
+from polymg.cli import COLUMNS, emit_gamma_table
+from polymg.optpoly import cheb4_expansion, opt_betas, optimal_roots
+from polymg.poly import cheb4_coefficients
+from polymg.smoothers import DiagonalSmoother, apply_smoother
 
 ASPECTS = (1.0, 2.0, 4.0, 8.0)
 DEGREES = tuple(range(1, 7))
-COLUMNS = ("w43", "w32", "cheb", "opt")
 
 
 @pytest.fixture
@@ -59,26 +54,6 @@ def scorecard(capsys):
         with capsys.disabled():
             print(f"\n[acceptance] {line}: {verdict}", flush=True)
     return emit
-
-
-def _smoother(name: str, k: int) -> SmootherConfig:
-    if name == "w43":
-        return SmootherConfig.simple(4.0 / 3.0, k)
-    if name == "w32":
-        return SmootherConfig.simple(1.5, k)
-    if name == "cheb":
-        return SmootherConfig.cheb4(k)
-    return SmootherConfig.optimized(np.asarray(optimal_polynomial(k).iteration_betas))
-
-
-def _bound(name: str, C: float, k: int) -> float:
-    if name == "w43":
-        return bound_simple(C, 4.0 / 3.0, k).value
-    if name == "w32":
-        return bound_simple(C, 1.5, k).value
-    if name == "cheb":
-        return bound_cheb(C, k)
-    return bound_opt_conjecture(C, k)
 
 
 @pytest.fixture(scope="session")
@@ -100,7 +75,7 @@ def contraction_sweep():
                 vals, vec = [], carry
                 for k in DEGREES:
                     res = measure_contraction(
-                        hier, VCycleConfig(smoother=_smoother(name, k)),
+                        hier, VCycleConfig(smoother=COLUMNS[name].smoother(k)),
                         tol=1e-6, max_cycles=300, x0=vec)
                     vec = res.vector
                     vals.append(res.factor)
@@ -256,7 +231,7 @@ def test_measured_contraction_below_bounds(contraction_sweep, scorecard):
         for name in COLUMNS:
             for i, k in enumerate(DEGREES):
                 measured = per[name][i]
-                bound = _bound(name, C, k)
+                bound = COLUMNS[name].bound(C, k)
                 if not (math.isfinite(measured) and 0.0 < measured < 1.0):
                     violations.append((m, aspect, name, k, measured, bound))
                     continue

@@ -11,6 +11,7 @@ import pytest
 
 import polymg
 from polymg import GridSpec, assemble_poisson_q1, load_matrix_market
+from polymg.cli import ExperimentConfig
 
 # The directory holding the imported polymg package (``src/`` or the install
 # root). Putting it first on the child's PYTHONPATH makes the subprocess run
@@ -160,8 +161,17 @@ def test_measure_c_close_to_analytic():
     ("run", "--m", "12"),  # m = 12 needs over 6 GB to assemble
     ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
+    ("run", "--m", "4", "--tol", "nan"),  # each would run every cell to the cycle cap
+    ("run", "--m", "4", "--tol", "-1"),
+    ("run", "--m", "4", "--tol", "0"),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
     assert res.returncode == 2
     assert "usage" in res.stderr.lower()
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
+def test_experiment_config_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol"):
+        ExperimentConfig(m=4, tol=tol)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polymg.optpoly import (
     cheb4_expansion,
@@ -11,7 +13,6 @@ from polymg.optpoly import (
     opt_betas,
     optimal_polynomial,
     optimal_roots,
-    quadrature_check,
     quadrature_nodes_weights,
 )
 from polymg.poly import PolynomialSpec, cheb_w, gamma_mu
@@ -27,6 +28,12 @@ GAMMA_INV_TABLE = {
     10: (178.0643, 6e-5),
     100: (16373.241899, 1e-5),
 }
+
+
+def _quadrature(fn, k):
+    """The k-node fourth-kind Gauss rule applied to ``fn`` on [-1, 1]."""
+    x, w = quadrature_nodes_weights(k)
+    return float(np.sum(w * fn(x)))
 
 
 def test_k1_closed_form():
@@ -54,7 +61,7 @@ def test_gamma_inv_reference_table():
 def test_equioscillation_at_optimum():
     for k in (3, 7):
         state = optimal_roots(k)
-        p = state.polynomial()
+        p = PolynomialSpec.from_roots(state.roots)
         # the level is attained at the k-1 interior extrema and at x = 1
         x = np.append(state.extrema, 1.0)
         pv = p(x)
@@ -88,7 +95,8 @@ def test_extremum_against_grid_search():
 def test_gamma_matches_functional():
     for k in (1, 2, 4, 6):
         state = optimal_roots(k)
-        assert gamma_mu(state.polynomial()) == pytest.approx(state.gamma, rel=1e-9)
+        assert gamma_mu(PolynomialSpec.from_roots(state.roots)) == pytest.approx(
+            state.f0 ** 2, rel=1e-9)
         assert state.gamma_inv == pytest.approx(2.0 * np.sum(1.0 / state.roots), rel=1e-12)
         assert state.gamma_inv == pytest.approx(1.0 / state.f0 ** 2, rel=1e-10)
 
@@ -96,7 +104,7 @@ def test_gamma_matches_functional():
 def test_optimal_beats_fourth_kind():
     for k in range(1, 21):
         cheb_gamma = 3.0 / ((2 * k + 1) ** 2 - 1)
-        assert optimal_roots(k).gamma < cheb_gamma
+        assert optimal_roots(k).f0 ** 2 < cheb_gamma
 
 
 def test_gamma_inv_asymptotic_bracket():
@@ -114,9 +122,9 @@ def test_gamma_inv_asymptotic_bracket():
 
 def test_quadrature_moments():
     for k in (1, 2, 3, 6):
-        assert quadrature_check(lambda x: np.ones_like(x), k) == pytest.approx(1.0, abs=1e-13)
-        assert quadrature_check(lambda x: x, k) == pytest.approx(-0.5, abs=1e-13)
-    assert quadrature_check(lambda x: cheb_w(1, x) ** 2, 3) == pytest.approx(1.0, abs=1e-12)
+        assert _quadrature(lambda x: np.ones_like(x), k) == pytest.approx(1.0, abs=1e-13)
+        assert _quadrature(lambda x: x, k) == pytest.approx(-0.5, abs=1e-13)
+    assert _quadrature(lambda x: cheb_w(1, x) ** 2, 3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quadrature_nodes_weights():
@@ -132,7 +140,7 @@ def test_quadrature_exact_to_degree():
     # k nodes integrate degree <= 2k-1 exactly: compare against more nodes
     for k in (2, 4, 7):
         fn = lambda x: x ** (2 * k - 1) - 0.3 * x ** (k - 1) + 0.1
-        assert quadrature_check(fn, k) == pytest.approx(quadrature_check(fn, k + 5), abs=1e-12)
+        assert _quadrature(fn, k) == pytest.approx(_quadrature(fn, k + 5), abs=1e-12)
 
 
 def test_k1_expansion_and_betas():
@@ -156,6 +164,15 @@ def test_beta_sample_range_and_consistency():
         assert np.max(np.abs(realized(lam) - direct(lam))) < 1e-10
 
 
+@settings(max_examples=50, deadline=None)
+@given(k=st.integers(min_value=1, max_value=40))
+def test_roots_betas_polynomial_round_trip(k):
+    state = optimal_roots(k)
+    lam = np.linspace(0.0, 1.0, 257)
+    realized = PolynomialSpec.from_betas(opt_betas(state))
+    assert np.max(np.abs(realized(lam) - PolynomialSpec.from_roots(state.roots)(lam))) < 1e-10
+
+
 def test_optimal_polynomial_bundles_representations():
     spec = optimal_polynomial(3)
     assert spec.roots is not None
@@ -163,7 +180,7 @@ def test_optimal_polynomial_bundles_representations():
     assert spec.iteration_betas is not None
     lam = np.linspace(0.0, 1.0, 129)
     by_roots = PolynomialSpec.from_roots(spec.roots)(lam)
-    by_coeffs = PolynomialSpec.from_cheb4_coeffs(spec.cheb4_coeffs)(lam)
+    by_coeffs = PolynomialSpec(degree=3, cheb4_coeffs=spec.cheb4_coeffs)(lam)
     assert np.max(np.abs(by_roots - by_coeffs)) < 1e-12
 
 

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polymg.poly import (
-    PolynomialSpec,
-    cheb4_coefficients,
-    cheb4_smoother_poly,
-    cheb_w,
-    gamma_mu,
-    poly_is_valid,
-)
+from polymg.poly import PolynomialSpec, cheb4_coefficients, cheb_w, gamma_mu
+
+
+def _fourth_kind(k, lam):
+    """Reference ``W_k(1 - 2 lam) / (2k + 1)`` straight from the W recurrence."""
+    return cheb_w(k, 1.0 - 2.0 * lam) / (2 * k + 1)
 
 
 def test_cheb_w_low_degrees():
@@ -49,15 +49,15 @@ def test_cheb4_smoother_consistency():
     for k in (1, 2, 3, 6, 11):
         coeffs = cheb4_coefficients(k)
         horner = sum(c * lam ** i for i, c in enumerate(coeffs))
-        assert np.allclose(cheb4_smoother_poly(k, lam), horner, atol=1e-12)
+        assert np.allclose(_fourth_kind(k, lam), horner, atol=1e-12)
         spec = PolynomialSpec.fourth_kind(k)
-        assert np.allclose(spec(lam), cheb4_smoother_poly(k, lam), atol=1e-12)
+        assert np.allclose(spec(lam), _fourth_kind(k, lam), atol=1e-12)
 
 
 def test_fourth_kind_roots_are_zeros():
     for k in (1, 2, 5, 9):
         spec = PolynomialSpec.fourth_kind(k)
-        assert np.max(np.abs(cheb4_smoother_poly(k, spec.roots))) < 1e-12
+        assert np.max(np.abs(_fourth_kind(k, spec.roots))) < 1e-12
         i = np.arange(1, k + 1)
         assert np.allclose(spec.roots, np.sin(i * np.pi / (2 * k + 1)) ** 2, atol=1e-14)
 
@@ -69,11 +69,11 @@ def test_weighted_equioscillation():
         j = np.arange(k + 1)
         theta = (2 * j + 1) * np.pi / (2 * k + 1)
         lam = np.sin(theta / 2.0) ** 2
-        vals = np.sqrt(lam) * cheb4_smoother_poly(k, lam)
+        vals = np.sqrt(lam) * _fourth_kind(k, lam)
         assert np.allclose(np.abs(vals), 1.0 / (2 * k + 1), atol=1e-12)
         assert np.all(vals[:-1] * vals[1:] < 0.0)
         grid = 0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 4001)))
-        sup = np.max(np.sqrt(grid) * np.abs(cheb4_smoother_poly(k, grid)))
+        sup = np.max(np.sqrt(grid) * np.abs(_fourth_kind(k, grid)))
         assert sup <= 1.0 / (2 * k + 1) + 1e-12
 
 
@@ -106,12 +106,21 @@ def test_simple_polynomial_evaluates():
 
 
 def test_derivative_at_zero_representations_agree():
+    # (1 - p(lam)) / lam tends to -p'(0) = (2/3) k (k+1); one_minus keeps it accurate at tiny lam
+    lam = 1e-20
     for k in (1, 2, 4, 7):
         spec = PolynomialSpec.fourth_kind(k)
-        from_roots = PolynomialSpec.from_roots(spec.roots).derivative_at_zero()
-        from_coeffs = PolynomialSpec.from_cheb4_coeffs(spec.cheb4_coeffs).derivative_at_zero()
+        from_roots = PolynomialSpec.from_roots(spec.roots).one_minus(lam) / lam
+        from_coeffs = PolynomialSpec(degree=k, cheb4_coeffs=spec.cheb4_coeffs).one_minus(lam) / lam
         assert from_roots == pytest.approx(from_coeffs, rel=1e-12)
-        assert from_roots == pytest.approx(-(2.0 / 3.0) * k * (k + 1), rel=1e-12)
+        assert from_roots == pytest.approx((2.0 / 3.0) * k * (k + 1), rel=1e-12)
+
+
+def test_one_minus_matches_direct_form():
+    lam = np.linspace(0.0, 1.0, 101)
+    for spec in (PolynomialSpec.fourth_kind(5), PolynomialSpec.from_betas([1.2, 1.5, 1.1]),
+                 PolynomialSpec.simple(1.5, 3), PolynomialSpec.simple(1.0, 0)):
+        assert np.allclose(spec.one_minus(lam), 1.0 - spec(lam), rtol=0.0, atol=1e-13)
 
 
 def test_gamma_examples():
@@ -145,15 +154,32 @@ def test_gamma_mu_nonincreasing_in_mu():
     assert all(a >= b - 1e-13 for a, b in zip(values, values[1:]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(
+    roots=st.lists(st.floats(min_value=0.5, max_value=3.0, exclude_min=True),
+                   min_size=1, max_size=4),
+    mus=st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+                 min_size=2, max_size=2, unique=True),
+)
+def test_gamma_mu_nonincreasing_in_mu_random_polynomials(roots, mus):
+    # every root above 1/2 keeps |1 - lam/r| < 1 on (0, 1], so p is valid
+    spec = PolynomialSpec.from_roots(roots)
+    mu1, mu2 = sorted(mus)
+    assert gamma_mu(spec, mu1) >= gamma_mu(spec, mu2) - 1e-12
+
+
+def test_gamma_mu_at_extreme_mu():
+    # p = 1 - lam gives lam p^2 / (1 - p^2) = (1 - lam)^2 / (2 - lam), decreasing on (0, 1];
+    # below 1e-16, p(mu) rounds to 1, and near 1 the grid points coincide
+    spec = PolynomialSpec.from_roots([1.0])
+    for mu in (0.0, 5e-324, 1e-270, 1e-20, 1e-9, 0.5, 1.0 - 2.0 ** -52):
+        expected = (1.0 - mu) ** 2 / (2.0 - mu)
+        assert gamma_mu(spec, mu) == pytest.approx(expected, rel=1e-12), mu
+
+
 def test_gamma_rejects_invalid_polynomial():
     # p = 1 - 2 lam hits |p| = 1 at lam = 1
     with pytest.raises(ValueError, match="not a valid smoother"):
         gamma_mu(PolynomialSpec.from_roots(np.array([0.5])))
     with pytest.raises(ValueError, match="0 <= mu < 1"):
         gamma_mu(PolynomialSpec.fourth_kind(1), mu=1.0)
-
-
-def test_poly_is_valid():
-    assert poly_is_valid(PolynomialSpec.fourth_kind(3))
-    assert poly_is_valid(PolynomialSpec.simple(1.5, 2))
-    assert not poly_is_valid(PolynomialSpec.from_roots(np.array([0.5])))

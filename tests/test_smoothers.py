@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from polymg.linalg import as_csr
 from polymg.optpoly import opt_betas, optimal_roots
-from polymg.poly import PolynomialSpec, cheb4_smoother_poly
+from polymg.poly import PolynomialSpec, cheb_w
 from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 
@@ -65,7 +65,8 @@ def test_cheb4_realizes_shifted_chebyshev(k):
     b = A @ x_star
     x0 = rng.standard_normal(25)
     out = _cheb4(A, B, x0, b, k)
-    expected = x_star + _apply_poly(cheb4_smoother_poly(k, lam), s, U, x0 - x_star)
+    p_vals = cheb_w(k, 1.0 - 2.0 * lam) / (2 * k + 1)
+    expected = x_star + _apply_poly(p_vals, s, U, x0 - x_star)
     assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
 
 
@@ -202,9 +203,9 @@ def test_smoother_config_validation():
     with pytest.raises(ValueError):
         SmootherConfig.cheb4(0)
     with pytest.raises(ValueError):
-        SmootherConfig(kind="magic", k=1)
+        SmootherConfig.simple(1.0, -1)
     with pytest.raises(ValueError):
-        SmootherConfig(kind="simple", k=1)  # omega missing
+        SmootherConfig.simple(float("nan"), 1)
     with pytest.raises(ValueError):
         SmootherConfig.optimized(np.ones((2, 2)))
     with pytest.raises(ValueError):
@@ -216,5 +217,5 @@ def test_diagonal_smoother_validation():
         DiagonalSmoother(inverse_diagonal=np.array([1.0, -1.0]), rho_BA=1.0)
     with pytest.raises(ValueError):
         DiagonalSmoother(inverse_diagonal=np.ones(3), rho_BA=0.0)
-    B = DiagonalSmoother(inverse_diagonal=np.ones(4), rho_BA=1.5)
-    assert B.n == 4
+    B = DiagonalSmoother(inverse_diagonal=[1, 2, 3, 4], rho_BA=1.5)
+    assert B.inverse_diagonal.dtype == np.float64 and B.inverse_diagonal.shape == (4,)
