@@ -30,15 +30,19 @@ import numpy as np
 from . import bounds as bnd
 from .fem import GridSpec, assemble_poisson_q1
 from .linalg import save_matrix_market
-from .multigrid import VCycleConfig, build_hierarchy, measure_C, measure_contraction
+from .multigrid import C_DENSE_CAP, VCycleConfig, build_hierarchy, measure_C, measure_contraction
 from .optpoly import optimal_polynomial, optimal_roots
 from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
 _MAX_K = 200
-# m = 12 needs over 6 GB for the COO assembly alone
+# the build's peak memory grows about 4x per level: 594 MB at m = 10
+# (aspect 2; 463 MB after the assembly), so over 9 GB at m = 12
 _MAX_M = 11
+# measure-c builds a hierarchy before measure_C checks its size cap, so bound
+# m up front: the largest m with (2^m - 1)^2 <= C_DENSE_CAP
+_MAX_M_DENSE_C = (math.isqrt(C_DENSE_CAP) + 1).bit_length() - 1
 
 
 class Column(NamedTuple):
@@ -73,8 +77,8 @@ class ExperimentConfig:
     out: Path | None = None
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError("need m >= 2")
+        if not 2 <= self.m <= _MAX_M:
+            raise ValueError(f"m must lie in [2, {_MAX_M}]")
         if self.aspect < 1.0:
             raise ValueError("need aspect >= 1")
         if not self.k_values or any(k < 1 or k > _MAX_K for k in self.k_values):
@@ -100,16 +104,6 @@ def _parse_k_range(text: str) -> list[int]:
     if not ks or any(k < 1 or k > _MAX_K for k in ks):
         raise argparse.ArgumentTypeError(f"degrees must lie in [1, {_MAX_K}]")
     return ks
-
-
-def _parse_m(text: str) -> int:
-    try:
-        m = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad refinement level {text!r}") from exc
-    if not 2 <= m <= _MAX_M:
-        raise argparse.ArgumentTypeError(f"m must lie in [2, {_MAX_M}]")
-    return m
 
 
 def _parse_degree(text: str) -> int:
@@ -321,13 +315,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("assemble", help="write the Q1 Poisson matrix in Matrix Market format")
-    p.add_argument("--m", type=_parse_m, default=5, help="refinement level (2^m cells per side)")
+    p.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), default=5, metavar="M",
+                   help="refinement level (2^m cells per side)")
     p.add_argument("--aspect", type=float, default=1.0, help="domain aspect ratio, >= 1")
     p.add_argument("--out", type=Path, required=True, help="output .mtx path")
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("run", help="measure V-cycle contraction factors with bound curves")
-    p.add_argument("--m", type=_parse_m, default=8, help="refinement level (default 8)")
+    p.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), default=8, metavar="M",
+                   help="refinement level (default 8)")
     p.add_argument("--aspect", type=float, default=1.0)
     p.add_argument("--k", type=_parse_k_range, default=list(range(1, 7)), metavar="RANGE",
                    help="degrees, e.g. '1..6' or '1,2,4'")
@@ -361,7 +357,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gamma_table)
 
     p = sub.add_parser("measure-c", help="measure the approximation constant C")
-    p.add_argument("--m", type=_parse_m, default=5)
+    p.add_argument("--m", type=int, choices=range(2, _MAX_M_DENSE_C + 1), default=5, metavar="M",
+                   help=f"refinement level, at most {_MAX_M_DENSE_C} (dense measurement)")
     p.add_argument("--aspect", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_measure_c)

@@ -66,55 +66,31 @@ class GridSpec:
         return GridSpec(m=self.m - 1, aspect=self.aspect)
 
 
-def _element_stiffness(hx: float, hy: float) -> np.ndarray:
-    """4x4 Q1 stiffness matrix from exact Gauss integration.
+def _stiffness_and_mass_1d(n: int, h: float) -> tuple[sp.dia_array, sp.dia_array]:
+    """1-D linear-element stiffness and mass matrices on ``n`` interior nodes.
 
-    Shape-function gradients on an ``hx x hy`` element are (bi)linear, so
-    the entries of ``grad phi_a . grad phi_b`` are at most quadratic per
-    direction and 2x2 Gauss quadrature integrates them exactly.  Node
-    order: (0,0), (0,1), (1,0), (1,1) in (x, y) offsets.
+    ``K = (1/h) tridiag(-1, 2, -1)`` and ``M = (h/6) tridiag(1, 4, 1)``.
     """
-    g = 1.0 / np.sqrt(3.0)
-    ke = np.zeros((4, 4))
-    corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    for xi in (-g, g):
-        for eta in (-g, g):
-            # reference square [-1,1]^2; d/dx = (2/hx) d/dxi etc.
-            grads = np.empty((4, 2))
-            for a, (cx, cy) in enumerate(corners):
-                sx, sy = 2 * cx - 1, 2 * cy - 1  # corner signs
-                nx = 0.5 * (1 + sx * xi)
-                ny = 0.5 * (1 + sy * eta)
-                grads[a, 0] = 0.5 * sx * ny * (2.0 / hx)
-                grads[a, 1] = 0.5 * sy * nx * (2.0 / hy)
-            ke += (grads @ grads.T) * (hx * hy / 4.0)  # unit Gauss weights
-    return ke
+    off = np.ones(n - 1)
+    K = sp.diags_array([-off / h, np.full(n, 2.0 / h), -off / h], offsets=[-1, 0, 1])
+    M = sp.diags_array([off * h / 6, np.full(n, 4.0 * h / 6), off * h / 6], offsets=[-1, 0, 1])
+    return K, M
 
 
 def assemble_poisson_q1(grid: GridSpec) -> sp.csr_array:
     """Assemble the Dirichlet Q1 stiffness matrix on the interior nodes.
 
-    Returns a symmetric positive definite CSR matrix of size
-    ``(2^m - 1)^2``; interior rows of the aspect-1 operator carry the
-    stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
+    Q1 shape functions are products of 1-D hat functions, so the operator
+    is the Kronecker sum ``Kx (x) My + Mx (x) Ky`` of the 1-D stiffness and
+    mass matrices, with ``x`` as the outer index: node ``(ix, iy)`` has id
+    ``ix * n_side + iy``.  Returns a symmetric positive definite CSR matrix
+    of size ``(2^m - 1)^2``; interior rows of the aspect-1 operator carry
+    the stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
     """
-    nel = 2 ** grid.m
-    npts = nel + 1
-    ke = _element_stiffness(grid.hx, grid.hy)
-    # global ids, x-major: gid(ix, iy) = ix * npts + iy
-    ex, ey = np.meshgrid(np.arange(nel), np.arange(nel), indexing="ij")
-    base = (ex * npts + ey).ravel()
-    # columns follow the _element_stiffness corner order (0,0), (0,1), (1,0), (1,1)
-    ids = np.stack([base, base + 1, base + npts, base + npts + 1], axis=1)
-    rows = np.repeat(ids, 4, axis=1).ravel()
-    cols = np.tile(ids, (1, 4)).ravel()
-    vals = np.tile(ke.ravel(), nel * nel)
-    full = sp.coo_array((vals, (rows, cols)), shape=(npts * npts, npts * npts)).tocsr()
-    interior = np.arange(npts * npts).reshape(npts, npts)[1:-1, 1:-1].ravel()
-    A = full[interior][:, interior].tocsr()
-    A.sum_duplicates()
-    A.sort_indices()
-    return sp.csr_array(A)
+    Kx, Mx = _stiffness_and_mass_1d(grid.n_side, grid.hx)
+    Ky, My = _stiffness_and_mass_1d(grid.n_side, grid.hy)
+    # the sum of two canonical CSR matrices is canonical
+    return sp.kron(Kx, My, format="csr") + sp.kron(Mx, Ky, format="csr")
 
 
 def _prolongation_1d(n_coarse: int) -> sp.csr_array:

@@ -178,18 +178,17 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(n) if x0 is None else np.array(x0, dtype=float)
     zero = np.zeros(n)
-    ratio_prev = None
+    norm = float(np.sqrt(e @ (A @ e)))
     ratio = 0.0
     for cycle in range(1, max_cycles + 1):
-        norm = np.sqrt(e @ (A @ e))
         if norm == 0.0:
             return ContractionResult(0.0, True, cycle, e)
         e /= norm
         e = _v_cycle_level(h, cfg, e, zero, 0)
         ratio = float(np.sqrt(max(e @ (A @ e), 0.0)))
-        if cycle >= 3 and ratio_prev is not None and abs(ratio - ratio_prev) <= tol * ratio:
+        if cycle >= 3 and abs(ratio - norm) <= tol * ratio:
             return ContractionResult(ratio, True, cycle, e)
-        ratio_prev = ratio
+        norm = ratio  # A-norm of the next cycle's start vector
     return ContractionResult(ratio, False, max_cycles, e)
 
 
@@ -206,7 +205,11 @@ def fine_space_projector(A, P, A_c) -> np.ndarray:
     return np.eye(Ad.shape[0]) - Pd @ X
 
 
-def measure_C(A, B: DiagonalSmoother, P, A_c, dense_cap: int = 4000) -> float:
+# largest fine-level size for the dense C measurement
+C_DENSE_CAP = 4000
+
+
+def measure_C(A, B: DiagonalSmoother, P, A_c, dense_cap: int = C_DENSE_CAP) -> float:
     """Measure ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A``.
 
     ``B`` is normalized internally so that ``rho(BA) = 1``; the supremum is

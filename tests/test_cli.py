@@ -158,9 +158,10 @@ def test_measure_c_close_to_analytic():
     ("opt-poly", "--k", "201"),
     ("bounds", "--C", "2"),  # missing required --k
     (),
-    ("run", "--m", "12"),  # m = 12 needs over 6 GB to assemble
+    ("run", "--m", "12"),  # an m = 12 build would need over 9 GB
     ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
+    ("measure-c", "--m", "7"),  # over the dense C cap; rejected before any assembly
     ("run", "--m", "4", "--tol", "nan"),  # each would run every cell to the cycle cap
     ("run", "--m", "4", "--tol", "-1"),
     ("run", "--m", "4", "--tol", "0"),
@@ -175,3 +176,9 @@ def test_bad_usage_exits_2(args):
 def test_experiment_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         ExperimentConfig(m=4, tol=tol)
+
+
+@pytest.mark.parametrize("m", [1, 12])
+def test_experiment_config_rejects_m_out_of_range(m):
+    with pytest.raises(ValueError, match="m must lie"):
+        ExperimentConfig(m=m)

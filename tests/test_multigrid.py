@@ -49,15 +49,34 @@ def test_hierarchy_structure(hierarchy_m4_a2):
     assert h.levels[-1].P is None and h.levels[-1].smoother is None
 
 
-def _exact_rho_jacobi(grid):
-    """rho(D^-1 A) of the Q1 operator Kx(x)My + Mx(x)Ky from its 1-D spectra."""
+def _exact_spectrum(grid):
+    """Eigenvalues Kx_i My_j + Mx_i Ky_j of the Q1 operator Kx(x)My + Mx(x)Ky.
+
+    The 1-D stiffness (1/h) tridiag(-1, 2, -1) and mass (h/6) tridiag(1, 4, 1)
+    share the sine eigenvectors, with eigenvalues (2 - 2c)/h and h(4 + 2c)/6
+    for c = cos(i pi / (n + 1)).
+    """
     n = grid.n_side
     c = np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
     cx, cy = c[:, None], c[None, :]
     hx, hy = grid.hx, grid.hy
-    lam = ((2 - 2 * cx) / hx * hy * (4 + 2 * cy) / 6
-           + hx * (4 + 2 * cx) / 6 * (2 - 2 * cy) / hy)
-    return float(lam.max()) / ((8 / 6) * (hy / hx + hx / hy))
+    return ((2 - 2 * cx) / hx * hy * (4 + 2 * cy) / 6
+            + hx * (4 + 2 * cx) / 6 * (2 - 2 * cy) / hy)
+
+
+def _exact_rho_jacobi(grid):
+    """rho(D^-1 A) of the Q1 operator from its closed-form spectrum."""
+    hx, hy = grid.hx, grid.hy
+    return float(_exact_spectrum(grid).max()) / ((8 / 6) * (hy / hx + hx / hy))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
+def test_assembled_spectrum_matches_closed_form(m, aspect):
+    grid = GridSpec(m=m, aspect=aspect)
+    computed = scipy.linalg.eigh(assemble_poisson_q1(grid).toarray(), eigvals_only=True)
+    exact = np.sort(_exact_spectrum(grid), axis=None)
+    assert np.max(np.abs(computed - exact)) <= 1e-14 * exact[-1]
 
 
 def test_exact_rho_reference_value():
