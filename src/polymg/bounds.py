@@ -56,8 +56,8 @@ __all__ = [
 
 
 def _check_c(C: float) -> None:
-    if not C >= 1.0:
-        raise ValueError("smoothing constant C must be >= 1")
+    if not (C >= 1.0 and math.isfinite(C)):
+        raise ValueError("smoothing constant C must be finite and >= 1")
 
 
 def _check_k(k: int) -> None:

@@ -14,6 +14,9 @@ Smoothing quality enters the bounds through two measurable constants:
   A-orthogonal complement of the coarse space (B scaled so rho(BA) = 1);
 * ``C_N``: the same ratio with ``N^{-1} = A (I - p(BA)^2)^{-1}``, which
   converts directly into the cycle bound ``||E||_A^2 <= 1 - 1/C_N``.
+
+Both are upper Lanczos estimates of one two-level eigenvalue (see
+:func:`measure_C`), not certificates.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother
-from .linalg import CholeskySolver, as_csr
+from .linalg import CholeskySolver, as_csr, lanczos_max
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
@@ -39,7 +42,6 @@ __all__ = [
     "build_hierarchy",
     "v_cycle",
     "measure_contraction",
-    "fine_space_projector",
     "measure_C",
     "measure_CN",
 ]
@@ -49,8 +51,8 @@ __all__ = [
 class Level:
     """One grid level; the coarsest level has no smoother or transfers.
 
-    ``A`` is the canonical CSR matrix (export, Galerkin products, dense
-    measurements).  ``op`` is the same operator in banded ``dia_array``
+    ``A`` is the canonical CSR matrix (export, Galerkin products, the C and
+    C_N measurements).  ``op`` is the same operator in banded ``dia_array``
     form, which the smoother, the residual and the A-norms apply.  ``P``
     prolongs from the next coarser level and ``R = P^T`` restricts to it.
     """
@@ -192,73 +194,70 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     return ContractionResult(ratio, False, max_cycles, e)
 
 
-def fine_space_projector(A, P, A_c) -> np.ndarray:
-    """Dense A-orthogonal projector ``pi_f = I - P A_c^{-1} P^T A``.
+def _two_level_sup(A, P, A_c, F) -> float:
+    """Upper Lanczos estimate of ``sup_{u in range(pi_f)} ||F^T u||^2 / ||u||^2_A``.
 
-    ``pi_f`` annihilates the range of ``P`` and reproduces its A-orthogonal
-    complement; it is the error propagator of exact coarse correction.
+    ``Q = A^{-1} - P A_c^{-1} P^T = pi_f A^{-1}`` is symmetric positive
+    semidefinite with range ``range(pi_f)``, so the supremum is
+    ``lambda_max(F^T Q F)`` (Falgout, Vassilevski & Zikatanov, NLAA 12,
+    2005); each step takes one sparse LU solve with ``A`` and one with
+    ``A_c``.  A non-converged estimate is used but reported via a warning.
     """
-    Ad = A.toarray()
-    Pd = P.toarray()
-    Acd = A_c.toarray()
-    X = scipy.linalg.solve(Acd, Pd.T @ Ad, assume_a="pos")
-    return np.eye(Ad.shape[0]) - Pd @ X
+    solve = scipy.sparse.linalg.splu(sp.csc_array(A)).solve
+    solve_c = scipy.sparse.linalg.splu(sp.csc_array(A_c)).solve
+
+    def apply(v: np.ndarray) -> np.ndarray:
+        w = F @ v
+        return F.T @ (solve(w) - P @ solve_c(P.T @ w))
+
+    result = lanczos_max(apply, F.shape[1])
+    if not result.converged:
+        warnings.warn(f"two-level Lanczos estimate not converged after {result.iterations} "
+                      f"steps (estimate {result.value:.12g}, residual {result.residual:.3g})",
+                      stacklevel=3)
+    return result.value
 
 
-# largest fine-level size for the dense C measurement
-C_DENSE_CAP = 4000
-
-
-def measure_C(A, B: DiagonalSmoother, P, A_c, dense_cap: int = C_DENSE_CAP) -> float:
+def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
     """Measure ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A``.
 
-    ``B`` is normalized internally so that ``rho(BA) = 1``; the supremum is
-    the top generalized eigenvalue of ``pi_f^T B^{-1} pi_f`` against ``A``
-    (dense path).  ``C >= 1`` whenever the coarse space is a proper
-    subspace; a square prolongation makes ``pi_f = 0`` and the measurement
-    degenerate, reported as 0 with a warning.
+    ``B`` is normalized internally so that ``rho(BA) = 1``.  The value is
+    the upper Lanczos estimate (relative residual 1e-10) of
+    ``lambda_max(F^T (A^{-1} - P A_c^{-1} P^T) F)`` with ``F = B^{-1/2}``.
+    ``C >= 1`` whenever the coarse space is a proper subspace; a square
+    prolongation makes ``pi_f = 0`` and the measurement degenerate, reported
+    as 0 with a warning.
     """
-    n = A.shape[0]
-    if n > dense_cap:
-        raise ValueError(f"dense path capped at n = {dense_cap}; got {n}")
     if P.shape[0] == P.shape[1]:
         warnings.warn("coarse space spans the fine space; C is degenerate", stacklevel=2)
         return 0.0
-    pif = fine_space_projector(A, P, A_c)
-    b_hat_inv = B.rho_BA / B.inverse_diagonal  # inverse of B/rho(BA)
-    M = pif.T @ (b_hat_inv[:, None] * pif)
-    M = 0.5 * (M + M.T)
-    vals = scipy.linalg.eigh(M, A.toarray(), eigvals_only=True)
-    return float(vals[-1])
+    F = sp.diags_array(np.sqrt(B.rho_BA / B.inverse_diagonal))  # B_hat^(-1/2), diagonal
+    return _two_level_sup(A, P, A_c, F)
 
 
-def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec,
-               dense_cap: int = 2000) -> float:
-    """Measure ``C_N`` for the smoother polynomial ``p`` (dense two-level path).
+# largest fine-level size for the dense eigendecomposition in measure_CN
+_CN_DENSE_CAP = 2000
 
-    ``N^{-1} = A (I - p(BA)^2)^{-1}`` is evaluated through the
-    eigendecomposition of the symmetrized smoothed operator; requires
-    ``|p| < 1`` on (0, 1].  That is checked on the spectrum of the
-    normalized ``BA`` and at the endpoint 1, so rounding in ``rho(BA)``
-    cannot decide it.  The cycle bound ``||E||_A^2 <= 1 - 1/C_N`` is sharp
-    over errors in the fine space.
+
+def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec) -> float:
+    """Measure ``C_N`` for the smoother polynomial ``p`` (two-level).
+
+    ``N^{-1} = A (I - p(BA)^2)^{-1}`` is evaluated through the dense
+    eigendecomposition ``S A S = U diag(lam) U^T``, ``S = B_hat^{1/2}``, as
+    ``F F^T`` with ``F = S^{-1} U diag(sqrt(lam / (1 - p(lam)^2)))``; ``C_N``
+    is then estimated as in :func:`measure_C`.  Requires ``|p| < 1`` on
+    (0, 1]; that is checked on the spectrum of the normalized ``BA`` and at
+    the endpoint 1, so rounding in ``rho(BA)`` cannot decide it.  The cycle
+    bound ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.
     """
     n = A.shape[0]
-    if n > dense_cap:
-        raise ValueError(f"dense path capped at n = {dense_cap}; got {n}")
-    Ad = A.toarray()
+    if n > _CN_DENSE_CAP:
+        raise ValueError(f"dense path capped at n = {_CN_DENSE_CAP}; got {n}")
     s = np.sqrt(B.inverse_diagonal / B.rho_BA)  # B_hat^(1/2), diagonal
-    sym = s[:, None] * Ad * s[None, :]
-    lam, Q = np.linalg.eigh(0.5 * (sym + sym.T))
+    sym = s[:, None] * A.toarray() * s[None, :]
+    lam, U = np.linalg.eigh(0.5 * (sym + sym.T))
     pv = p.evaluate(lam)
     if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
         raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
-    # N^{-1} = S^{-1} Q diag(lam / (1 - p(lam)^2)) Q^T S^{-1}
-    mid = lam / (1.0 - pv * pv)
-    n_inv = (Q * mid) @ Q.T
-    n_inv = (1.0 / s)[:, None] * n_inv * (1.0 / s)[None, :]
-    pif = fine_space_projector(A, P, A_c)
-    M = pif.T @ n_inv @ pif
-    M = 0.5 * (M + M.T)
-    vals = scipy.linalg.eigh(M, Ad, eigvals_only=True)
-    return float(vals[-1])
+    F = (U * np.sqrt(lam / (1.0 - pv * pv))) / s[:, None]
+    return _two_level_sup(A, P, A_c, F)

@@ -268,6 +268,9 @@ def test_crossover_constant():
 def test_input_validation():
     with pytest.raises(ValueError):
         bound_cheb(0.9, 1)
+    for C in (math.inf, math.nan):  # each would give a nan bound
+        with pytest.raises(ValueError, match="finite"):
+            bound_cheb(C, 3)
     with pytest.raises(ValueError):
         bound_cheb(2.0, 0)
     with pytest.raises(ValueError):

@@ -161,10 +161,12 @@ def test_measure_c_close_to_analytic():
     ("run", "--m", "12"),  # an m = 12 build would need over 9 GB
     ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
-    ("measure-c", "--m", "7"),  # over the dense C cap; rejected before any assembly
+    ("measure-c", "--m", "7"),  # see cli._MAX_M_C; rejected before any assembly
     ("run", "--m", "4", "--tol", "nan"),  # each would run every cell to the cycle cap
     ("run", "--m", "4", "--tol", "-1"),
     ("run", "--m", "4", "--tol", "0"),
+    ("bounds", "--C", "inf", "--k", "1"),  # would write nan bounds
+    ("bounds", "--C", "nan", "--k", "1"),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)

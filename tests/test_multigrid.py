@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import polymg.multigrid
 from polymg.fem import GridSpec, assemble_poisson_q1
-from polymg.linalg import as_csr
+from polymg.linalg import LanczosResult, as_csr
 from polymg.multigrid import (
     VCycleConfig,
     build_hierarchy,
-    fine_space_projector,
     measure_C,
     measure_CN,
     measure_contraction,
@@ -29,6 +29,20 @@ def _error_operator(h, cfg):
     zero = np.zeros(n)
     cols = [v_cycle(h, cfg, e, zero) for e in np.eye(n)]
     return np.array(cols).T
+
+
+def _fine_space_projector(A, P, A_c):
+    """Dense A-orthogonal projector ``pi_f = I - P A_c^{-1} P^T A``."""
+    Ad, Pd = A.toarray(), P.toarray()
+    X = scipy.linalg.solve(A_c.toarray(), Pd.T @ Ad, assume_a="pos")
+    return np.eye(Ad.shape[0]) - Pd @ X
+
+
+def _dense_sup(A, P, A_c, M):
+    """Reference ``sup_{u in range(pi_f)} u^T M u / u^T A u`` by a generalized eigh."""
+    pif = _fine_space_projector(A, P, A_c)
+    G = pif.T @ M @ pif
+    return float(scipy.linalg.eigh(0.5 * (G + G.T), A.toarray(), eigvals_only=True)[-1])
 
 
 def _a_norm(M, A):
@@ -181,26 +195,11 @@ def test_zero_smoothing_cycle_is_coarse_projection(two_level_m5_a2):
     h = two_level_m5_a2
     assert h.n_levels == 2
     top = h.levels[0]
-    pif = fine_space_projector(top.A, top.P, h.levels[1].A)
+    pif = _fine_space_projector(top.A, top.P, h.levels[1].A)
     cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1), pre_steps=0, post_steps=0)
     e = np.random.default_rng(3).standard_normal(top.A.shape[0])
     out = v_cycle(h, cfg, e, np.zeros_like(e))
     assert np.max(np.abs(out - pif @ e)) < 1e-10 * np.linalg.norm(e)
-
-
-def test_projector_pythagoras(two_level_m5_a2):
-    h = two_level_m5_a2
-    top = h.levels[0]
-    A = top.A
-    pif = fine_space_projector(A, top.P, h.levels[1].A)
-    e = np.random.default_rng(4).standard_normal(A.shape[0])
-    ef = pif @ e
-    ec = e - ef
-    total = e @ (A @ e)
-    assert ef @ (A @ ef) + ec @ (A @ ec) == pytest.approx(total, rel=1e-10)
-    # pi_f is idempotent and annihilates the coarse space
-    assert np.max(np.abs(pif @ pif - pif)) < 1e-9
-    assert np.max(np.abs(pif @ top.P.toarray())) < 1e-9
 
 
 def test_measured_contraction_matches_operator_norm(hierarchy_m4_a2):
@@ -272,15 +271,39 @@ def test_measured_C_grows_with_anisotropy():
     assert values[0] < values[1] < values[2]
 
 
-def test_measure_C_degenerate_and_capped(hierarchy_m4_a2):
+def test_measure_C_degenerate(hierarchy_m4_a2):
     top = hierarchy_m4_a2.levels[0]
     n = top.A.shape[0]
     eye = as_csr(np.eye(n))
     with pytest.warns(UserWarning, match="degenerate"):
         assert measure_C(top.A, top.smoother, eye, top.A) == 0.0
-    with pytest.raises(ValueError, match="capped"):
-        measure_C(top.A, top.smoother, top.P, hierarchy_m4_a2.levels[1].A,
-                  dense_cap=10)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
+def test_measured_constants_match_dense_oracle(aspect):
+    h = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
+    top = h.levels[0]
+    A, B, P, Ac = top.A, top.smoother, top.P, h.levels[1].A
+    b_hat_inv = B.rho_BA / B.inverse_diagonal
+    assert measure_C(A, B, P, Ac) == pytest.approx(
+        _dense_sup(A, P, Ac, np.diag(b_hat_inv)), rel=1e-9)
+    # N^{-1} = A (I - p(BA)^2)^{-1} through the spectrum of B_hat^(1/2) A B_hat^(1/2)
+    s = np.sqrt(1.0 / b_hat_inv)
+    lam, Q = np.linalg.eigh(s[:, None] * A.toarray() * s[None, :])
+    for k in (1, 2, 3):
+        pv = PolynomialSpec.fourth_kind(k).evaluate(lam)
+        n_inv = ((Q * (lam / (1.0 - pv * pv))) @ Q.T) / s[:, None] / s[None, :]
+        assert measure_CN(A, B, P, Ac, PolynomialSpec.fourth_kind(k)) == pytest.approx(
+            _dense_sup(A, P, Ac, n_inv), rel=1e-9)
+
+
+def test_measure_C_warns_when_not_converged(hierarchy_m4_a2, monkeypatch):
+    stalled = LanczosResult(value=7.5, converged=False, iterations=5000, residual=1e-3)
+    monkeypatch.setattr(polymg.multigrid, "lanczos_max", lambda apply, n: stalled)
+    top = hierarchy_m4_a2.levels[0]
+    with pytest.warns(UserWarning, match="not converged after 5000 steps"):
+        C = measure_C(top.A, top.smoother, top.P, hierarchy_m4_a2.levels[1].A)
+    assert C == 7.5
 
 
 def test_CN_bracket_and_bound_chain(two_level_m5_a2):
