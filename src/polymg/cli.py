@@ -217,7 +217,12 @@ def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
     """Tabulate 1/gamma for the optimal polynomial against its estimate.
 
     Columns: k, optimal 1/gamma, the estimate (4/pi^2)(2k+1)^2 - 2/3, their
-    difference, and the next correction term (pi^2/60)(2k+1)^{-2}.
+    difference, and the next correction term (pi^2/60)(2k+1)^{-2}.  The
+    ``diff`` column is a difference of two numbers near ``gamma_inv``, so its
+    absolute error is about ``gamma_inv * 1e-15``.  For k above about 60
+    that reaches its last printed digits, which are then rounding noise:
+    a change of the root solver within its tolerance moved k=61 from
+    1.087300e-05 to 1.087302e-05.
     """
     lines = ["k\tgamma_inv\testimate\tdiff\tnext_term"]
     for k in k_values:

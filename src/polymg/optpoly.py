@@ -46,21 +46,15 @@ def _p_eval(lam, roots):
     return np.prod(1.0 - lam[..., None] / roots, axis=-1)
 
 
-def _q_eval(lam, roots):
-    """Logarithmic derivative p'/p = sum_i 1/(lam - r_i)."""
-    lam = np.asarray(lam, dtype=float)
-    return np.sum(1.0 / (lam[..., None] - roots), axis=-1)
+def _g_and_slope(x, roots):
+    """``g(x)`` and ``-g'(x)`` from one ``p(x)`` and one ``x - r`` array.
 
-
-def _g_eval(x, roots):
-    return 0.5 * (1.0 - _p_eval(x, roots) ** 2) + x * _q_eval(x, roots)
-
-
-def _neg_g_prime(x, roots):
-    """-g'(x) = sum_i (1/(x - r_i)) [p(x)^2 + r_i/(x - r_i)]."""
-    x = np.asarray(x, dtype=float)
+    ``-g'(x) = sum_i (1/(x - r_i)) [p(x)^2 + r_i/(x - r_i)]``.
+    """
     d = x[..., None] - roots
-    return np.sum((_p_eval(x, roots)[..., None] ** 2 + roots / d) / d, axis=-1)
+    p = _p_eval(x, roots)
+    g = 0.5 * (1.0 - p ** 2) + x * np.sum(1.0 / d, axis=-1)
+    return g, np.sum((p[..., None] ** 2 + roots / d) / d, axis=-1)
 
 
 def find_extrema(roots, guesses=None) -> np.ndarray:
@@ -69,9 +63,17 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
     Runs a bracket-safeguarded Newton iteration on ``g`` simultaneously for
     all gaps; ``g`` decreases from ``+inf`` to ``-inf`` across each gap, so
     the sign of ``g`` updates the brackets and any step leaving its bracket
-    falls back to bisection.
+    falls back to bisection.  A gap whose Newton step is within
+    ``_NEWTON_TOL`` (relative to ``max(1, |x|)``) has converged: the step is
+    taken as it is and never replaced by a bisection, even when it lands on
+    the bracket end that its own iterate just set, as in ``rtsafe`` (Press
+    et al., *Numerical Recipes*, section 9.4).  The search returns once
+    every gap's step is that small.  Roots must be finite, positive and
+    strictly increasing.
     """
     roots = np.asarray(roots, dtype=float)
+    if not np.all(np.isfinite(roots)) or np.any(roots <= 0.0):
+        raise ValueError("roots must be finite and positive")
     k = len(roots)
     if k < 2:
         return np.empty(0)
@@ -83,22 +85,22 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
         x = 0.5 * (lo + hi)
     else:
         x = np.asarray(guesses, dtype=float).copy()
-        if x.shape != (k - 1,):
-            raise ValueError("need k-1 extremum guesses")
+        if x.shape != (k - 1,) or not np.all(np.isfinite(x)):
+            raise ValueError("need k-1 finite extremum guesses")
         margin = 1e-3 * (hi - lo)
         x = np.clip(x, lo + margin, hi - margin)
     for _ in range(_NEWTON_MAX_ITER):
-        gx = _g_eval(x, roots)
+        gx, neg_slope = _g_and_slope(x, roots)
         pos = gx > 0.0
         lo = np.where(pos, x, lo)
         hi = np.where(pos, hi, x)
-        x_new = x + gx / _neg_g_prime(x, roots)
-        outside = (x_new <= lo) | (x_new >= hi)
-        x_new = np.where(outside, 0.5 * (lo + hi), x_new)
-        done = np.all(np.abs(x_new - x) <= _NEWTON_TOL * np.maximum(1.0, np.abs(x)))
-        x = x_new
-        if done:
-            return x
+        step = gx / neg_slope
+        converged = np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, np.abs(x))
+        x_new = x + step
+        if np.all(converged):
+            return x_new
+        outside = ~converged & ((x_new <= lo) | (x_new >= hi))
+        x = np.where(outside, 0.5 * (lo + hi), x_new)
     raise RuntimeError(f"extremum search did not converge in {_NEWTON_MAX_ITER} iterations")
 
 
@@ -109,7 +111,7 @@ class EquioscillationState:
     degree: int
     roots: np.ndarray
     extrema: np.ndarray  # interior only; lam = 1 is the implicit last extremum
-    f0: float            # equioscillation level, f(0) = (-2 q(0))^{-1/2}
+    f0: float            # equioscillation level, f(0) = (2 sum_i 1/r_i)^{-1/2}
     residual: float      # final max |f(0) - |f(x_i)||
     iterations: int
 
@@ -136,11 +138,12 @@ def optimal_roots(k: int) -> EquioscillationState:
     best = np.inf
     stall = 0
     for outer in range(1, _NEWTON_MAX_ITER + 1):
-        x_int = find_extrema(r, x_int) if k > 1 else np.empty(0)
+        x_int = find_extrema(r, x_int)
         xs = np.concatenate([x_int, [1.0]])
-        f0 = (-2.0 * _q_eval(0.0, r)) ** -0.5
-        w = xs / (1.0 - _p_eval(xs, r) ** 2)
-        f_abs = np.sqrt(w) * np.abs(_p_eval(xs, r))
+        f0 = (2.0 * np.sum(1.0 / r)) ** -0.5
+        p_xs = _p_eval(xs, r)
+        w = xs / (1.0 - p_xs ** 2)
+        f_abs = np.sqrt(w) * np.abs(p_xs)
         F = f0 - f_abs
         res = float(np.max(np.abs(F)))
         if res < _NEWTON_TOL:
@@ -212,8 +215,11 @@ def opt_betas(state: EquioscillationState) -> np.ndarray:
     terminal value ``beta_{k+1}`` must vanish; ``|beta_{k+1}| <= 1e-8`` is
     checked as an internal consistency test of the expansion.
     """
-    alphas = cheb4_expansion(state)
-    k = state.degree
+    return _betas_from_expansion(cheb4_expansion(state))
+
+
+def _betas_from_expansion(alphas: np.ndarray) -> np.ndarray:
+    k = len(alphas) - 1
     betas = np.zeros(k + 2)
     betas[0] = 1.0
     for j in range(k + 1):
@@ -230,7 +236,7 @@ def optimal_polynomial(k: int) -> PolynomialSpec:
     """Optimal degree-k smoother polynomial with roots, expansion, and betas."""
     state = optimal_roots(k)
     alphas = cheb4_expansion(state)
-    betas = opt_betas(state)
+    betas = _betas_from_expansion(alphas)
     return PolynomialSpec(
         degree=k, roots=state.roots, cheb4_coeffs=alphas, iteration_betas=betas
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polymg import optpoly
 from polymg.optpoly import (
     cheb4_expansion,
     find_extrema,
@@ -16,7 +17,7 @@ from polymg.optpoly import (
     quadrature_nodes_weights,
 )
 from polymg.poly import PolynomialSpec, cheb_w, gamma_mu
-from polymg.scalar import golden_section_min
+from polymg.scalar import bisect_root, golden_section_min
 
 # printed reference values for the optimal 1/gamma (last column digit exact)
 GAMMA_INV_TABLE = {
@@ -90,6 +91,64 @@ def test_extremum_against_grid_search():
     found = find_extrema(roots)
     assert found.shape == (1,)
     assert found[0] == pytest.approx(x_star, abs=1e-8)
+
+
+@pytest.mark.parametrize("roots", [
+    [0.0, 0.5, 0.9],
+    [-0.3, 0.5, 0.9],
+    [0.2, math.nan, 0.9],
+    [0.2, 0.5, math.inf],
+])
+def test_find_extrema_rejects_bad_roots(roots):
+    with pytest.raises(ValueError, match="finite and positive"):
+        find_extrema(roots)
+
+
+def test_find_extrema_rejects_bad_guesses():
+    roots = [0.2, 0.5, 0.9]
+    for guesses in ([0.3], [math.nan, 0.7], [0.3, math.inf]):
+        with pytest.raises(ValueError, match="k-1 finite extremum guesses"):
+            find_extrema(roots, guesses)
+
+
+@pytest.mark.parametrize("k", [5, 50, 200])
+def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
+    # a gap whose Newton step is below tolerance is done and must not be
+    # bisected: from converged extrema one evaluation suffices, from the
+    # gap midpoints Newton needs a few
+    state = optimal_roots(k)
+    fused = optpoly._g_and_slope
+    calls = []
+
+    def counted(x, roots):
+        calls.append(1)
+        return fused(x, roots)
+
+    monkeypatch.setattr(optpoly, "_g_and_slope", counted)
+    find_extrema(state.roots, state.extrema)
+    assert len(calls) <= 3
+    calls.clear()
+    find_extrema(state.roots)
+    assert len(calls) <= 10
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=16),
+       top=st.floats(0.5, 2.0))
+def test_extrema_match_bisection(gaps, top):
+    roots = np.cumsum(gaps) / np.sum(gaps) * top
+
+    def g(x):
+        """(1 - p^2)/2 + x p'/p, whose zero in each gap is the extremum of f."""
+        p = 1.0
+        for r in roots:
+            p *= 1.0 - x / r
+        return 0.5 * (1.0 - p * p) + x * sum(1.0 / (x - r) for r in roots)
+
+    for a, b, x in zip(roots[:-1], roots[1:], find_extrema(roots)):
+        assert a < x < b
+        ref = bisect_root(g, np.nextafter(a, b), np.nextafter(b, a), tol=1e-13 * (b - a))
+        assert abs(x - ref) <= 1e-12 * (b - a)
 
 
 def test_gamma_matches_functional():
