@@ -166,14 +166,16 @@ class LimitConstants(NamedTuple):
     beta: float      # 1 - y0
 
 
+def _level_and_crossing(h) -> tuple[float, float]:
+    """``w = inf h`` on ``(4, 3 pi/2]`` (golden section) and the level-w
+    crossing ``phi*`` closest to 2 (bisection on [1.5, 2], where ``h`` increases)."""
+    w = h(golden_section_min(h, 4.0, 1.5 * math.pi, tol=1e-14))
+    return w, bisect_root(lambda p: h(p) - w, 1.5, 2.0, tol=1e-14)
+
+
 @lru_cache(maxsize=1)
 def limit_constants() -> LimitConstants:
-    def h(phi: float) -> float:
-        return 1.0 / math.sin(phi) ** 2 - 1.0 / phi ** 2
-
-    phi_min = golden_section_min(h, 4.0, 1.5 * math.pi, tol=1e-14)
-    w0 = h(phi_min)
-    phi_star = bisect_root(lambda p: h(p) - w0, 1.5, 2.0, tol=1e-14)
+    w0, phi_star = _level_and_crossing(lambda phi: 1.0 / math.sin(phi) ** 2 - 1.0 / phi ** 2)
     y0 = 1.0 / (3.0 * w0)
     return LimitConstants(w0=w0, y0=y0, phi_star=phi_star, beta=1.0 - y0)
 
@@ -187,12 +189,10 @@ def beta_constant() -> float:
 class SharpConstants:
     """Degree-dependent constants of the sharp Chebyshev bound (n = 2k+1)."""
 
-    n: int
     w: float
     phi_star: float
     lambda_star: float
     y: float
-    beta: float
 
     def mu_star(self, C: float) -> float:
         """Spectrum split point; always at most ``1/C``."""
@@ -207,25 +207,16 @@ def sharp_constants(n: int) -> SharpConstants:
     """Numerically solve for ``(w, phi*, lambda*, y)`` at polynomial order n.
 
     ``w`` minimizes ``csc^2(phi) - n^{-2} csc^2(phi/n)`` on ``(4, 3 pi/2]``
-    (golden section); ``phi*`` is the level-w crossing closest to 2
-    (bisection on [1.5, 2], where the objective is increasing);
+    and ``phi*`` is the level-w crossing closest to 2;
     ``lambda* = sin^2(phi*/n)`` and ``y = (n^2 - 1)/(3 n^2 w)``.
     """
     if n < 3:
         raise ValueError("need n >= 3 (n = 2k+1 for degree k >= 1)")
-
-    def h(phi: float) -> float:
-        return 1.0 / math.sin(phi) ** 2 - (1.0 / n ** 2) / math.sin(phi / n) ** 2
-
-    phi_min = golden_section_min(h, 4.0, 1.5 * math.pi, tol=1e-14)
-    w = h(phi_min)
-    phi_star = bisect_root(lambda p: h(p) - w, 1.5, 2.0, tol=1e-14)
+    w, phi_star = _level_and_crossing(
+        lambda phi: 1.0 / math.sin(phi) ** 2 - (1.0 / n ** 2) / math.sin(phi / n) ** 2)
     lambda_star = math.sin(phi_star / n) ** 2
     y = (n * n - 1.0) / (3.0 * n * n * w)
-    return SharpConstants(
-        n=n, w=w, phi_star=phi_star, lambda_star=lambda_star, y=y,
-        beta=limit_constants().beta,
-    )
+    return SharpConstants(w=w, phi_star=phi_star, lambda_star=lambda_star, y=y)
 
 
 def sharp_f_factor(C: float, k: int) -> float:

@@ -25,18 +25,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from . import bounds as bnd
 from .fem import GridSpec, assemble_poisson_q1
 from .linalg import save_matrix_market
 from .multigrid import VCycleConfig, build_hierarchy, measure_C, measure_contraction
-from .optpoly import optimal_polynomial, optimal_roots
+from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
+from .poly import PolynomialSpec
 from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
-_MAX_K = 200
 # the build's peak memory grows about 4x per level: 594 MB at m = 10
 # (aspect 2; 463 MB after the assembly), so over 9 GB at m = 12
 _MAX_M = 11
@@ -81,8 +79,8 @@ class ExperimentConfig:
             raise ValueError(f"m must lie in [2, {_MAX_M}]")
         if self.aspect < 1.0:
             raise ValueError("need aspect >= 1")
-        if not self.k_values or any(k < 1 or k > _MAX_K for k in self.k_values):
-            raise ValueError(f"degrees must lie in [1, {_MAX_K}]")
+        if not self.k_values or any(k < 1 or k > _MAX_DEGREE for k in self.k_values):
+            raise ValueError(f"degrees must lie in [1, {_MAX_DEGREE}]")
         if any(name not in COLUMNS for name in self.smoothers):
             raise ValueError(f"smoother columns must be among {tuple(COLUMNS)}")
         if self.c_mode not in ("analytic", "measured"):
@@ -101,8 +99,8 @@ def _parse_k_range(text: str) -> list[int]:
             ks = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad degree range {text!r}") from exc
-    if not ks or any(k < 1 or k > _MAX_K for k in ks):
-        raise argparse.ArgumentTypeError(f"degrees must lie in [1, {_MAX_K}]")
+    if not ks or any(k < 1 or k > _MAX_DEGREE for k in ks):
+        raise argparse.ArgumentTypeError(f"degrees must lie in [1, {_MAX_DEGREE}]")
     return ks
 
 
@@ -111,8 +109,8 @@ def _parse_degree(text: str) -> int:
         k = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad degree {text!r}") from exc
-    if not 1 <= k <= _MAX_K:
-        raise argparse.ArgumentTypeError(f"degree must lie in [1, {_MAX_K}]")
+    if not 1 <= k <= _MAX_DEGREE:
+        raise argparse.ArgumentTypeError(f"degree must lie in [1, {_MAX_DEGREE}]")
     return k
 
 
@@ -291,10 +289,10 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 
 def _cmd_opt_poly(args: argparse.Namespace) -> int:
-    spec = optimal_polynomial(args.k)
-    gamma_inv = 2.0 * float(np.sum(1.0 / spec.roots))
+    state = optimal_roots(args.k)
+    spec = PolynomialSpec.from_roots(state.roots)
     print(f"k {args.k}")
-    print(f"gamma_inv {gamma_inv:.10f}")
+    print(f"gamma_inv {state.gamma_inv:.10f}")
     print("root beta")
     for r, b in zip(spec.roots, spec.iteration_betas):
         print(f"{r:.12f} {b:.12f}")

@@ -17,7 +17,7 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import lanczos_max
+from .linalg import as_csr, lanczos_max
 from .smoothers import DiagonalSmoother
 
 __all__ = [
@@ -118,10 +118,7 @@ def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
     if coarse.aspect != fine.aspect:
         raise ValueError("grids must share the aspect ratio")
     p1 = _prolongation_1d(coarse.n_side)
-    P = sp.csr_array(sp.kron(p1, p1, format="csr"))
-    P.sum_duplicates()
-    P.sort_indices()
-    return P
+    return as_csr(sp.kron(p1, p1, format="csr"))
 
 
 def jacobi_smoother(A, tol: float = 1e-10, max_iter: int = 5000,

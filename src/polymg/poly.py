@@ -9,11 +9,18 @@ smaller being better.  The fourth-kind Chebyshev smoother is
 ``p_k(lam) = W_k(1 - 2 lam) / (2k + 1)`` with ``W_k`` the fourth-kind
 Chebyshev polynomial; it equioscillates ``sqrt(lam) |p_k|`` at the level
 ``1/(2k+1)`` and gives ``gamma = 3 / ((2k+1)^2 - 1)``.
+
+Every smoother polynomial is realized as an iteration through its
+expansion in fourth-kind Chebyshev polynomials: with
+``p = sum_j alpha_j W_j(1 - 2 lam)``, the over-relaxation weights follow
+the recursion ``beta_{j+1} = beta_j - (2j+1) alpha_j`` from
+``beta_0 = 1``, and consistency requires ``beta_{k+1} = 1 - p(0) = 0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -29,6 +36,20 @@ __all__ = [
 _GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
 
 
+def _w_sequence(x):
+    """Yield ``W_0(x), W_1(x), ...`` by ``W_{j+1} = 2x W_j - W_{j-1}`` from ``W_{-1} = -1``."""
+    w_prev, w = -np.ones_like(x), np.ones_like(x)
+    while True:
+        yield w
+        w_prev, w = w, 2.0 * x * w - w_prev
+
+
+def _product_form(lam, roots):
+    """``prod_i (1 - lam / r_i)`` at scalar or array ``lam``."""
+    lam = np.asarray(lam, dtype=float)
+    return np.prod(1.0 - lam[..., None] / roots, axis=-1)
+
+
 def cheb_w(n: int, x):
     """Fourth-kind Chebyshev polynomial ``W_n`` evaluated by recurrence.
 
@@ -37,13 +58,7 @@ def cheb_w(n: int, x):
     """
     if n < 0 or n != int(n):
         raise ValueError("degree must be a nonnegative integer")
-    x = np.asarray(x, dtype=float)
-    w_prev = np.ones_like(x)
-    if n == 0:
-        return w_prev if w_prev.ndim else float(w_prev)
-    w = 2.0 * x + 1.0
-    for _ in range(2, int(n) + 1):
-        w_prev, w = w, 2.0 * x * w - w_prev
+    w = next(islice(_w_sequence(np.asarray(x, dtype=float)), int(n), None))
     return w if w.ndim else float(w)
 
 
@@ -74,23 +89,25 @@ def cheb4_coefficients(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """A smoother polynomial with ``p(0) = 1`` in one of two representations.
+    """A smoother polynomial with ``p(0) = 1``.
 
-    ``roots`` gives the product form ``p(lam) = prod_i (1 - lam / r_i)``;
-    ``cheb4_coeffs`` gives the expansion ``p = sum_i alpha_i W_i(1-2 lam)``.
-    Either may be present; evaluation prefers the product form.
-    ``iteration_betas`` optionally carries the over-relaxation parameters
-    of the iteration realizing ``p``.
+    ``cheb4_coeffs`` holds the expansion ``p = sum_i alpha_i W_i(1-2 lam)``,
+    ``i = 0..k``; ``roots``, when known, gives the product form
+    ``p(lam) = prod_i (1 - lam / r_i)``, which evaluation prefers.
     """
 
-    degree: int
+    cheb4_coeffs: np.ndarray
     roots: np.ndarray | None = None
-    cheb4_coeffs: np.ndarray | None = None
-    iteration_betas: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.degree < 0:
-            raise ValueError("degree must be nonnegative")
+        a = np.asarray(self.cheb4_coeffs, dtype=float)
+        # p(0) = sum alpha_i W_i(1) = sum alpha_i (2i+1), a sum that rounds
+        # relative to sum |alpha_i| (2i+1), which is huge when the roots are small
+        orders = 2.0 * np.arange(a.size) + 1.0
+        p0 = float(a @ orders)
+        if abs(p0 - 1.0) > 1e-8 * max(1.0, float(np.abs(a) @ orders)):
+            raise ValueError(f"coefficients give p(0) = {p0!r}, expected 1")
+        object.__setattr__(self, "cheb4_coeffs", a)
         if self.roots is not None:
             r = np.asarray(self.roots, dtype=float)
             if r.shape != (self.degree,):
@@ -98,22 +115,20 @@ class PolynomialSpec:
             if np.any(r <= 0.0):
                 raise ValueError("roots must be positive")
             object.__setattr__(self, "roots", r)
-        if self.cheb4_coeffs is not None:
-            a = np.asarray(self.cheb4_coeffs, dtype=float)
-            if a.shape != (self.degree + 1,):
-                raise ValueError("need `degree`+1 expansion coefficients")
-            # p(0) = sum alpha_i W_i(1) = sum alpha_i (2i+1)
-            p0 = float(a @ (2.0 * np.arange(self.degree + 1) + 1.0))
-            if abs(p0 - 1.0) > 1e-8:
-                raise ValueError(f"coefficients give p(0) = {p0!r}, expected 1")
-            object.__setattr__(self, "cheb4_coeffs", a)
-        if self.roots is None and self.cheb4_coeffs is None and self.degree > 0:
-            raise ValueError("need roots or expansion coefficients")
-        if self.iteration_betas is not None:
-            b = np.asarray(self.iteration_betas, dtype=float)
-            if b.shape != (self.degree,):
-                raise ValueError("need exactly `degree` iteration betas")
-            object.__setattr__(self, "iteration_betas", b)
+
+    @property
+    def degree(self) -> int:
+        return self.cheb4_coeffs.size - 1
+
+    @property
+    def iteration_betas(self) -> np.ndarray:
+        """Over-relaxation weights ``beta_1..beta_k`` of the iteration realizing ``p``."""
+        k = self.degree
+        betas = np.zeros(k + 2)
+        betas[0] = 1.0
+        for j in range(k + 1):
+            betas[j + 1] = betas[j] - (2 * j + 1) * self.cheb4_coeffs[j]
+        return betas[1 : k + 1]
 
     @classmethod
     def fourth_kind(cls, k: int) -> "PolynomialSpec":
@@ -124,21 +139,30 @@ class PolynomialSpec:
         roots = 0.5 - 0.5 * np.cos(i * np.pi / (k + 0.5))
         coeffs = np.zeros(k + 1)
         coeffs[k] = 1.0 / (2 * k + 1)
-        return cls(degree=k, roots=roots, cheb4_coeffs=coeffs)
-
-    @classmethod
-    def simple(cls, omega: float, k: int) -> "PolynomialSpec":
-        """The damped-iteration polynomial ``(1 - omega lam)^k``."""
-        if not 0.0 < omega < 2.0:
-            raise ValueError("need 0 < omega < 2")
-        if k < 0:
-            raise ValueError("degree must be nonnegative")
-        return cls(degree=k, roots=np.full(k, 1.0 / omega)) if k else cls(degree=0)
+        return cls(cheb4_coeffs=coeffs, roots=roots)
 
     @classmethod
     def from_roots(cls, roots) -> "PolynomialSpec":
+        """``prod_i (1 - lam / r_i)`` with its fourth-kind expansion.
+
+        ``alpha_0..alpha_{k-1}`` come from the k-node Gauss rule for the
+        fourth-kind weight, ``(1/pi) int sqrt((1-x)/(1+x)) f(x) dx ~=
+        sum_i w_i f(x_i)`` with ``x_i = cos(i pi / (k + 1/2))`` (the roots of
+        ``W_k``) and ``w_i = (1 - x_i) / (k + 1/2)``, exact for degree
+        ``<= 2k - 1``, against the orthonormal ``W_j``.  The rule returns 0
+        for ``alpha_k``, which instead comes from the leading monomial
+        coefficient: ``alpha_k = 1 / (4^k prod_i r_i)``.
+        """
         roots = np.asarray(roots, dtype=float)
-        return cls(degree=len(roots), roots=roots)
+        k = len(roots)
+        x = np.cos(np.arange(1, k + 1) * np.pi / (k + 0.5))
+        w = (1.0 - x) / (k + 0.5)
+        p_at_nodes = _product_form(0.5 * (1.0 - x), roots)
+        alphas = np.zeros(k + 1)
+        for j, basis in zip(range(k), _w_sequence(x)):
+            alphas[j] = np.sum(w * basis * p_at_nodes)
+        alphas[k] = 1.0 / (4.0 ** k * np.prod(roots))
+        return cls(cheb4_coeffs=alphas, roots=roots)
 
     @classmethod
     def from_betas(cls, betas) -> "PolynomialSpec":
@@ -148,26 +172,19 @@ class PolynomialSpec:
         ``beta_0 = 1`` and ``beta_{k+1} = 0``.
         """
         betas = np.asarray(betas, dtype=float)
-        k = len(betas)
         ext = np.concatenate([[1.0], betas, [0.0]])
-        coeffs = (ext[:-1] - ext[1:]) / (2.0 * np.arange(k + 1) + 1.0)
-        return cls(degree=k, cheb4_coeffs=coeffs, iteration_betas=betas)
+        return cls(cheb4_coeffs=(ext[:-1] - ext[1:]) / (2.0 * np.arange(len(betas) + 1) + 1.0))
 
     def evaluate(self, lam):
         """Evaluate ``p`` at scalar or array ``lam``."""
         lam = np.asarray(lam, dtype=float)
-        if self.degree == 0:
-            out = np.ones_like(lam)
-        elif self.roots is not None:
-            out = np.prod(1.0 - lam[..., None] / self.roots, axis=-1)
+        if self.roots is not None:
+            out = _product_form(lam, self.roots)
         else:
-            x = 1.0 - 2.0 * lam
-            w_prev = np.ones_like(x)
-            w = 2.0 * x + 1.0
-            out = self.cheb4_coeffs[0] * w_prev + self.cheb4_coeffs[1] * w
-            for i in range(2, self.degree + 1):
-                w_prev, w = w, 2.0 * x * w - w_prev
-                out = out + self.cheb4_coeffs[i] * w
+            terms = (a * w for a, w in zip(self.cheb4_coeffs, _w_sequence(1.0 - 2.0 * lam)))
+            out = next(terms)
+            for term in terms:
+                out = out + term
         return out if out.ndim else float(out)
 
     __call__ = evaluate
@@ -175,9 +192,7 @@ class PolynomialSpec:
     def one_minus(self, lam):
         """``1 - p(lam)``, without the cancellation of ``1 - evaluate(lam)`` near 0."""
         lam = np.asarray(lam, dtype=float)
-        if self.degree == 0:
-            out = np.zeros_like(lam)
-        elif self.roots is not None:
+        if self.roots is not None and self.degree > 0:  # degree 0 has no smallest root
             # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no cancellation
             s = np.minimum(lam[..., None] / self.roots, 0.5)
             out = np.where(lam <= 0.5 * np.min(self.roots),
@@ -185,12 +200,10 @@ class PolynomialSpec:
         else:
             # p(0) = 1 gives 1 - p = sum_i alpha_i D_i with D_i = W_i(1) - W_i(1-2 lam)
             # = 2 D_{i-1} - D_{i-2} + 4 lam W_{i-1}(1-2 lam), from D_0 = D_{-1} = 0
-            x = 1.0 - 2.0 * lam
-            w_prev, w, d_prev, d = -np.ones_like(x), np.ones_like(x), 0.0, 0.0
-            out = np.zeros_like(x)
-            for alpha in self.cheb4_coeffs[1:]:
+            d_prev, d = 0.0, 0.0
+            out = np.zeros_like(lam)
+            for alpha, w in zip(self.cheb4_coeffs[1:], _w_sequence(1.0 - 2.0 * lam)):
                 d_prev, d = d, 2.0 * d - d_prev + 4.0 * lam * w
-                w_prev, w = w, 2.0 * x * w - w_prev
                 out = out + alpha * d
         return out if out.ndim else float(out)
 

@@ -38,7 +38,7 @@ from polymg.bounds import (
     sharp_f_factor,
 )
 from polymg.cli import COLUMNS, emit_gamma_table
-from polymg.optpoly import cheb4_expansion, opt_betas, optimal_roots
+from polymg.optpoly import optimal_roots
 from polymg.poly import cheb4_coefficients
 from polymg.smoothers import DiagonalSmoother, apply_smoother
 
@@ -208,11 +208,11 @@ def test_iteration_realizes_polynomial(scorecard):
 def test_beta_coefficients_range(scorecard):
     lo, hi, worst_res = np.inf, -np.inf, 0.0
     for k in range(1, 201):
-        state = optimal_roots(k)
-        alphas = np.asarray(cheb4_expansion(state))
+        spec = optimal_polynomial(k)
+        alphas = spec.cheb4_coeffs
         orders = 2.0 * np.arange(alphas.size) + 1.0
         worst_res = max(worst_res, abs(1.0 - float(orders @ alphas)))
-        betas = np.asarray(opt_betas(state))
+        betas = spec.iteration_betas
         lo = min(lo, float(betas.min()))
         hi = max(hi, float(betas.max()))
     ok = 1.0 <= lo and hi < 1.6 and worst_res < 1e-8

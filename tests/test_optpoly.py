@@ -8,15 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymg import optpoly
-from polymg.optpoly import (
-    cheb4_expansion,
-    find_extrema,
-    opt_betas,
-    optimal_polynomial,
-    optimal_roots,
-    quadrature_nodes_weights,
-)
-from polymg.poly import PolynomialSpec, cheb_w, gamma_mu
+from polymg.optpoly import find_extrema, optimal_polynomial, optimal_roots
+from polymg.poly import PolynomialSpec, gamma_mu
 from polymg.scalar import bisect_root, golden_section_min
 
 # printed reference values for the optimal 1/gamma (last column digit exact)
@@ -29,12 +22,6 @@ GAMMA_INV_TABLE = {
     10: (178.0643, 6e-5),
     100: (16373.241899, 1e-5),
 }
-
-
-def _quadrature(fn, k):
-    """The k-node fourth-kind Gauss rule applied to ``fn`` on [-1, 1]."""
-    x, w = quadrature_nodes_weights(k)
-    return float(np.sum(w * fn(x)))
 
 
 def test_k1_closed_form():
@@ -179,34 +166,11 @@ def test_gamma_inv_asymptotic_bracket():
     assert all(a > b for a, b in zip(diffs, diffs[1:]))
 
 
-def test_quadrature_moments():
-    for k in (1, 2, 3, 6):
-        assert _quadrature(lambda x: np.ones_like(x), k) == pytest.approx(1.0, abs=1e-13)
-        assert _quadrature(lambda x: x, k) == pytest.approx(-0.5, abs=1e-13)
-    assert _quadrature(lambda x: cheb_w(1, x) ** 2, 3) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_quadrature_nodes_weights():
-    for k in (1, 4, 9):
-        nodes, weights = quadrature_nodes_weights(k)
-        assert nodes.shape == weights.shape == (k,)
-        assert np.all(weights > 0.0)
-        assert np.all((nodes > -1.0) & (nodes < 1.0))
-        assert np.sum(weights) == pytest.approx(1.0, abs=1e-13)
-
-
-def test_quadrature_exact_to_degree():
-    # k nodes integrate degree <= 2k-1 exactly: compare against more nodes
-    for k in (2, 4, 7):
-        fn = lambda x: x ** (2 * k - 1) - 0.3 * x ** (k - 1) + 0.1
-        assert _quadrature(fn, k) == pytest.approx(_quadrature(fn, k + 5), abs=1e-12)
-
-
 def test_k1_expansion_and_betas():
-    state = optimal_roots(1)
-    alphas = cheb4_expansion(state)
+    spec = optimal_polynomial(1)
+    alphas = spec.cheb4_coeffs
     assert np.allclose(alphas, [-0.125, 0.375], atol=1e-12)
-    betas = opt_betas(state)
+    betas = spec.iteration_betas
     assert betas[0] == pytest.approx(9.0 / 8.0, abs=1e-12)
 
 
@@ -214,7 +178,7 @@ def test_beta_sample_range_and_consistency():
     lam = np.linspace(0.0, 1.0, 257)
     for k in (1, 2, 3, 5, 10, 25, 60):
         state = optimal_roots(k)
-        betas = opt_betas(state)
+        betas = PolynomialSpec.from_roots(state.roots).iteration_betas
         assert betas.shape == (k,)
         assert np.all(betas >= 1.0 - 1e-12)
         assert np.all(betas < 1.6)
@@ -228,7 +192,7 @@ def test_beta_sample_range_and_consistency():
 def test_roots_betas_polynomial_round_trip(k):
     state = optimal_roots(k)
     lam = np.linspace(0.0, 1.0, 257)
-    realized = PolynomialSpec.from_betas(opt_betas(state))
+    realized = PolynomialSpec.from_betas(PolynomialSpec.from_roots(state.roots).iteration_betas)
     assert np.max(np.abs(realized(lam) - PolynomialSpec.from_roots(state.roots)(lam))) < 1e-10
 
 
@@ -239,7 +203,7 @@ def test_optimal_polynomial_bundles_representations():
     assert spec.iteration_betas is not None
     lam = np.linspace(0.0, 1.0, 129)
     by_roots = PolynomialSpec.from_roots(spec.roots)(lam)
-    by_coeffs = PolynomialSpec(degree=3, cheb4_coeffs=spec.cheb4_coeffs)(lam)
+    by_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs)(lam)
     assert np.max(np.abs(by_roots - by_coeffs)) < 1e-12
 
 

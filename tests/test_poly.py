@@ -8,6 +8,11 @@ from hypothesis import strategies as st
 from polymg.poly import PolynomialSpec, cheb4_coefficients, cheb_w, gamma_mu
 
 
+def _damped(omega, k):
+    """The damped-iteration polynomial ``(1 - omega lam)^k``."""
+    return PolynomialSpec.from_roots(np.full(k, 1.0 / omega))
+
+
 def _fourth_kind(k, lam):
     """Reference ``W_k(1 - 2 lam) / (2k + 1)`` straight from the W recurrence."""
     return cheb_w(k, 1.0 - 2.0 * lam) / (2 * k + 1)
@@ -79,15 +84,14 @@ def test_weighted_equioscillation():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="roots must be positive"):
-        PolynomialSpec(degree=1, roots=np.array([-0.5]))
+        PolynomialSpec.from_roots(np.array([-0.5]))
     with pytest.raises(ValueError, match="exactly"):
-        PolynomialSpec(degree=2, roots=np.array([0.5]))
+        PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(2).cheb4_coeffs,
+                       roots=np.array([0.5]))
     with pytest.raises(ValueError, match="p\\(0\\)"):
-        PolynomialSpec(degree=1, cheb4_coeffs=np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="roots or expansion"):
-        PolynomialSpec(degree=2)
-    with pytest.raises(ValueError, match="0 < omega < 2"):
-        PolynomialSpec.simple(2.0, 1)
+        PolynomialSpec(cheb4_coeffs=np.array([0.5, 0.5]))
+    with pytest.raises(TypeError):
+        PolynomialSpec()
 
 
 def test_from_betas_ones_is_fourth_kind():
@@ -100,9 +104,24 @@ def test_from_betas_ones_is_fourth_kind():
 
 def test_simple_polynomial_evaluates():
     lam = np.linspace(0.0, 1.0, 33)
-    spec = PolynomialSpec.simple(1.5, 3)
+    spec = _damped(1.5, 3)
     assert np.allclose(spec(lam), (1.0 - 1.5 * lam) ** 3, atol=1e-14)
-    assert PolynomialSpec.simple(1.0, 0)(0.7) == 1.0
+    assert _damped(1.0, 0)(0.7) == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(1.0, 3.0), min_size=1, max_size=40),
+       top=st.floats(0.05, 1.5))
+def test_from_roots_expansion_matches_product_form(gaps, top):
+    # the Gauss rule gives alpha_0..alpha_{k-1} and the leading coefficient
+    # alpha_k; a wrong node, weight or basis shows up as a mismatch
+    roots = np.cumsum(gaps) / np.sum(gaps) * top
+    spec = PolynomialSpec.from_roots(roots)
+    lam = np.linspace(0.0, 1.0, 257)
+    by_roots = spec(lam)
+    by_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs)(lam)
+    scale = max(1.0, float(np.max(np.abs(by_roots))))
+    assert np.max(np.abs(by_coeffs - by_roots)) <= 1e-10 * scale
 
 
 def test_derivative_at_zero_representations_agree():
@@ -111,7 +130,7 @@ def test_derivative_at_zero_representations_agree():
     for k in (1, 2, 4, 7):
         spec = PolynomialSpec.fourth_kind(k)
         from_roots = PolynomialSpec.from_roots(spec.roots).one_minus(lam) / lam
-        from_coeffs = PolynomialSpec(degree=k, cheb4_coeffs=spec.cheb4_coeffs).one_minus(lam) / lam
+        from_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs).one_minus(lam) / lam
         assert from_roots == pytest.approx(from_coeffs, rel=1e-12)
         assert from_roots == pytest.approx((2.0 / 3.0) * k * (k + 1), rel=1e-12)
 
@@ -119,14 +138,14 @@ def test_derivative_at_zero_representations_agree():
 def test_one_minus_matches_direct_form():
     lam = np.linspace(0.0, 1.0, 101)
     for spec in (PolynomialSpec.fourth_kind(5), PolynomialSpec.from_betas([1.2, 1.5, 1.1]),
-                 PolynomialSpec.simple(1.5, 3), PolynomialSpec.simple(1.0, 0)):
+                 _damped(1.5, 3), _damped(1.0, 0)):
         assert np.allclose(spec.one_minus(lam), 1.0 - spec(lam), rtol=0.0, atol=1e-13)
 
 
 def test_gamma_examples():
     # classic values: damped Jacobi at omega = 1 and 3/2, fourth kind at k = 1
-    assert gamma_mu(PolynomialSpec.simple(1.0, 1)) == pytest.approx(0.5, abs=1e-10)
-    assert gamma_mu(PolynomialSpec.simple(1.5, 1)) == pytest.approx(1.0 / 3.0, abs=1e-10)
+    assert gamma_mu(_damped(1.0, 1)) == pytest.approx(0.5, abs=1e-10)
+    assert gamma_mu(_damped(1.5, 1)) == pytest.approx(1.0 / 3.0, abs=1e-10)
     assert gamma_mu(PolynomialSpec.fourth_kind(1)) == pytest.approx(3.0 / 8.0, abs=1e-10)
 
 

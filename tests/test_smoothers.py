@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polymg.linalg import as_csr
-from polymg.optpoly import opt_betas, optimal_roots
+from polymg.optpoly import optimal_polynomial
 from polymg.poly import PolynomialSpec, cheb_w
 from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
@@ -73,7 +73,7 @@ def test_cheb4_realizes_shifted_chebyshev(k):
 @pytest.mark.parametrize("k", [1, 2, 4])
 def test_opt_realizes_beta_polynomial(k):
     A, B, s, lam, U = _setup(22, seed=80 + k)
-    betas = opt_betas(optimal_roots(k))
+    betas = optimal_polynomial(k).iteration_betas
     p = PolynomialSpec.from_betas(betas)
     rng = np.random.default_rng(k + 7)
     x_star = rng.standard_normal(22)
@@ -135,7 +135,7 @@ def test_error_propagator_is_a_self_adjoint():
     for smoothed in (
         lambda w: _cheb4(A, B, w, zero, 3),
         lambda w: _simple(A, B, w, zero, 1.4, 2),
-        lambda w: _opt(A, B, w, zero, opt_betas(optimal_roots(2))),
+        lambda w: _opt(A, B, w, zero, optimal_polynomial(2).iteration_betas),
     ):
         lhs = (A @ smoothed(u)) @ v
         rhs = u @ (A @ smoothed(v))
@@ -151,7 +151,7 @@ def test_smoothing_contracts_energy_norm():
     for out in (
         _cheb4(A, B, u, zero, 2),
         _simple(A, B, u, zero, 1.0, 1),
-        _opt(A, B, u, zero, opt_betas(optimal_roots(3))),
+        _opt(A, B, u, zero, optimal_polynomial(3).iteration_betas),
     ):
         assert out @ (A @ out) < norm0
 
@@ -182,7 +182,7 @@ def test_apply_smoother_updates_x_in_place():
     x, b = rng.standard_normal(12), rng.standard_normal(12)
     b_before = b.copy()
     for cfg in (SmootherConfig.simple(1.3, 2), SmootherConfig.cheb4(3),
-                SmootherConfig.optimized(opt_betas(optimal_roots(2)))):
+                SmootherConfig.optimized(optimal_polynomial(2).iteration_betas)):
         y = x.copy()
         assert apply_smoother(A, B, y, b, cfg) is y
         assert not np.array_equal(y, x)
@@ -195,6 +195,14 @@ def test_smoother_config_steps():
     opt = SmootherConfig.optimized([1.5, 1.25])
     assert [step[2] for step in opt.steps] == [1.5, 1.25]
     assert [step[:2] for step in opt.steps] == [step[:2] for step in SmootherConfig.cheb4(2).steps]
+
+
+def test_fourth_kind_betas_give_cheb4_steps():
+    # the fourth-kind expansion is alpha_k e_k, so every beta is exactly one
+    for k in range(1, 61):
+        betas = PolynomialSpec.fourth_kind(k).iteration_betas
+        assert np.array_equal(betas, np.ones(k))
+        assert SmootherConfig.optimized(betas).steps == SmootherConfig.cheb4(k).steps
 
 
 def test_smoother_config_validation():
