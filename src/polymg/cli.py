@@ -13,7 +13,8 @@ The `run` subcommand writes a tab-separated table with header
 ``k w43 w32 cheb opt`` (contraction factors for damped Jacobi at
 omega = 4/3 and 3/2, fourth-kind Chebyshev, and the optimal polynomial)
 plus a companion ``*-bounds`` file with the matching bound curves.
-Identical configuration and seed give byte-identical files.
+Identical configuration, seed and BLAS thread count give byte-identical
+files (the Newton step of ``optimal_roots`` uses ``np.linalg.solve``).
 """
 
 from __future__ import annotations
@@ -154,9 +155,12 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     """Measure contraction factors per (smoother, degree); write two files.
 
     The main file holds measured factors, the companion `-bounds` file the
-    matching analytic curves.  Cells that fail to measure are written as
-    NaN after a stderr warning.  Power iterations for each column are
-    warm-started from the previous degree's limit vector.
+    matching analytic curves.  A cell whose measurement raises a numerical
+    error (``ValueError``, including ``LinAlgError``, ``RuntimeError`` or
+    ``ArithmeticError``) is written as NaN after a stderr warning; any
+    other exception, such as a ``TypeError``, propagates.  Power iterations
+    for each column are warm-started from the previous degree's limit
+    vector.
     """
     print(f"[run] building hierarchy m={cfg.m} aspect={cfg.aspect:g}", file=sys.stderr)
     hier = build_hierarchy(GridSpec(m=cfg.m, aspect=cfg.aspect), seed=cfg.seed)
@@ -188,7 +192,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
                     f"[run] {name} k={k}: {res.factor:.6f} after {res.n_cycles} cycles{note}",
                     file=sys.stderr,
                 )
-            except Exception as exc:
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
                 print(f"[run] warning: {name} k={k} failed: {exc}", file=sys.stderr)
                 values.append(math.nan)
                 vec = None

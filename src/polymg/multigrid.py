@@ -124,16 +124,22 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3, seed: int = 0) -> Hie
     return Hierarchy(levels=tuple(levels), coarse_solver=coarse_solver)
 
 
-def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray,
+def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.ndarray,
                    level: int) -> np.ndarray:
-    """Cycle from ``level`` down, updating ``x`` in place; returns the new iterate."""
+    """Cycle from ``level`` down and return the new iterate.
+
+    ``x`` is updated in place; ``None`` starts from zero, as every coarse
+    level does, and lets the first smoothing step skip ``b - A 0``.
+    """
     lvl = h.levels[level]
     if lvl.P is None:
         return h.coarse_solver.solve(b)
     for _ in range(cfg.pre_steps):
-        apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+        x = apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+    if x is None:  # no pre-smoothing
+        x = np.zeros(b.shape)
     r = b - lvl.op @ x
-    ec = _v_cycle_level(h, cfg, np.zeros(lvl.R.shape[0]), lvl.R @ r, level + 1)
+    ec = _v_cycle_level(h, cfg, None, lvl.R @ r, level + 1)
     x += lvl.P @ ec
     for _ in range(cfg.post_steps):
         apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)

@@ -89,30 +89,53 @@ class SmootherConfig:
                          for i, beta in enumerate(betas, start=1)))
 
 
-def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray, b: np.ndarray,
+def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,
                    cfg: SmootherConfig) -> np.ndarray:
     """Run the configured smoother on ``x`` in place and return ``x``.
 
-    ``x`` must be a float array the caller may overwrite; ``b`` is only
-    read.  Besides the products with ``A``, one call allocates three work
-    vectors: the recurrence residual ``r``, the update ``z`` and a scratch
-    ``t``.
+    ``x`` must be a float array the caller may overwrite, or ``None`` to
+    start from zero; then a new array is returned.  ``b`` is only read.
+    Besides the products with ``A``, one call allocates the recurrence
+    residual ``r`` (from a zero start the zero ``x`` instead: ``r_0`` is
+    ``b`` itself), the update ``z`` and a scratch ``t``.  Work whose result
+    is known is skipped, and each skip is exact in IEEE arithmetic:
+
+    * ``z_0 = 0``, so the first step's ``a z + t`` is ``t`` (``z = t``);
+    * ``a_i = 0`` (every ``simple`` step) gives ``z = t`` as well;
+    * ``beta_i = 1`` (every ``simple`` and ``cheb4`` step) adds ``z`` to
+      ``x`` without the product ``beta z``, which is ``z`` bit for bit;
+    * from a zero start ``r_0 = b - A 0`` is ``b`` bit for bit, so the
+      product with ``A`` is not formed.
+
+    Every iterate therefore has the value the full recurrence gives, bit for
+    bit except in one case: where the full recurrence adds ``+0.0`` to an
+    entry that is exactly ``-0.0`` (making it ``+0.0``), the skip keeps the
+    sign of that zero.
     """
-    if not cfg.steps:
+    if x is None:
+        x, r = np.zeros(b.shape), b  # r is never written: each update makes a new one
+    elif not cfg.steps:
         return x
+    else:
+        r = b - A @ x
     inv_rho = 1.0 / B.rho_BA
     dinv = B.inverse_diagonal
-    r = b - A @ x
-    z = np.zeros_like(x)
-    t = np.empty_like(x)
+    z = t = None
     last = len(cfg.steps) - 1
     for i, (a, c, beta) in enumerate(cfg.steps):
-        np.multiply(dinv, r, out=t)
+        t = np.multiply(dinv, r, out=t)
         t *= c * inv_rho
-        z *= a
-        z += t
-        np.multiply(z, beta, out=t)
-        x += t
+        if z is None or a == 0.0:
+            z, t = t, z  # the old z, if any, is free to be the next scratch
+        else:
+            z *= a
+            z += t
+        if beta == 1.0:
+            x += z
+        else:
+            t = np.multiply(z, beta, out=t)
+            x += t
         if i < last:  # the final residual update would be unused
-            r -= A @ z
+            Az = A @ z
+            r = np.subtract(r, Az, out=Az)
     return x

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import polymg
+import polymg.cli
 from polymg import GridSpec, assemble_poisson_q1, load_matrix_market
-from polymg.cli import ExperimentConfig
+from polymg.cli import ExperimentConfig, run_experiment
 
 # The directory holding the imported polymg package (``src/`` or the install
 # root). Putting it first on the child's PYTHONPATH makes the subprocess run
@@ -149,6 +150,28 @@ def test_measure_c_close_to_analytic():
     value = float(res.stdout.split("=")[1])
     assert math.isfinite(value)
     assert abs(value - 8.0) / 8.0 <= 0.25
+
+
+def _raise(exc):
+    def measure(*args, **kwargs):
+        raise exc
+    return measure
+
+
+def test_run_writes_nan_for_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(polymg.cli, "measure_contraction", _raise(ValueError("no contraction")))
+    out, _ = run_experiment(ExperimentConfig(m=3, k_values=(1,), smoothers=("cheb",),
+                                             out=tmp_path / "c.tsv"))
+    _, rows = _read_tsv(out)
+    assert rows == [["1", "nan"]]
+    assert "cheb k=1 failed: no contraction" in capsys.readouterr().err
+
+
+def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(polymg.cli, "measure_contraction", _raise(TypeError("bad argument")))
+    with pytest.raises(TypeError, match="bad argument"):
+        run_experiment(ExperimentConfig(m=3, k_values=(1,), smoothers=("cheb",),
+                                        out=tmp_path / "c.tsv"))
 
 
 @pytest.mark.parametrize("args", [
