@@ -78,8 +78,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.m <= _MAX_M:
             raise ValueError(f"m must lie in [2, {_MAX_M}]")
-        if self.aspect < 1.0:
-            raise ValueError("need aspect >= 1")
+        if not (math.isfinite(self.aspect) and self.aspect >= 1.0):
+            raise ValueError("aspect must be finite and >= 1")
         if not self.k_values or any(k < 1 or k > _MAX_DEGREE for k in self.k_values):
             raise ValueError(f"degrees must lie in [1, {_MAX_DEGREE}]")
         if any(name not in COLUMNS for name in self.smoothers):
@@ -125,6 +125,16 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+def _parse_aspect(text: str) -> float:
+    try:
+        aspect = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad aspect ratio {text!r}") from exc
+    if not (math.isfinite(aspect) and aspect >= 1.0):
+        raise argparse.ArgumentTypeError("aspect must be finite and >= 1")
+    return aspect
+
+
 def _parse_c_list(text: str) -> list[float]:
     try:
         cs = [float(tok) for tok in text.split(",") if tok]
@@ -145,8 +155,8 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _measured_c(m: int, aspect: float, seed: int) -> float:
-    hier = build_hierarchy(GridSpec(m=m, aspect=aspect), seed=seed)
+def _measured_c(m: int, aspect: float) -> float:
+    hier = build_hierarchy(GridSpec(m=m, aspect=aspect))
     top = hier.levels[0]
     return measure_C(top.A, top.smoother, top.P, hier.levels[1].A)
 
@@ -163,13 +173,13 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     vector.
     """
     print(f"[run] building hierarchy m={cfg.m} aspect={cfg.aspect:g}", file=sys.stderr)
-    hier = build_hierarchy(GridSpec(m=cfg.m, aspect=cfg.aspect), seed=cfg.seed)
+    hier = build_hierarchy(GridSpec(m=cfg.m, aspect=cfg.aspect))
     if cfg.c_mode == "analytic":
         C = 2.0 * cfg.aspect ** 2
     else:
         # measured at m <= 5 (see _MAX_M_C); a coarser grid of the same
         # aspect gives a slightly smaller C than the run grid
-        C = _measured_c(min(cfg.m, 5), cfg.aspect, seed=cfg.seed)
+        C = _measured_c(min(cfg.m, 5), cfg.aspect)
     print(f"[run] using C = {C:.6f} ({cfg.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
@@ -309,7 +319,7 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_c(args: argparse.Namespace) -> int:
-    C = _measured_c(args.m, args.aspect, seed=args.seed)
+    C = _measured_c(args.m, args.aspect)
     print(f"C = {C:.12g}")
     return 0
 
@@ -324,14 +334,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="write the Q1 Poisson matrix in Matrix Market format")
     p.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), default=5, metavar="M",
                    help="refinement level (2^m cells per side)")
-    p.add_argument("--aspect", type=float, default=1.0, help="domain aspect ratio, >= 1")
+    p.add_argument("--aspect", type=_parse_aspect, default=1.0,
+                   help="domain aspect ratio, finite and >= 1")
     p.add_argument("--out", type=Path, required=True, help="output .mtx path")
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("run", help="measure V-cycle contraction factors with bound curves")
     p.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), default=8, metavar="M",
                    help="refinement level (default 8)")
-    p.add_argument("--aspect", type=float, default=1.0)
+    p.add_argument("--aspect", type=_parse_aspect, default=1.0,
+                   help="domain aspect ratio, finite and >= 1")
     p.add_argument("--k", type=_parse_k_range, default=list(range(1, 7)), metavar="RANGE",
                    help="degrees, e.g. '1..6' or '1,2,4'")
     p.add_argument("--smoother", action="append", choices=tuple(COLUMNS),
@@ -366,8 +378,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure-c", help="measure the approximation constant C")
     p.add_argument("--m", type=int, choices=range(2, _MAX_M_C + 1), default=5, metavar="M",
                    help=f"refinement level, at most {_MAX_M_C}")
-    p.add_argument("--aspect", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--aspect", type=_parse_aspect, default=1.0,
+                   help="domain aspect ratio, finite and >= 1")
     p.set_defaults(func=_cmd_measure_c)
 
     return parser

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 import numbers
-import warnings
 
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_csr, lanczos_max
+from .linalg import as_csr
 from .smoothers import DiagonalSmoother
 
 __all__ = [
@@ -25,6 +24,7 @@ __all__ = [
     "assemble_poisson_q1",
     "build_prolongation",
     "jacobi_smoother",
+    "sine_symbol",
 ]
 
 
@@ -121,27 +121,42 @@ def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
     return as_csr(sp.kron(p1, p1, format="csr"))
 
 
-def jacobi_smoother(A, tol: float = 1e-10, max_iter: int = 5000,
-                    seed: int = 0) -> DiagonalSmoother:
-    """Point-Jacobi preconditioner ``B = diag(A)^{-1}`` with measured ``rho(BA)``.
+def sine_symbol(grid: GridSpec, modes) -> np.ndarray:
+    """Eigenvalues of :func:`assemble_poisson_q1` at the sine modes ``(i, j)``.
 
-    ``BA`` is similar to the symmetric ``D^{-1/2} A D^{-1/2}``, whose top
-    eigenvalue :func:`~polymg.linalg.lanczos_max` estimates from above with
-    one SpMV per step, so the spectrum of ``BA / rho(BA)`` lies in (0, 1].
-    ``tol`` bounds the relative Ritz residual.  A non-converged estimate is
-    used but reported via a warning.
+    Both 1-D factors are tridiagonal Toeplitz and share the sine
+    eigenvectors, with eigenvalues ``K_i = (2 - 2 c_i)/h`` and
+    ``M_i = h (4 + 2 c_i)/6`` for ``c_i = cos(i pi / (n + 1))``.  So mode
+    ``(i, j)`` has eigenvalue ``Kx_i My_j + Mx_i Ky_j``; entry ``[a, b]``
+    of the result is mode ``(modes[a], modes[b])``, with ``1 <= i <= n_side``.
     """
+    c = np.cos(np.asarray(modes) * np.pi / (grid.n_side + 1))
+    kx, mx = (2.0 - 2.0 * c) / grid.hx, grid.hx * (4.0 + 2.0 * c) / 6.0
+    ky, my = (2.0 - 2.0 * c) / grid.hy, grid.hy * (4.0 + 2.0 * c) / 6.0
+    return kx[:, None] * my[None, :] + mx[:, None] * ky[None, :]
+
+
+def jacobi_smoother(A, grid: GridSpec) -> DiagonalSmoother:
+    """Point-Jacobi preconditioner ``B = diag(A)^{-1}`` with exact ``rho(BA)``.
+
+    ``A`` must be the Q1 operator of ``grid``, assembled or a Galerkin
+    product of it (the two are equal).  Its diagonal is then the constant
+    ``d = (8/6)(hy/hx + hx/hy)``, so ``rho(BA) = lambda_max(A) / d`` comes
+    from the sine-mode symbol (:func:`sine_symbol`) with no eigensolve.
+    The symbol is bilinear in ``(c_x, c_y)``, so its maximum lies on one of
+    the four corner modes ``i, j in {1, n_side}``.  The spectrum of
+    ``BA / rho(BA)`` lies in (0, 1] up to rounding.  Raises ``ValueError``
+    if the diagonal is not positive or differs from ``d`` by more than
+    1e-12 relative, i.e. if ``grid`` does not describe ``A``.
+    """
+    n = grid.n_interior
+    if A.shape != (n, n):
+        raise ValueError(f"operator shape {A.shape} does not match the grid's {n} unknowns")
     diag = A.diagonal()
-    if np.any(diag <= 0.0):
+    if not np.all(diag > 0.0):
         raise ValueError("matrix diagonal must be positive")
-    inv_diag = 1.0 / diag
-    s = np.sqrt(inv_diag)
-    result = lanczos_max(lambda v: s * (A @ (s * v)), A.shape[0],
-                         tol=tol, max_iter=max_iter, seed=seed)
-    if not result.converged:
-        warnings.warn(
-            f"rho(BA) Lanczos estimate not converged after {max_iter} steps "
-            f"(estimate {result.value:.12g}, residual {result.residual:.3g})",
-            stacklevel=2,
-        )
-    return DiagonalSmoother(inverse_diagonal=inv_diag, rho_BA=result.value)
+    d = (8.0 / 6.0) * (grid.hy / grid.hx + grid.hx / grid.hy)
+    if not np.all(np.abs(diag - d) <= 1e-12 * d):
+        raise ValueError("matrix diagonal does not match the Q1 operator of the grid")
+    lam_max = float(sine_symbol(grid, [1, grid.n_side]).max())
+    return DiagonalSmoother(inverse_diagonal=1.0 / diag, rho_BA=lam_max / d)

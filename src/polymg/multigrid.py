@@ -98,11 +98,13 @@ class VCycleConfig:
         return self.pre_steps == self.post_steps
 
 
-def build_hierarchy(grid: GridSpec, min_interior: int = 3, seed: int = 0) -> Hierarchy:
+def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     """Assemble the model problem and coarsen until ``n_side <= min_interior``.
 
-    Every level gets a Jacobi smoother with its own measured ``rho(BA)``;
-    coarse operators are Galerkin products of the bilinear prolongation.
+    Coarse operators are Galerkin products of the bilinear prolongation,
+    which equal the rediscretised Q1 operators, so every level's Jacobi
+    smoother takes ``rho(BA)`` from its grid's sine-mode symbol
+    (:func:`~polymg.fem.jacobi_smoother`); no eigensolve runs here.
     Each level keeps its operator in CSR and, for the cycle, in DIA form:
     the model problem is a 9-point band on every level.
     """
@@ -113,7 +115,7 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3, seed: int = 0) -> Hie
     A = assemble_poisson_q1(g)
     while g.n_side > min_interior and g.m > 2:
         op = A.todia()
-        B = jacobi_smoother(op, seed=seed)
+        B = jacobi_smoother(op, g)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
         Ac = as_csr(P.T @ A @ P)

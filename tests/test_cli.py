@@ -190,6 +190,11 @@ def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
     ("run", "--m", "4", "--tol", "0"),
     ("bounds", "--C", "inf", "--k", "1"),  # would write nan bounds
     ("bounds", "--C", "nan", "--k", "1"),
+    # each non-finite or below-one aspect is rejected before any assembly
+    *((cmd, "--m", "3", "--aspect", bad, *rest)
+      for cmd, rest in (("run", ()), ("assemble", ("--out", "never-written.mtx")),
+                        ("measure-c", ()))
+      for bad in ("nan", "inf", "0.5")),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -201,6 +206,12 @@ def test_bad_usage_exits_2(args):
 def test_experiment_config_rejects_bad_tol(tol):
     with pytest.raises(ValueError, match="tol"):
         ExperimentConfig(m=4, tol=tol)
+
+
+@pytest.mark.parametrize("aspect", [math.nan, math.inf, 0.5])
+def test_experiment_config_rejects_bad_aspect(aspect):
+    with pytest.raises(ValueError, match="aspect"):
+        ExperimentConfig(m=4, aspect=aspect)
 
 
 @pytest.mark.parametrize("m", [1, 12])

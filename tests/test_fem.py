@@ -116,8 +116,9 @@ def test_galerkin_product_reassembles_coarse_problem(aspect):
 
 
 def test_jacobi_smoother_matches_dense_spectrum():
-    A = assemble_poisson_q1(GridSpec(m=3, aspect=1.0))
-    B = jacobi_smoother(A, tol=1e-12)
+    grid = GridSpec(m=3, aspect=1.0)
+    A = assemble_poisson_q1(grid)
+    B = jacobi_smoother(A, grid)
     assert np.allclose(B.inverse_diagonal, 1.0 / A.diagonal())
     d = np.sqrt(B.inverse_diagonal)
     exact = scipy.linalg.eigh(d[:, None] * A.toarray() * d[None, :], eigvals_only=True)[-1]
@@ -125,14 +126,20 @@ def test_jacobi_smoother_matches_dense_spectrum():
 
 
 def test_jacobi_spectral_radius_approaches_three_halves():
-    A = assemble_poisson_q1(GridSpec(m=5, aspect=1.0))
-    B = jacobi_smoother(A)
+    grid = GridSpec(m=5, aspect=1.0)
+    B = jacobi_smoother(assemble_poisson_q1(grid), grid)
     assert B.rho_BA == pytest.approx(1.495196, abs=1e-4)
     assert B.rho_BA < 1.5
 
 
-def test_jacobi_smoother_warns_when_not_converged():
-    A = assemble_poisson_q1(GridSpec(m=4, aspect=2.0))
-    with pytest.warns(UserWarning, match="not converged after 3 steps"):
-        B = jacobi_smoother(A, max_iter=3)
-    assert np.isfinite(B.rho_BA) and B.rho_BA > 0.0
+def test_jacobi_smoother_rejects_an_operator_of_another_grid():
+    A = assemble_poisson_q1(GridSpec(m=3, aspect=2.0))
+    with pytest.raises(ValueError, match="does not match the Q1 operator"):
+        jacobi_smoother(A, GridSpec(m=3, aspect=1.0))
+    with pytest.raises(ValueError, match="shape"):
+        jacobi_smoother(A, GridSpec(m=4, aspect=2.0))
+    for bad in (0.0, np.nan):
+        B = A.copy()
+        B.setdiag(bad)
+        with pytest.raises(ValueError, match="positive"):
+            jacobi_smoother(B, GridSpec(m=3, aspect=2.0))

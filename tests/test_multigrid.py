@@ -1,14 +1,12 @@
 """V-cycle behavior, contraction measurement, and the model-problem constants."""
 
-import warnings
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 import polymg.multigrid
-from polymg.fem import GridSpec, assemble_poisson_q1
-from polymg.linalg import LanczosResult, as_csr
+from polymg.fem import GridSpec, assemble_poisson_q1, jacobi_smoother, sine_symbol
+from polymg.linalg import LanczosResult, as_csr, lanczos_max
 from polymg.multigrid import (
     VCycleConfig,
     build_hierarchy,
@@ -78,12 +76,6 @@ def _exact_spectrum(grid):
             + hx * (4 + 2 * cx) / 6 * (2 - 2 * cy) / hy)
 
 
-def _exact_rho_jacobi(grid):
-    """rho(D^-1 A) of the Q1 operator from its closed-form spectrum."""
-    hx, hy = grid.hx, grid.hy
-    return float(_exact_spectrum(grid).max()) / ((8 / 6) * (hy / hx + hx / hy))
-
-
 @pytest.mark.parametrize("m", [3, 4])
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
 def test_assembled_spectrum_matches_closed_form(m, aspect):
@@ -94,22 +86,51 @@ def test_assembled_spectrum_matches_closed_form(m, aspect):
 
 
 def test_exact_rho_reference_value():
-    assert _exact_rho_jacobi(GridSpec(m=8, aspect=2.0)) == pytest.approx(
-        2.3998569363292814, rel=1e-15)
+    grid = GridSpec(m=8, aspect=2.0)
+    B = jacobi_smoother(assemble_poisson_q1(grid), grid)
+    assert B.rho_BA == pytest.approx(2.3998569363292814, rel=1e-15)
 
 
 @pytest.mark.parametrize("m, aspect", [(7, 1.0), (7, 2.0), (7, 4.0), (8, 2.0)])
 def test_rho_matches_closed_form_on_every_level(m, aspect):
-    # Galerkin coarse operators equal the rediscretisation, so each level's
-    # rho(D^-1 A) has the closed form; the estimate must sit on its upper side
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        h = build_hierarchy(GridSpec(m=m, aspect=aspect))
+    # Lanczos on D^-1/2 A D^-1/2 brackets the top eigenvalue: its Ritz value
+    # lies below it and its upper estimate above it, up to rounding
+    h = build_hierarchy(GridSpec(m=m, aspect=aspect))
     for lvl in h.levels[:-1]:
-        exact = _exact_rho_jacobi(lvl.grid)
+        s = np.sqrt(lvl.smoother.inverse_diagonal)
+        res = lanczos_max(lambda v: s * (lvl.op @ (s * v)), lvl.op.shape[0])
+        assert res.converged, lvl.grid
         rho = lvl.smoother.rho_BA
-        assert abs(rho - exact) <= 1e-10 * exact, lvl.grid
-        assert rho >= exact * (1 - 1e-14), lvl.grid
+        assert res.value - res.residual <= rho * (1 + 1e-14), lvl.grid
+        assert res.value >= rho * (1 - 1e-14), lvl.grid
+
+
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
+def test_rho_matches_dense_spectrum_on_every_level(aspect):
+    # the Galerkin coarse levels get the symbol of the rediscretised grid
+    h = build_hierarchy(GridSpec(m=5, aspect=aspect))
+    for lvl in h.levels[:-1]:
+        s = np.sqrt(lvl.smoother.inverse_diagonal)
+        top = scipy.linalg.eigvalsh(s[:, None] * lvl.A.toarray() * s[None, :])[-1]
+        assert abs(lvl.smoother.rho_BA - top) <= 1e-14 * top, lvl.grid
+
+
+@pytest.mark.parametrize("aspect", [1.0, 1.5, 2.0, 8.0, 1e3, 1e150, 1e300])
+def test_symbol_maximum_lies_on_a_corner_mode(aspect):
+    for m in range(2, 12):
+        grid = GridSpec(m=m, aspect=aspect)
+        n = grid.n_side
+        corner = sine_symbol(grid, [1, n]).max()
+        assert np.isfinite(corner)
+        assert sine_symbol(grid, np.arange(1, n + 1)).max() == corner, grid
+
+
+@pytest.mark.parametrize("aspect", [1e150, 1e300])
+def test_symbol_rho_at_extreme_aspect(aspect):
+    # reference: an upper Lanczos estimate (tol 1e-10) of the same rho(BA)
+    grid = GridSpec(m=3, aspect=aspect)
+    B = jacobi_smoother(assemble_poisson_q1(grid), grid)
+    assert B.rho_BA == pytest.approx(2.812595994072848, abs=1e-10)
 
 
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 4.0])
