@@ -94,8 +94,8 @@ class SimpleBound(NamedTuple):
 def bound_simple(C: float, omega: float, k: int) -> SimpleBound:
     """Damped-Jacobi V-cycle bound ``C / (C + 2 omega k)`` with validity flag."""
     _check_c(C)
-    _check_k(k)
-    return SimpleBound(C / (C + 2.0 * omega * k), omega_condition_holds(omega, k))
+    valid = omega_condition_holds(omega, k)  # checks omega and k before dividing
+    return SimpleBound(C / (C + 2.0 * omega * k), valid)
 
 
 def omega_max_asymptotic(k: int) -> float:

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from . import bounds as bnd
 from .fem import GridSpec, assemble_poisson_q1
-from .linalg import save_matrix_market
+from .linalg import as_csr, save_matrix_market
 from .multigrid import VCycleConfig, build_hierarchy, measure_C, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
@@ -36,8 +36,9 @@ from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
-# the build's peak memory grows about 4x per level: 594 MB at m = 10
-# (aspect 2; 463 MB after the assembly), so over 9 GB at m = 12
+# the build's peak memory, reached in the finest Galerkin product, grows
+# about 4x per level: 592 MB at m = 10 (aspect 2; 531 MB above the 61 MB
+# after import, 168 MB after the band assembly), so over 8 GB at m = 12
 _MAX_M = 11
 # measure_C's Lanczos steps grow about 3.5x per level: at aspect 1, m = 7
 # took 2105 steps (10 s) and m = 8 did not converge in 5000 (160 s)
@@ -88,6 +89,8 @@ class ExperimentConfig:
             raise ValueError("c_mode must be 'analytic' or 'measured'")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -123,6 +126,16 @@ def _parse_tol(text: str) -> float:
     if not 0.0 < tol < 1.0:  # also rejects nan
         raise argparse.ArgumentTypeError("tol must lie in (0, 1)")
     return tol
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from exc
+    if seed < 0:  # numpy's default_rng rejects negative seeds
+        raise argparse.ArgumentTypeError("seed must be >= 0")
+    return seed
 
 
 def _parse_aspect(text: str) -> float:
@@ -252,7 +265,7 @@ def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
-    A = assemble_poisson_q1(GridSpec(m=args.m, aspect=args.aspect))
+    A = as_csr(assemble_poisson_q1(GridSpec(m=args.m, aspect=args.aspect)))
     save_matrix_market(args.out, A)
     print(f"wrote {args.out} (n={A.shape[0]}, nnz={A.nnz})")
     return 0
@@ -348,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="degrees, e.g. '1..6' or '1,2,4'")
     p.add_argument("--smoother", action="append", choices=tuple(COLUMNS),
                    help="column to measure (repeatable; default all)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0, help="estimator start-vector seed, >= 0")
     p.add_argument("--tol", type=_parse_tol, default=1e-8, help="contraction-estimate tolerance")
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--c-mode", choices=("analytic", "measured"), default="analytic",

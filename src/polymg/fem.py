@@ -66,31 +66,30 @@ class GridSpec:
         return GridSpec(m=self.m - 1, aspect=self.aspect)
 
 
-def _stiffness_and_mass_1d(n: int, h: float) -> tuple[sp.dia_array, sp.dia_array]:
-    """1-D linear-element stiffness and mass matrices on ``n`` interior nodes.
-
-    ``K = (1/h) tridiag(-1, 2, -1)`` and ``M = (h/6) tridiag(1, 4, 1)``.
-    """
-    off = np.ones(n - 1)
-    K = sp.diags_array([-off / h, np.full(n, 2.0 / h), -off / h], offsets=[-1, 0, 1])
-    M = sp.diags_array([off * h / 6, np.full(n, 4.0 * h / 6), off * h / 6], offsets=[-1, 0, 1])
-    return K, M
-
-
-def assemble_poisson_q1(grid: GridSpec) -> sp.csr_array:
+def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     """Assemble the Dirichlet Q1 stiffness matrix on the interior nodes.
 
     Q1 shape functions are products of 1-D hat functions, so the operator
-    is the Kronecker sum ``Kx (x) My + Mx (x) Ky`` of the 1-D stiffness and
-    mass matrices, with ``x`` as the outer index: node ``(ix, iy)`` has id
-    ``ix * n_side + iy``.  Returns a symmetric positive definite CSR matrix
-    of size ``(2^m - 1)^2``; interior rows of the aspect-1 operator carry
-    the stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
+    is the Kronecker sum ``Kx (x) My + Mx (x) Ky`` of the 1-D stencils
+    ``K = (-1, 2, -1)/h`` and ``M = (1, 4, 1) h/6``, with ``x`` as the outer
+    index: node ``(ix, iy)`` has id ``ix * n_side + iy``, and neighbour
+    ``(dx, dy)`` sits on band offset ``dx * n_side + dy`` with entry
+    ``Kx[dx] My[dy] + Mx[dx] Ky[dy]``.  Returns this SPD 9-point band of
+    size ``(2^m - 1)^2`` as a ``dia_array`` with ascending int32 offsets and
+    zeros where a neighbour leaves the grid.  Interior rows of the aspect-1
+    operator carry the stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
     """
-    Kx, Mx = _stiffness_and_mass_1d(grid.n_side, grid.hx)
-    Ky, My = _stiffness_and_mass_1d(grid.n_side, grid.hy)
-    # the sum of two canonical CSR matrices is canonical
-    return sp.kron(Kx, My, format="csr") + sp.kron(Mx, Ky, format="csr")
+    n = grid.n_side
+    d = np.array([-1, 0, 1])
+    (Kx, Mx), (Ky, My) = [(np.array([-1.0, 2.0, -1.0]) / h, np.array([1.0, 4.0, 1.0]) * h / 6)
+                          for h in (grid.hx, grid.hy)]
+    entry = np.outer(Kx, My) + np.outer(Mx, Ky)  # [dx + 1, dy + 1]
+    # band (dx, dy) holds A[j - dx n - dy, j] at column j: zero where that row leaves the grid
+    jx, jy = np.divmod(np.arange(n * n), n)
+    inside = [(i >= d[:, None]) & (i < n + d[:, None]) for i in (jx, jy)]
+    data = np.where(inside[0][:, None] & inside[1][None, :], entry[:, :, None], 0.0)
+    offsets = (d[:, None] * n + d[None, :]).astype(np.int32)
+    return sp.dia_array((data.reshape(9, n * n), offsets.ravel()), shape=(n * n, n * n))
 
 
 def _prolongation_1d(n_coarse: int) -> sp.csr_array:

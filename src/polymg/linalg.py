@@ -1,9 +1,10 @@
 """Sparse and dense linear algebra shared by the solver stack.
 
-Sparse operators are CSR (``scipy.sparse.csr_array``); vectors are 1-D
-float64 arrays.  Everything here is deterministic: SpMV accumulates in
-stored order, and iterative estimates draw their start vectors from an
-explicit seed.
+Sparse matrices here are canonical CSR (``scipy.sparse.csr_array``, see
+:func:`as_csr`); the multigrid level operators are 9-point DIA bands and
+are converted where CSR is needed.  Vectors are 1-D float64 arrays.
+Everything here is deterministic: SpMV accumulates in stored order, and
+iterative estimates draw their start vectors from an explicit seed.
 """
 
 from __future__ import annotations

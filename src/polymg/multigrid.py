@@ -1,12 +1,12 @@
 """Geometric multigrid V-cycle with polynomial smoothing.
 
 The hierarchy coarsens by factor 2 with bilinear prolongation and Galerkin
-coarse operators ``A_c = P^T A P`` down to a small coarsest level solved by
-dense Cholesky.  A symmetric V-cycle (equal pre- and post-smoothing with an
-SPD-preconditioned polynomial smoother) has an A-self-adjoint, positive
-semidefinite error propagator, so its asymptotic A-norm contraction factor
-equals ``||E||_A^2`` for the half-cycle operator ``E`` that the spectral
-bounds address.
+coarse operators ``A_c = P^T A P``, each level keeping one operator (its
+9-point DIA band), down to a coarsest level solved by dense Cholesky.  A
+symmetric V-cycle (equal pre- and post-smoothing, SPD-preconditioned
+polynomial smoother) has an A-self-adjoint, positive semidefinite error
+propagator, so its asymptotic A-norm contraction factor equals
+``||E||_A^2`` for the half-cycle operator ``E`` the spectral bounds address.
 
 Smoothing quality enters the bounds through two measurable constants:
 
@@ -51,18 +51,21 @@ __all__ = [
 class Level:
     """One grid level; the coarsest level has no smoother or transfers.
 
-    ``A`` is the canonical CSR matrix (export, Galerkin products, the C and
-    C_N measurements).  ``op`` is the same operator in banded ``dia_array``
-    form, which the smoother, the residual and the A-norms apply.  ``P``
+    ``op`` is the level operator, a 9-point band in ``dia_array`` form,
+    which the smoother, the residual and the A-norms apply.  ``P``
     prolongs from the next coarser level and ``R = P^T`` restricts to it.
     """
 
     grid: GridSpec
-    A: sp.csr_array
     op: sp.dia_array
     smoother: DiagonalSmoother | None
     P: sp.csr_array | None
     R: sp.csr_array | None
+
+    @property
+    def A(self) -> sp.csr_array:
+        """``op`` as a canonical CSR array without its stored zeros, built on each access."""
+        return as_csr(self.op)
 
 
 @dataclass(frozen=True)
@@ -105,24 +108,22 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     which equal the rediscretised Q1 operators, so every level's Jacobi
     smoother takes ``rho(BA)`` from its grid's sine-mode symbol
     (:func:`~polymg.fem.jacobi_smoother`); no eigensolve runs here.
-    Each level keeps its operator in CSR and, for the cycle, in DIA form:
-    the model problem is a 9-point band on every level.
+    The model problem is a 9-point band on every level, so each level
+    keeps its operator as one DIA band.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
     levels: list[Level] = []
-    g = grid
-    A = assemble_poisson_q1(g)
+    g, op = grid, assemble_poisson_q1(grid)
     while g.n_side > min_interior and g.m > 2:
-        op = A.todia()
         B = jacobi_smoother(op, g)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
-        Ac = as_csr(P.T @ A @ P)
-        levels.append(Level(grid=g, A=A, op=op, smoother=B, P=P, R=as_csr(P.T)))
-        g, A = cg, Ac
-    levels.append(Level(grid=g, A=A, op=A.todia(), smoother=None, P=None, R=None))
-    coarse_solver = CholeskySolver(A.toarray())
+        op_c = as_csr(P.T @ as_csr(op) @ P).todia()  # before R: lower peak memory
+        levels.append(Level(grid=g, op=op, smoother=B, P=P, R=as_csr(P.T)))
+        g, op = cg, op_c
+    levels.append(Level(grid=g, op=op, smoother=None, P=None, R=None))
+    coarse_solver = CholeskySolver(op.toarray())
     return Hierarchy(levels=tuple(levels), coarse_solver=coarse_solver)
 
 
@@ -153,7 +154,7 @@ def v_cycle(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray) -> np
 
     Returns the new iterate; ``x`` itself is left unchanged.
     """
-    n = h.finest.A.shape[0]
+    n = h.finest.op.shape[0]
     x = np.array(x, dtype=float)
     b = np.asarray(b, dtype=float)
     if x.shape != (n,) or b.shape != (n,):
@@ -180,9 +181,14 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     ratio until its relative change falls below ``tol``.  For a symmetric
     cycle the limit is ``||E||_A^2``.  When ``max_cycles`` is exhausted the
     last ratio is returned flagged not-converged.  ``x0`` is left unchanged.
+    Raises ``ValueError`` unless ``0 < tol < 1`` and ``max_cycles >= 1``.
     """
     if not cfg.is_symmetric:
         raise ValueError("contraction measurement requires a symmetric cycle (pre == post)")
+    if not 0.0 < tol < 1.0:  # also rejects nan
+        raise ValueError("tol must lie in (0, 1)")
+    if max_cycles < 1:
+        raise ValueError("max_cycles must be at least 1")
     A = h.finest.op
     n = A.shape[0]
     rng = np.random.default_rng(seed)

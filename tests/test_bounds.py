@@ -275,6 +275,9 @@ def test_input_validation():
         bound_cheb(2.0, 0)
     with pytest.raises(ValueError):
         omega_condition_holds(2.5, 1)
+    for omega in (-1.0, math.nan):  # -1 makes C + 2 omega k zero: omega is checked first
+        with pytest.raises(ValueError, match="omega"):
+            bound_simple(2.0, omega, 1)
     with pytest.raises(ValueError):
         sharp_g_factor(0.5)
     with pytest.raises(ValueError):

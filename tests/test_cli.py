@@ -104,6 +104,19 @@ def test_assemble_matrix_market(tmp_path):
     assert abs(A - ref).max() < 1e-14
 
 
+def test_assemble_reports_the_csr_nonzero_count(tmp_path):
+    # (3 n_side - 2)^2 stored entries; the band itself stores 1933 slots at m = 4
+    res = run_cli("assemble", "--m", "4", "--aspect", "2", "--out", str(tmp_path / "a.mtx"))
+    assert res.returncode == 0, res.stderr
+    assert "(n=225, nnz=1849)" in res.stdout
+
+
+def test_bounds_rejects_a_bad_omega_without_a_traceback():
+    res = run_cli("bounds", "--C", "2", "--k", "1", "--omega", "-1")
+    assert res.returncode == 1
+    assert res.stderr.strip() == "error: need 0 < omega < 2"
+
+
 def test_run_deterministic_and_below_bounds(tmp_path):
     args = ("run", "--m", "3", "--aspect", "2", "--k", "1..2", "--seed", "7")
     first = run_cli(*args, cwd=tmp_path)
@@ -195,6 +208,7 @@ def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
       for cmd, rest in (("run", ()), ("assemble", ("--out", "never-written.mtx")),
                         ("measure-c", ()))
       for bad in ("nan", "inf", "0.5")),
+    ("run", "--seed", "-1"),  # default_rng rejects it, so every cell would read nan
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -212,6 +226,11 @@ def test_experiment_config_rejects_bad_tol(tol):
 def test_experiment_config_rejects_bad_aspect(aspect):
     with pytest.raises(ValueError, match="aspect"):
         ExperimentConfig(m=4, aspect=aspect)
+
+
+def test_experiment_config_rejects_a_negative_seed():
+    with pytest.raises(ValueError, match="seed"):
+        ExperimentConfig(m=4, seed=-1)
 
 
 @pytest.mark.parametrize("m", [1, 12])

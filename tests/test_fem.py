@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from polymg.fem import (
     GridSpec,
@@ -10,7 +11,7 @@ from polymg.fem import (
     build_prolongation,
     jacobi_smoother,
 )
-from polymg.linalg import validate_csr
+from polymg.linalg import as_csr, validate_csr
 
 
 def _center_row(A, n_side):
@@ -79,8 +80,36 @@ def test_diagonal_is_constant(aspect):
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
 def test_assembled_matrix_is_spd(aspect):
     A = assemble_poisson_q1(GridSpec(m=3, aspect=aspect))
-    validate_csr(A, symmetric=True, tol=1e-13)
+    validate_csr(as_csr(A), symmetric=True, tol=1e-13)
     assert scipy.linalg.eigh(A.toarray(), eigvals_only=True)[0] > 0.0
+
+
+def _kronecker_sum(grid):
+    """Reference assembly: ``Kx (x) My + Mx (x) Ky`` from 1-D tridiagonal matrices, as CSR."""
+    def factors(h):
+        off = np.ones(grid.n_side - 1)
+        K = sp.diags_array([-off / h, np.full(grid.n_side, 2.0 / h), -off / h], offsets=[-1, 0, 1])
+        M = sp.diags_array([off * h / 6, np.full(grid.n_side, 4.0 * h / 6), off * h / 6],
+                           offsets=[-1, 0, 1])
+        return K, M
+
+    (Kx, Mx), (Ky, My) = factors(grid.hx), factors(grid.hy)
+    return sp.kron(Kx, My, format="csr") + sp.kron(Mx, Ky, format="csr")
+
+
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_band_matches_the_kronecker_sum_bit_for_bit(m, aspect):
+    grid = GridSpec(m=m, aspect=aspect)
+    band, ref = assemble_poisson_q1(grid), _kronecker_sum(grid)
+    assert band.format == "dia" and band.offsets.dtype == np.int32
+    assert list(band.offsets) == sorted(band.offsets)
+    # the CSR of the band drops its zeros: same pattern and values as the reference
+    A = as_csr(band)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(A, name).tobytes() == getattr(ref, name).tobytes(), name
+    x = np.random.default_rng(m).standard_normal(grid.n_interior)
+    assert (band @ x).tobytes() == (ref.todia() @ x).tobytes()
 
 
 def test_prolongation_weights():

@@ -1,5 +1,8 @@
 """V-cycle behavior, contraction measurement, and the model-problem constants."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,6 +11,7 @@ import polymg.multigrid
 from polymg.fem import GridSpec, assemble_poisson_q1, jacobi_smoother, sine_symbol
 from polymg.linalg import LanczosResult, as_csr, lanczos_max
 from polymg.multigrid import (
+    Level,
     VCycleConfig,
     build_hierarchy,
     measure_C,
@@ -145,6 +149,15 @@ def test_level_operators_are_nine_point_bands(aspect):
         assert (lvl.R != lvl.P.T).nnz == 0
 
 
+def test_each_level_stores_one_operator(hierarchy_m4_a2):
+    assert [f.name for f in dataclasses.fields(Level)] == ["grid", "op", "smoother", "P", "R"]
+    for lvl in hierarchy_m4_a2.levels:
+        A = lvl.A  # built from the band on each access
+        assert lvl.op.format == "dia" and A.format == "csr" and A.has_canonical_format
+        assert np.array_equal(A.toarray(), lvl.op.toarray())
+        assert np.all(A.data != 0.0)
+
+
 def test_hierarchy_levels_are_galerkin(hierarchy_m4_a2):
     h = hierarchy_m4_a2
     for fine, coarse in zip(h.levels, h.levels[1:]):
@@ -260,6 +273,15 @@ def test_measure_contraction_requires_symmetric_cycle(hierarchy_m4_a2):
     cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1), pre_steps=2, post_steps=1)
     with pytest.raises(ValueError, match="symmetric"):
         measure_contraction(hierarchy_m4_a2, cfg)
+
+
+@pytest.mark.parametrize("bad", [{"max_cycles": 0}, {"max_cycles": -3}, {"tol": math.nan},
+                                 {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0}])
+def test_measure_contraction_rejects_bad_arguments(hierarchy_m4_a2, bad):
+    # max_cycles=0 used to return factor 0.0; a nan or negative tol ran to the cap
+    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        measure_contraction(hierarchy_m4_a2, cfg, **bad)
 
 
 def test_measure_contraction_deterministic_and_warm_startable(hierarchy_m4_a2):
