@@ -36,9 +36,11 @@ from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
-# the build's peak memory, reached in the finest Galerkin product, grows
-# about 4x per level: 592 MB at m = 10 (aspect 2; 531 MB above the 61 MB
-# after import, 168 MB after the band assembly), so over 8 GB at m = 12
+# the build's peak memory, reached while the finest band is converted to
+# CSC for its Galerkin product (band, CSR and CSC of it, and P held at
+# once), grows about 4x per level: 400 MB at m = 10 (aspect 2; 339 MB above
+# the 61 MB after import, 168 MB after the band assembly), so about 1.4 GB
+# at m = 11 and 5.5 GB at m = 12
 _MAX_M = 11
 # measure_C's Lanczos steps grow about 3.5x per level: at aspect 1, m = 7
 # took 2105 steps (10 s) and m = 8 did not converge in 5000 (160 s)
@@ -273,7 +275,7 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig(
-        m=10 if args.full_scale else args.m,
+        m=ExperimentConfig.m if args.m is None else args.m,
         aspect=args.aspect,
         k_values=tuple(args.k),
         smoothers=tuple(name for name in COLUMNS if not args.smoother or name in args.smoother),
@@ -353,8 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("run", help="measure V-cycle contraction factors with bound curves")
-    p.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), default=8, metavar="M",
-                   help="refinement level (default 8)")
+    # default None, not 8: argparse lets a conflicting option through when
+    # its value is the default object, and small ints are shared objects
+    size = p.add_mutually_exclusive_group()
+    size.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), metavar="M",
+                      help="refinement level (default 8)")
+    size.add_argument("--full-scale", action="store_const", const=10, dest="m",
+                      help="run at m=10 instead of the default")
     p.add_argument("--aspect", type=_parse_aspect, default=1.0,
                    help="domain aspect ratio, finite and >= 1")
     p.add_argument("--k", type=_parse_k_range, default=list(range(1, 7)), metavar="RANGE",
@@ -366,8 +373,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
     p.add_argument("--c-mode", choices=("analytic", "measured"), default="analytic",
                    dest="c_mode", help="C for bound curves: 2*aspect^2 or measured")
-    p.add_argument("--full-scale", action="store_true", dest="full_scale",
-                   help="run at m=10 instead of the default")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("bounds", help="tabulate bound variants over (C, k)")

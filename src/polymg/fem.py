@@ -16,7 +16,6 @@ import numbers
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_csr
 from .smoothers import DiagonalSmoother
 
 __all__ = [
@@ -92,32 +91,32 @@ def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     return sp.dia_array((data.reshape(9, n * n), offsets.ravel()), shape=(n * n, n * n))
 
 
-def _prolongation_1d(n_coarse: int) -> sp.csr_array:
-    """1-D linear interpolation from ``n_coarse`` to ``2 n_coarse + 1`` interior nodes."""
-    n_fine = 2 * n_coarse + 1
-    c = np.arange(1, n_coarse + 1)
-    # coarse node c sits at fine node 2c (1-based); weights 1/2 on its odd neighbors
-    rows = np.concatenate([2 * c - 2, 2 * c - 1, 2 * c])
-    cols = np.concatenate([c - 1, c - 1, c - 1])
-    vals = np.concatenate([np.full(n_coarse, 0.5), np.ones(n_coarse), np.full(n_coarse, 0.5)])
-    mat = sp.coo_array((vals, (rows, cols)), shape=(n_fine, n_coarse))
-    return sp.csr_array(mat)
-
-
 def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
     """Bilinear prolongation between nested grids (factor-2 coarsening).
 
-    Coarse node ``(I, J)`` coincides with fine node ``(2I, 2J)``; the
-    interpolation weights are 1 at coincident nodes, 1/2 along edges and
-    1/4 at cell centers.  Interior rows not adjacent to the boundary sum
-    to one.
+    Coarse node ``(I, J)`` coincides with fine node ``(2I + 1, 2J + 1)``
+    (0-based); the interpolation weights are 1 at coincident nodes, 1/2
+    along edges and 1/4 at cell centers.  Interior rows not adjacent to the
+    boundary sum to one.  Every column holds the same 3 x 3 stencil on fine
+    nodes ``2I..2I+2`` by ``2J..2J+2``, the outer product of the 1-D weights
+    ``(1/2, 1, 1/2)``, so the CSR arrays of ``P^T`` are written directly and
+    transposed once into a canonical CSR with int32 indices.  The weight
+    products are exact: this is ``kron(p, p)`` of the 1-D interpolation
+    ``p`` bit for bit, without the Kronecker product's intermediates.
     """
     if coarse.m != fine.m - 1:
         raise ValueError("coarse grid must be one refinement level below the fine grid")
     if coarse.aspect != fine.aspect:
         raise ValueError("grids must share the aspect ratio")
-    p1 = _prolongation_1d(coarse.n_side)
-    return as_csr(sp.kron(p1, p1, format="csr"))
+    nc, nf = coarse.n_side, fine.n_side
+    w = np.array([0.5, 1.0, 0.5])
+    d = np.arange(3, dtype=np.int32)
+    c = 2 * np.arange(nc, dtype=np.int32)  # first fine node of each coarse stencil
+    first = (c[:, None] * nf + c[None, :]).reshape(-1, 1)
+    indices = first + (d[:, None] * nf + d[None, :]).reshape(1, 9)
+    Pt = sp.csr_array((np.tile(np.outer(w, w).ravel(), nc * nc), indices.ravel(),
+                       np.arange(0, 9 * nc * nc + 1, 9, dtype=np.int32)), shape=(nc * nc, nf * nf))
+    return Pt.T.tocsr()
 
 
 def sine_symbol(grid: GridSpec, modes) -> np.ndarray:

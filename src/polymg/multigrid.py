@@ -109,7 +109,11 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     smoother takes ``rho(BA)`` from its grid's sine-mode symbol
     (:func:`~polymg.fem.jacobi_smoother`); no eigensolve runs here.
     The model problem is a 9-point band on every level, so each level
-    keeps its operator as one DIA band.
+    keeps its operator as one DIA band.  Each coarse band is ``P^T A P``
+    formed from the CSC of the fine band: ``P^T`` is a CSC view of ``P``,
+    so the product takes that operand without a copy, and the CSC is the
+    only other copy of the fine operator held through it.  (scipy builds
+    the CSC by way of a CSR; that conversion is the build's peak.)
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
@@ -119,7 +123,7 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
         B = jacobi_smoother(op, g)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
-        op_c = as_csr(P.T @ as_csr(op) @ P).todia()  # before R: lower peak memory
+        op_c = as_csr(P.T @ sp.csc_array(op) @ P).todia()  # before R is built: lower peak
         levels.append(Level(grid=g, op=op, smoother=B, P=P, R=as_csr(P.T)))
         g, op = cg, op_c
     levels.append(Level(grid=g, op=op, smoother=None, P=None, R=None))

@@ -194,7 +194,7 @@ def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
     ("opt-poly", "--k", "201"),
     ("bounds", "--C", "2"),  # missing required --k
     (),
-    ("run", "--m", "12"),  # an m = 12 build would need over 9 GB
+    ("run", "--m", "12"),  # an m = 12 build would need about 5.5 GB
     ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
     ("measure-c", "--m", "7"),  # see cli._MAX_M_C; rejected before any assembly
@@ -209,6 +209,8 @@ def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
                         ("measure-c", ()))
       for bad in ("nan", "inf", "0.5")),
     ("run", "--seed", "-1"),  # default_rng rejects it, so every cell would read nan
+    ("run", "--full-scale", "--m", "6"),  # --full-scale sets m=10, so --m would be ignored
+    ("run", "--m", "8", "--full-scale"),  # 8 was the default of --m
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)

@@ -2,10 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 import polymg.multigrid
 from polymg.fem import GridSpec, assemble_poisson_q1, jacobi_smoother, sine_symbol
@@ -147,6 +149,51 @@ def test_level_operators_are_nine_point_bands(aspect):
         v = x[: lvl.A.shape[0]]
         assert np.array_equal(lvl.op @ v, lvl.A @ v)
         assert (lvl.R != lvl.P.T).nnz == 0
+
+
+def _kron_prolongation(n_coarse):
+    """Reference bilinear prolongation: ``kron(p, p)`` of the 1-D linear interpolation ``p``."""
+    c = np.arange(n_coarse)
+    # 0-based coarse node c sits at fine node 2c + 1, with weight 1/2 on each neighbour
+    rows = np.concatenate([2 * c, 2 * c + 1, 2 * c + 2])
+    vals = np.repeat([0.5, 1.0, 0.5], n_coarse)
+    p = sp.csr_array((vals, (rows, np.tile(c, 3))), shape=(2 * n_coarse + 1, n_coarse))
+    return as_csr(sp.kron(p, p, format="csr"))
+
+
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0, math.sqrt(2.0), 1e150])
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 7])
+def test_hierarchy_matches_kronecker_and_csr_galerkin_bit_for_bit(m, aspect):
+    # the reference chain: P as a Kronecker product, A_c from the CSR of the band
+    h = build_hierarchy(GridSpec(m=m, aspect=aspect))
+    op = assemble_poisson_q1(h.finest.grid)
+    for lvl in h.levels:
+        assert lvl.op.offsets.tobytes() == op.offsets.tobytes()
+        assert lvl.op.data.tobytes() == op.data.tobytes()
+        if lvl.P is None:
+            break
+        P = _kron_prolongation(lvl.grid.coarsen().n_side)
+        for got, ref in ((lvl.P, P), (lvl.R, as_csr(P.T))):
+            assert got.data.tobytes() == ref.data.tobytes()
+            assert np.array_equal(got.indices, ref.indices)
+            assert np.array_equal(got.indptr, ref.indptr)
+        op = as_csr(P.T @ as_csr(op) @ P).todia()
+    assert len(h.levels) > 1
+
+
+def test_build_peak_memory_is_a_few_fine_operators():
+    grid = GridSpec(m=7, aspect=2.0)
+    build_hierarchy(grid)  # so lazy imports and first-call caches are not traced
+    tracemalloc.start()
+    try:
+        h = build_hierarchy(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 4.6x: the band, P, and the CSR and CSC scipy holds while converting the
+    # band for the Galerkin product; the product from the band's CSR (5.7x)
+    # or P by sp.kron (5.8x) would each pass 5x
+    assert peak <= 5 * h.finest.op.data.nbytes
 
 
 def test_each_level_stores_one_operator(hierarchy_m4_a2):
