@@ -7,7 +7,7 @@ run          measure V-cycle contraction factors per degree, with bound curves
 bounds       tabulate the closed-form bound variants over (C, k)
 opt-poly     print optimal polynomial roots and iteration betas for one degree
 gamma-table  tabulate optimal 1/gamma against its asymptotic estimate
-measure-c    numerically measure the approximation constant C for one grid
+measure-c    print the exact two-level approximation constant C of one grid
 
 The `run` subcommand writes a tab-separated table with header
 ``k w43 w32 cheb opt`` (contraction factors for damped Jacobi at
@@ -24,10 +24,10 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bounds as bnd
-from .fem import GridSpec, assemble_poisson_q1
+from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother
 from .linalg import as_csr, save_matrix_market
 from .multigrid import VCycleConfig, build_hierarchy, measure_C, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
@@ -42,9 +42,6 @@ __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", 
 # the 61 MB after import, 168 MB after the band assembly), so about 1.4 GB
 # at m = 11 and 5.5 GB at m = 12
 _MAX_M = 11
-# measure_C's Lanczos steps grow about 3.5x per level: at aspect 1, m = 7
-# took 2105 steps (10 s) and m = 8 did not converge in 5000 (160 s)
-_MAX_M_C = 6
 
 
 class Column(NamedTuple):
@@ -89,6 +86,8 @@ class ExperimentConfig:
             raise ValueError(f"smoother columns must be among {tuple(COLUMNS)}")
         if self.c_mode not in ("analytic", "measured"):
             raise ValueError("c_mode must be 'analytic' or 'measured'")
+        if self.c_mode == "measured" and self.m < 3:
+            raise ValueError("measured C needs a coarse level: m >= 3")
         if not 0.0 < self.tol < 1.0:
             raise ValueError("tol must lie in (0, 1)")
         if self.seed < 0:
@@ -110,54 +109,31 @@ def _parse_k_range(text: str) -> list[int]:
     return ks
 
 
-def _parse_degree(text: str) -> int:
-    try:
-        k = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad degree {text!r}") from exc
-    if not 1 <= k <= _MAX_DEGREE:
-        raise argparse.ArgumentTypeError(f"degree must lie in [1, {_MAX_DEGREE}]")
-    return k
+def _checked(convert: Callable[[str], Any], name: str, ok: Callable[[Any], bool],
+             message: str) -> Callable[[str], Any]:
+    """An argparse type: ``convert`` the text, then require ``ok`` of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {name} {text!r}") from exc
+        if not ok(value):  # comparisons reject nan
+            raise argparse.ArgumentTypeError(message)
+        return value
+    return parse
 
 
-def _parse_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
-    if not 0.0 < tol < 1.0:  # also rejects nan
-        raise argparse.ArgumentTypeError("tol must lie in (0, 1)")
-    return tol
-
-
-def _parse_seed(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad seed {text!r}") from exc
-    if seed < 0:  # numpy's default_rng rejects negative seeds
-        raise argparse.ArgumentTypeError("seed must be >= 0")
-    return seed
-
-
-def _parse_aspect(text: str) -> float:
-    try:
-        aspect = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad aspect ratio {text!r}") from exc
-    if not (math.isfinite(aspect) and aspect >= 1.0):
-        raise argparse.ArgumentTypeError("aspect must be finite and >= 1")
-    return aspect
-
-
-def _parse_c_list(text: str) -> list[float]:
-    try:
-        cs = [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad C list {text!r}") from exc
-    if not cs or not all(math.isfinite(c) and c >= 1.0 for c in cs):
-        raise argparse.ArgumentTypeError("C values must be finite and >= 1")
-    return cs
+_parse_degree = _checked(int, "degree", lambda k: 1 <= k <= _MAX_DEGREE,
+                         f"degree must lie in [1, {_MAX_DEGREE}]")
+_parse_tol = _checked(float, "tolerance", lambda t: 0.0 < t < 1.0, "tol must lie in (0, 1)")
+# numpy's default_rng rejects negative seeds
+_parse_seed = _checked(int, "seed", lambda s: s >= 0, "seed must be >= 0")
+_parse_aspect = _checked(float, "aspect ratio", lambda a: math.isfinite(a) and a >= 1.0,
+                         "aspect must be finite and >= 1")
+_parse_omega = _checked(float, "omega", lambda w: 0.0 < w < 2.0, "omega must lie in (0, 2)")
+_parse_c_list = _checked(lambda t: [float(tok) for tok in t.split(",") if tok], "C list",
+                         lambda cs: cs and all(math.isfinite(c) and c >= 1.0 for c in cs),
+                         "C values must be finite and >= 1")
 
 
 def _fmt(value: float) -> str:
@@ -168,12 +144,6 @@ def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]
     lines = ["\t".join(header)]
     lines.extend("\t".join(row) for row in rows)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _measured_c(m: int, aspect: float) -> float:
-    hier = build_hierarchy(GridSpec(m=m, aspect=aspect))
-    top = hier.levels[0]
-    return measure_C(top.A, top.smoother, top.P, hier.levels[1].A)
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
@@ -192,9 +162,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     if cfg.c_mode == "analytic":
         C = 2.0 * cfg.aspect ** 2
     else:
-        # measured at m <= 5 (see _MAX_M_C); a coarser grid of the same
-        # aspect gives a slightly smaller C than the run grid
-        C = _measured_c(min(cfg.m, 5), cfg.aspect)
+        top = hier.levels[0]  # exact two-level C of the run grid
+        C = measure_C(top.op, top.smoother, top.P, hier.levels[1].op)
     print(f"[run] using C = {C:.6f} ({cfg.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
@@ -334,7 +303,9 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_c(args: argparse.Namespace) -> int:
-    C = _measured_c(args.m, args.aspect)
+    g = GridSpec(m=args.m, aspect=args.aspect)
+    A, cg = assemble_poisson_q1(g), g.coarsen()
+    C = measure_C(A, jacobi_smoother(A, g), build_prolongation(g, cg), assemble_poisson_q1(cg))
     print(f"C = {C:.12g}")
     return 0
 
@@ -379,8 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=_parse_c_list, required=True, dest="c_values",
                    metavar="LIST", help="comma-separated C values, each finite and >= 1")
     p.add_argument("--k", type=_parse_k_range, required=True, metavar="RANGE")
-    p.add_argument("--omega", type=float, default=4.0 / 3.0,
-                   help="damping for the simple-smoother column")
+    p.add_argument("--omega", type=_parse_omega, default=4.0 / 3.0,
+                   help="damping for the simple-smoother column, in (0, 2)")
     p.add_argument("--out", type=Path, default=None, help="write here instead of stdout")
     p.set_defaults(func=_cmd_bounds)
 
@@ -393,9 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="write here instead of stdout")
     p.set_defaults(func=_cmd_gamma_table)
 
-    p = sub.add_parser("measure-c", help="measure the approximation constant C")
-    p.add_argument("--m", type=int, choices=range(2, _MAX_M_C + 1), default=5, metavar="M",
-                   help=f"refinement level, at most {_MAX_M_C}")
+    p = sub.add_parser("measure-c", help="print the exact two-level approximation constant C")
+    p.add_argument("--m", type=int, choices=range(3, _MAX_M + 1), default=5, metavar="M",
+                   help="refinement level of the fine grid (2^m cells per side)")
     p.add_argument("--aspect", type=_parse_aspect, default=1.0,
                    help="domain aspect ratio, finite and >= 1")
     p.set_defaults(func=_cmd_measure_c)

@@ -15,22 +15,23 @@ Smoothing quality enters the bounds through two measurable constants:
 * ``C_N``: the same ratio with ``N^{-1} = A (I - p(BA)^2)^{-1}``, which
   converts directly into the cycle bound ``||E||_A^2 <= 1 - 1/C_N``.
 
-Both are upper Lanczos estimates of one two-level eigenvalue (see
-:func:`measure_C`), not certificates.
+The sine modes diagonalise every level and the Jacobi smoother, and the
+bilinear prolongation couples four fine modes per coarse mode, so both are
+exact eigenvalues of 4 x 4 blocks (rigorous Fourier analysis: Trottenberg,
+Oosterlee & Schueller, *Multigrid*, 2001, ch. 4); see :func:`measure_C`.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
-from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother
-from .linalg import CholeskySolver, as_csr, lanczos_max
+from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother, sine_symbol
+from .linalg import CholeskySolver, as_csr
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
@@ -212,70 +213,90 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     return ContractionResult(ratio, False, max_cycles, e)
 
 
-def _two_level_sup(A, P, A_c, F) -> float:
-    """Upper Lanczos estimate of ``sup_{u in range(pi_f)} ||F^T u||^2 / ||u||^2_A``.
+def _two_level_grid(A, B: DiagonalSmoother, P, A_c) -> GridSpec:
+    """The grid of which ``(A, B, P, A_c)`` is the two-level pair, else ``ValueError``.
 
-    ``Q = A^{-1} - P A_c^{-1} P^T = pi_f A^{-1}`` is symmetric positive
-    semidefinite with range ``range(pi_f)``, so the supremum is
-    ``lambda_max(F^T Q F)`` (Falgout, Vassilevski & Zikatanov, NLAA 12,
-    2005); each step takes one sparse LU solve with ``A`` and one with
-    ``A_c``.  A non-converged estimate is used but reported via a warning.
+    ``m`` comes from ``A``'s size and the aspect from ``A[0, n_side] +
+    2 A[0, 1] = -aspect``.  ``A`` and ``A_c`` must carry the diagonals of
+    the grid and its coarsening, ``B`` must be constant and ``P`` the
+    grid's bilinear prolongation.
     """
-    solve = scipy.sparse.linalg.splu(sp.csc_array(A)).solve
-    solve_c = scipy.sparse.linalg.splu(sp.csc_array(A_c)).solve
+    n = A.shape[0]
+    n_side = math.isqrt(n)
+    m = n_side.bit_length()
+    if A.shape != (n, n) or n_side * n_side != n or n_side != 2 ** m - 1 or m < 3:
+        raise ValueError(f"operator of shape {A.shape} is not a Q1 grid with m >= 3")
+    # rounding can put aspect 1 just below 1; the diagonal check rejects anything further off
+    g = GridSpec(m=m, aspect=max(1.0, -(A.diagonal(n_side)[0] + 2.0 * A.diagonal(1)[0])))
+    jacobi_smoother(A, g)  # called only for its shape and diagonal checks
+    jacobi_smoother(A_c, g.coarsen())
+    inv = B.inverse_diagonal
+    if inv.shape != (n,) or np.any(inv != inv[0]):
+        raise ValueError("smoother must be a constant diagonal of the operator's size")
+    P_ref = build_prolongation(g, g.coarsen())
+    if P.shape != P_ref.shape or (sp.csr_array(P) != P_ref).nnz:
+        raise ValueError("P is not the bilinear prolongation of the grid")
+    return g
 
-    def apply(v: np.ndarray) -> np.ndarray:
-        w = F @ v
-        return F.T @ (solve(w) - P @ solve_c(P.T @ w))
 
-    result = lanczos_max(apply, F.shape[1])
-    if not result.converged:
-        warnings.warn(f"two-level Lanczos estimate not converged after {result.iterations} "
-                      f"steps (estimate {result.value:.12g}, residual {result.residual:.3g})",
-                      stacklevel=3)
-    return result.value
+def _two_grid_sup(g: GridSpec, nu) -> float:
+    """``sup_{u in range(pi_f)} ||u||^2_M / ||u||^2_A`` for ``M`` diagonal in the sine modes.
+
+    ``nu`` is ``M``'s eigenvalue, a constant or one per fine mode ``(i, j)``
+    at ``[i - 1, j - 1]``, and ``lam`` is ``A``'s.  The supremum is
+    ``lambda_max(F^T Q F)``, ``Q = A^{-1} - P A_c^{-1} P^T``, ``F F^T = M``
+    (Falgout, Vassilevski & Zikatanov, NLAA 12, 2005).  In the orthonormal
+    sine bases ``P`` maps coarse mode ``I`` to fine modes ``I`` and
+    ``n_f + 1 - I`` with weights ``sqrt(2) cos^2(theta_I/2)`` and
+    ``-sqrt(2) sin^2(theta_I/2)`` per direction, ``theta_I = I pi/(n_f + 1)``.
+    So ``F^T Q F`` is one 4 x 4 block ``diag(nu/lam) - v v^T / lam_c`` per
+    coarse mode, plus ``nu/lam`` at the fine modes with the middle index
+    ``n_c + 1``, which have no coarse part.
+    """
+    n, nc = g.n_side, g.coarsen().n_side
+    lam = sine_symbol(g, np.arange(1, n + 1))
+    nu = np.broadcast_to(nu, lam.shape)
+    r = nu / lam
+    I = np.arange(1, nc + 1)
+    half = I * np.pi / (2 * (n + 1))
+    w = np.sqrt(2.0) * np.array([np.cos(half) ** 2, -np.sin(half) ** 2])
+    fine = np.array([I - 1, n - I])  # 0-based fine modes I and n + 1 - I
+    ix, iy = fine[:, None, :, None], fine[None, :, None, :]  # [sx, sy, Ix, Iy]
+    v = (np.sqrt(nu[ix, iy]) * w[:, None, :, None] * w[None, :, None, :]).reshape(4, -1).T
+    blocks = v[:, :, None] * v[:, None, :] / -sine_symbol(g.coarsen(), I).reshape(-1, 1, 1)
+    blocks[:, range(4), range(4)] += r[ix, iy].reshape(4, -1).T
+    return float(max(np.linalg.eigvalsh(blocks)[:, -1].max(), r[nc].max(), r[:, nc].max()))
 
 
 def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
-    """Measure ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A``.
+    """Exact ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A`` (two-level).
 
-    ``B`` is normalized internally so that ``rho(BA) = 1``.  The value is
-    the upper Lanczos estimate (relative residual 1e-10) of
-    ``lambda_max(F^T (A^{-1} - P A_c^{-1} P^T) F)`` with ``F = B^{-1/2}``.
-    ``C >= 1`` whenever the coarse space is a proper subspace; a square
-    prolongation makes ``pi_f = 0`` and the measurement degenerate, reported
-    as 0 with a warning.
+    ``B`` is normalized internally so that ``rho(BA) = 1``.  The operands
+    must be one model grid's Q1 operator (DIA or CSR), its Jacobi
+    smoother, bilinear prolongation and coarse operator, else
+    ``ValueError``; ``C`` is then a 4 x 4 block eigenvalue of the sine
+    modes, with no iteration.  ``C >= 1`` and rises towards
+    ``2 aspect^2`` with ``m``.  The signature becomes ``measure_C(grid)``
+    with the next change to the bench, which calls this form.
     """
-    if P.shape[0] == P.shape[1]:
-        warnings.warn("coarse space spans the fine space; C is degenerate", stacklevel=2)
-        return 0.0
-    F = sp.diags_array(np.sqrt(B.rho_BA / B.inverse_diagonal))  # B_hat^(-1/2), diagonal
-    return _two_level_sup(A, P, A_c, F)
-
-
-# largest fine-level size for the dense eigendecomposition in measure_CN
-_CN_DENSE_CAP = 2000
+    g = _two_level_grid(A, B, P, A_c)
+    return _two_grid_sup(g, B.rho_BA / B.inverse_diagonal[0])  # B_hat^{-1}, a constant
 
 
 def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec) -> float:
-    """Measure ``C_N`` for the smoother polynomial ``p`` (two-level).
+    """Exact ``C_N`` for the smoother polynomial ``p`` (two-level).
 
-    ``N^{-1} = A (I - p(BA)^2)^{-1}`` is evaluated through the dense
-    eigendecomposition ``S A S = U diag(lam) U^T``, ``S = B_hat^{1/2}``, as
-    ``F F^T`` with ``F = S^{-1} U diag(sqrt(lam / (1 - p(lam)^2)))``; ``C_N``
-    is then estimated as in :func:`measure_C`.  Requires ``|p| < 1`` on
-    (0, 1]; that is checked on the spectrum of the normalized ``BA`` and at
-    the endpoint 1, so rounding in ``rho(BA)`` cannot decide it.  The cycle
-    bound ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.
+    As :func:`measure_C` with the norm of ``N^{-1} = A (I - p(BA)^2)^{-1}``:
+    its weight at a mode with eigenvalue ``lam`` of ``A`` and ``x`` of the
+    normalized ``BA`` is ``lam / (1 - p(x)^2)``.  Requires ``|p| < 1`` on
+    (0, 1], checked on that exact spectrum and at the endpoint 1, so
+    rounding in ``rho(BA)`` cannot decide it.  The cycle bound
+    ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.
+    The signature becomes ``measure_CN(grid, p)`` with the next bench change.
     """
-    n = A.shape[0]
-    if n > _CN_DENSE_CAP:
-        raise ValueError(f"dense path capped at n = {_CN_DENSE_CAP}; got {n}")
-    s = np.sqrt(B.inverse_diagonal / B.rho_BA)  # B_hat^(1/2), diagonal
-    sym = s[:, None] * A.toarray() * s[None, :]
-    lam, U = np.linalg.eigh(0.5 * (sym + sym.T))
-    pv = p.evaluate(lam)
+    g = _two_level_grid(A, B, P, A_c)
+    lam = sine_symbol(g, np.arange(1, g.n_side + 1))
+    pv = p.evaluate(lam * (B.inverse_diagonal[0] / B.rho_BA))
     if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
         raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
-    F = (U * np.sqrt(lam / (1.0 - pv * pv))) / s[:, None]
-    return _two_level_sup(A, P, A_c, F)
+    return _two_grid_sup(g, lam / (1.0 - pv * pv))

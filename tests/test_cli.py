@@ -113,8 +113,9 @@ def test_assemble_reports_the_csr_nonzero_count(tmp_path):
 
 def test_bounds_rejects_a_bad_omega_without_a_traceback():
     res = run_cli("bounds", "--C", "2", "--k", "1", "--omega", "-1")
-    assert res.returncode == 1
-    assert res.stderr.strip() == "error: need 0 < omega < 2"
+    assert res.returncode == 2  # a usage error, as for every other bad value
+    assert res.stderr.strip().endswith("error: argument --omega: omega must lie in (0, 2)")
+    assert "Traceback" not in res.stderr
 
 
 def test_run_deterministic_and_below_bounds(tmp_path):
@@ -197,7 +198,7 @@ def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
     ("run", "--m", "12"),  # an m = 12 build would need about 5.5 GB
     ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
-    ("measure-c", "--m", "7"),  # see cli._MAX_M_C; rejected before any assembly
+    ("measure-c", "--m", "12"),  # as for run, rejected before any assembly
     ("run", "--m", "4", "--tol", "nan"),  # each would run every cell to the cycle cap
     ("run", "--m", "4", "--tol", "-1"),
     ("run", "--m", "4", "--tol", "0"),
@@ -211,6 +212,9 @@ def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
     ("run", "--seed", "-1"),  # default_rng rejects it, so every cell would read nan
     ("run", "--full-scale", "--m", "6"),  # --full-scale sets m=10, so --m would be ignored
     ("run", "--m", "8", "--full-scale"),  # 8 was the default of --m
+    ("measure-c", "--m", "2"),  # m = 2 has no coarse level
+    ("bounds", "--C", "2", "--k", "1", "--omega", "2.5"),  # the simple bound needs 0 < omega < 2
+    ("bounds", "--C", "2", "--k", "1", "--omega", "nan"),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -239,3 +243,28 @@ def test_experiment_config_rejects_a_negative_seed():
 def test_experiment_config_rejects_m_out_of_range(m):
     with pytest.raises(ValueError, match="m must lie"):
         ExperimentConfig(m=m)
+
+
+def test_experiment_config_rejects_measured_C_without_a_coarse_level():
+    with pytest.raises(ValueError, match="coarse level"):
+        ExperimentConfig(m=2, c_mode="measured")
+
+
+def test_run_measures_C_on_the_run_grid(tmp_path):
+    res = run_cli("run", "--m", "6", "--aspect", "8", "--c-mode", "measured",
+                  "--smoother", "cheb", "--k", "1", "--out", str(tmp_path / "c.tsv"))
+    assert res.returncode == 0, res.stderr
+    # the exact two-level C at m = 6, not the m = 5 value 105.900936
+    assert "[run] using C = 121.667820 (measured)" in res.stderr
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # scipy.sparse.linalg and scipy.optimize add about 2 MB and 18 MB of RSS
+    code = ("import sys, polymg.cli; "
+            "print([m for m in ('scipy.sparse.linalg', 'scipy.optimize') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=TIMEOUT_S)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -9,9 +9,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import polymg.multigrid
-from polymg.fem import GridSpec, assemble_poisson_q1, jacobi_smoother, sine_symbol
-from polymg.linalg import LanczosResult, as_csr, lanczos_max
+from polymg.fem import (GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother,
+                        sine_symbol)
+from polymg.linalg import as_csr, lanczos_max
 from polymg.multigrid import (
     Level,
     VCycleConfig,
@@ -361,39 +361,85 @@ def test_measured_C_grows_with_anisotropy():
     assert values[0] < values[1] < values[2]
 
 
-def test_measure_C_degenerate(hierarchy_m4_a2):
-    top = hierarchy_m4_a2.levels[0]
-    n = top.A.shape[0]
-    eye = as_csr(np.eye(n))
-    with pytest.warns(UserWarning, match="degenerate"):
-        assert measure_C(top.A, top.smoother, eye, top.A) == 0.0
+def test_measure_C_rejects_operands_of_no_two_level_pair(hierarchy_m4_a2):
+    top, coarse = hierarchy_m4_a2.levels[:2]
+    A, B, P, Ac = top.op, top.smoother, top.P, coarse.op
+    small = as_csr(A)[:10, :10]
+    for args in ((A, B, as_csr(sp.eye_array(A.shape[0])), A),  # square P: no coarse space
+                 (A, B, P, hierarchy_m4_a2.levels[2].op),  # A_c of the wrong size
+                 (small, B, P, Ac),  # no 2^m grid has 10 unknowns
+                 (2.0 * A, B, P, Ac)):  # a diagonal of no grid
+        with pytest.raises(ValueError):
+            measure_C(*args)
+        with pytest.raises(ValueError):
+            measure_CN(*args, PolynomialSpec.fourth_kind(1))
+
+
+def _sine_basis(n):
+    """Orthonormal sine vectors of length ``n`` as columns, mode i in column i - 1."""
+    x = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(x, x) * np.pi / (n + 1))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_prolongation_couples_four_fine_modes_per_coarse_mode(m):
+    g = GridSpec(m=m, aspect=2.0)
+    nf, nc = g.n_side, g.coarsen().n_side
+    Sf, Sc = _sine_basis(nf), _sine_basis(nc)
+    # P in the 2-D sine bases (node ix * n + iy is kron order)
+    Phat = np.kron(Sf, Sf).T @ build_prolongation(g, g.coarsen()).toarray() @ np.kron(Sc, Sc)
+    half = np.arange(1, nc + 1) * np.pi / (2 * (nf + 1))
+    expected_1d = np.zeros((nf, nc))
+    expected_1d[np.arange(nc), np.arange(nc)] = np.sqrt(2.0) * np.cos(half) ** 2
+    expected_1d[nf - 1 - np.arange(nc), np.arange(nc)] = -np.sqrt(2.0) * np.sin(half) ** 2
+    np.testing.assert_allclose(Phat, np.kron(expected_1d, expected_1d), atol=1e-13)
+    # fine modes with the middle index (nc + 1) in either direction have no coarse part
+    zero_rows = np.flatnonzero(np.abs(Phat).max(axis=1) < 1e-13)
+    assert len(zero_rows) == 2 * nf - 1 == {3: 13, 4: 29}[m]
+    ix, iy = np.divmod(zero_rows, nf)
+    assert np.all((ix == nc) | (iy == nc))
+
+
+def _two_level(m, aspect):
+    g = GridSpec(m=m, aspect=aspect)
+    A, cg = assemble_poisson_q1(g), g.coarsen()
+    return A, jacobi_smoother(A, g), build_prolongation(g, cg), assemble_poisson_q1(cg)
+
+
+@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
+def test_exact_C_rises_with_m_below_its_limit(aspect):
+    values = [measure_C(*_two_level(m, aspect)) for m in range(3, 10)]
+    assert all(a < b for a, b in zip(values, values[1:])), values
+    assert values[-1] < 2.0 * aspect ** 2
+    if aspect == 8.0:
+        assert values[5] == pytest.approx(127.5852997, rel=1e-9)  # m = 8
+
+
+def test_exact_CN_bracket_at_m8():
+    pair = _two_level(8, 2.0)
+    C = measure_C(*pair)
+    for k in (1, 2, 3):
+        p = PolynomialSpec.fourth_kind(k)
+        assert 1.0 <= measure_CN(*pair, p) <= 1.0 + gamma_mu(p) * C
 
 
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
 def test_measured_constants_match_dense_oracle(aspect):
-    h = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
-    top = h.levels[0]
-    A, B, P, Ac = top.A, top.smoother, top.P, h.levels[1].A
-    b_hat_inv = B.rho_BA / B.inverse_diagonal
-    assert measure_C(A, B, P, Ac) == pytest.approx(
-        _dense_sup(A, P, Ac, np.diag(b_hat_inv)), rel=1e-9)
-    # N^{-1} = A (I - p(BA)^2)^{-1} through the spectrum of B_hat^(1/2) A B_hat^(1/2)
-    s = np.sqrt(1.0 / b_hat_inv)
-    lam, Q = np.linalg.eigh(s[:, None] * A.toarray() * s[None, :])
-    for k in (1, 2, 3):
-        pv = PolynomialSpec.fourth_kind(k).evaluate(lam)
-        n_inv = ((Q * (lam / (1.0 - pv * pv))) @ Q.T) / s[:, None] / s[None, :]
-        assert measure_CN(A, B, P, Ac, PolynomialSpec.fourth_kind(k)) == pytest.approx(
-            _dense_sup(A, P, Ac, n_inv), rel=1e-9)
-
-
-def test_measure_C_warns_when_not_converged(hierarchy_m4_a2, monkeypatch):
-    stalled = LanczosResult(value=7.5, converged=False, iterations=5000, residual=1e-3)
-    monkeypatch.setattr(polymg.multigrid, "lanczos_max", lambda apply, n: stalled)
-    top = hierarchy_m4_a2.levels[0]
-    with pytest.warns(UserWarning, match="not converged after 5000 steps"):
-        C = measure_C(top.A, top.smoother, top.P, hierarchy_m4_a2.levels[1].A)
-    assert C == 7.5
+    for m in (3, 4):
+        h = build_hierarchy(GridSpec(m=m, aspect=aspect), min_interior=2 ** (m - 1) - 1)
+        top = h.levels[0]
+        A, B, P, Ac = top.A, top.smoother, top.P, h.levels[1].A
+        b_hat_inv = B.rho_BA / B.inverse_diagonal
+        assert measure_C(A, B, P, Ac) == pytest.approx(
+            _dense_sup(A, P, Ac, np.diag(b_hat_inv)), rel=1e-9)
+        # N^{-1} = A (I - p(BA)^2)^{-1} through the spectrum of B_hat^(1/2) A B_hat^(1/2)
+        s = np.sqrt(1.0 / b_hat_inv)
+        lam, Q = np.linalg.eigh(s[:, None] * A.toarray() * s[None, :])
+        for k in (1, 2, 3):
+            pv = PolynomialSpec.fourth_kind(k).evaluate(lam)
+            n_inv = ((Q * (lam / (1.0 - pv * pv))) @ Q.T) / s[:, None] / s[None, :]
+            assert measure_CN(A, B, P, Ac, PolynomialSpec.fourth_kind(k)) == pytest.approx(
+                _dense_sup(A, P, Ac, n_inv), rel=1e-9), (m, k)
 
 
 def test_CN_bracket_and_bound_chain(two_level_m5_a2):
