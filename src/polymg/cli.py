@@ -36,11 +36,10 @@ from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
-# the build's peak memory, reached while the finest band is converted to
-# CSC for its Galerkin product (band, CSR and CSC of it, and P held at
-# once), grows about 4x per level: 400 MB at m = 10 (aspect 2; 339 MB above
-# the 61 MB after import, 168 MB after the band assembly), so about 1.4 GB
-# at m = 11 and 5.5 GB at m = 12
+# the build's peak memory, the hierarchy itself (every level's band, P and
+# R), grows about 4x per level: 246 MB at m = 10 (aspect 2; 186 MB above the
+# 60 MB after import, 166 MB after the band assembly and 226 MB after its
+# Galerkin band), 802 MB at m = 11 (aspect 1), so about 3 GB at m = 12
 _MAX_M = 11
 
 

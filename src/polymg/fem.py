@@ -10,6 +10,7 @@ like ``2 * aspect^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 import math
 import numbers
 
@@ -87,8 +88,13 @@ def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     jx, jy = np.divmod(np.arange(n * n), n)
     inside = [(i >= d[:, None]) & (i < n + d[:, None]) for i in (jx, jy)]
     data = np.where(inside[0][:, None] & inside[1][None, :], entry[:, :, None], 0.0)
-    offsets = (d[:, None] * n + d[None, :]).astype(np.int32)
-    return sp.dia_array((data.reshape(9, n * n), offsets.ravel()), shape=(n * n, n * n))
+    return sp.dia_array((data.reshape(9, n * n), _band_offsets(n)), shape=(n * n, n * n))
+
+
+def _band_offsets(n_side: int) -> np.ndarray:
+    """Ascending int32 DIA offsets ``dx * n_side + dy`` of the 9-point band."""
+    d = np.array([-1, 0, 1])
+    return (d[:, None] * n_side + d[None, :]).astype(np.int32).ravel()
 
 
 def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
@@ -117,6 +123,64 @@ def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
     Pt = sp.csr_array((np.tile(np.outer(w, w).ravel(), nc * nc), indices.ravel(),
                        np.arange(0, 9 * nc * nc + 1, 9, dtype=np.int32)), shape=(nc * nc, nf * nf))
     return Pt.T.tocsr()
+
+
+def _galerkin_band(op: sp.dia_array, grid: GridSpec) -> sp.dia_array:
+    """``P^T op P`` for the bilinear ``P`` of ``grid``, as the coarse grid's 9-point band.
+
+    ``op`` is a 9-point band of ``grid`` laid out as by
+    :func:`assemble_poisson_q1`.  Row ``I`` of ``P^T`` carries the weight
+    ``w_dx w_dy``, ``w = (1/2, 1, 1/2)``, on fine node ``2I + d`` for
+    ``d in [0, 2]^2`` (see :func:`build_prolongation`), so the product is
+    two passes of stencil sums over strided views of the band:
+    ``X[I, 2I + e] = sum_d op[2I + d, 2I + e] w_d`` for the 25 fine offsets
+    ``e in [-1, 3]^2``, then ``A_c[I, I + s] = sum_d' X[I, 2I + 2s + d'] w_d'``
+    for ``s in [-1, 1]^2``, each term taken for all ``I`` at once.  Each
+    sum starts from +0 and adds its terms by ascending fine node, as
+    scipy's sparse product ``P^T op P`` does for every entry, so the band
+    has that product's bits, and an entry it would drop is +0.  Raises
+    ``ValueError`` unless ``op`` is a DIA band with the grid's shape and 9
+    offsets.
+    """
+    n, nc = grid.n_side, grid.coarsen().n_side
+    if not (sp.issparse(op) and op.format == "dia" and op.shape == (n * n, n * n)
+            and op.data.shape == (9, n * n) and np.array_equal(op.offsets, _band_offsets(n))):
+        raise ValueError(f"operator is not a 9-point band of the grid's {n * n} unknowns")
+    w = np.array([0.5, 1.0, 0.5])
+    stencil = list(itertools.product(range(3), repeat=2))  # d ascending, as fine nodes 2I + d
+    band = np.ascontiguousarray(op.data).reshape(3, 3, n, n)  # [ox + 1, oy + 1, f] = A[f - o, f]
+    s0, s1, s2, s3 = band.strides
+    # by d, per direction: the blocks (o + 1, I) whose fine node 2I + d + o is on the grid
+    on_grid = ([(slice(0, 1), slice(1, nc)), (slice(1, 3), slice(0, nc))],
+               [(slice(0, 3), slice(0, nc))],
+               [(slice(0, 2), slice(0, nc)), (slice(2, 3), slice(0, nc - 1))])
+    X = np.zeros((5, 5, nc, nc))  # [ex + 1, ey + 1, I] = X[I, 2I + e]
+    for dx, dy in stencil:
+        for (ox, Ix), (oy, Iy) in itertools.product(on_grid[dx], on_grid[dy]):
+            # [ox + 1, oy + 1, I] = A[2I + d, 2I + d + o], the term of X at e = d + o;
+            # ndarray raises if the view leaves the band
+            terms = np.ndarray(
+                (ox.stop - ox.start, oy.stop - oy.start, Ix.stop - Ix.start, Iy.stop - Iy.start),
+                buffer=band, strides=(s0 + s2, s1 + s3, 2 * s2, 2 * s3),
+                offset=ox.start * s0 + oy.start * s1 + (2 * Ix.start + dx + ox.start - 1) * s2
+                + (2 * Iy.start + dy + oy.start - 1) * s3)
+            e = (slice(dx + ox.start, dx + ox.stop), slice(dy + oy.start, dy + oy.stop))
+            X[e + (Ix, Iy)] += terms * (w[dx] * w[dy])
+    # C[s + 1, I] = A_c[I, I + s].  By d', per direction: the s + 1 whose 2s + d'
+    # lies in [-1, 3] (the other terms are zero) and their X index 2s + d' + 1
+    s_block = (slice(1, 3), slice(0, 3), slice(0, 2))
+    e_block = (slice(1, 4, 2), slice(0, 5, 2), slice(1, 4, 2))
+    C = np.zeros((3, 3, nc, nc))
+    for dx, dy in stencil:
+        C[s_block[dx], s_block[dy]] += X[e_block[dx], e_block[dy]] * (w[dx] * w[dy])
+    # DIA column K = I + s holds A_c[I, K]; where row I is off the grid it stays 0
+    rows_cols = {-1: (slice(1, nc), slice(0, nc - 1)), 0: (slice(0, nc), slice(0, nc)),
+                 1: (slice(0, nc - 1), slice(1, nc))}
+    out = np.zeros((3, 3, nc, nc))
+    for sx, sy in stencil:
+        (Ix, Kx), (Iy, Ky) = rows_cols[sx - 1], rows_cols[sy - 1]
+        out[sx, sy, Kx, Ky] = C[sx, sy, Ix, Iy]
+    return sp.dia_array((out.reshape(9, nc * nc), _band_offsets(nc)), shape=(nc * nc, nc * nc))
 
 
 def sine_symbol(grid: GridSpec, modes) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Geometric multigrid V-cycle with polynomial smoothing.
 
 The hierarchy coarsens by factor 2 with bilinear prolongation and Galerkin
-coarse operators ``A_c = P^T A P``, each level keeping one operator (its
-9-point DIA band), down to a coarsest level solved by dense Cholesky.  A
+coarse operators ``A_c = P^T A P``, each written from strided stencil sums
+over the fine band, and each level keeps one operator (its 9-point DIA
+band), down to a coarsest level solved by dense Cholesky.  A
 symmetric V-cycle (equal pre- and post-smoothing, SPD-preconditioned
 polynomial smoother) has an A-self-adjoint, positive semidefinite error
 propagator, so its asymptotic A-norm contraction factor equals
@@ -30,7 +31,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother, sine_symbol
+from .fem import (GridSpec, _galerkin_band, assemble_poisson_q1, build_prolongation,
+                  jacobi_smoother, sine_symbol)
 from .linalg import CholeskySolver, as_csr
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
@@ -111,10 +113,9 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     (:func:`~polymg.fem.jacobi_smoother`); no eigensolve runs here.
     The model problem is a 9-point band on every level, so each level
     keeps its operator as one DIA band.  Each coarse band is ``P^T A P``
-    formed from the CSC of the fine band: ``P^T`` is a CSC view of ``P``,
-    so the product takes that operand without a copy, and the CSC is the
-    only other copy of the fine operator held through it.  (scipy builds
-    the CSC by way of a CSR; that conversion is the build's peak.)
+    written straight from strided stencil sums over the fine band
+    (:func:`~polymg.fem._galerkin_band`), with the bits of scipy's sparse
+    product and no other copy of the fine operator.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
@@ -122,9 +123,9 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     g, op = grid, assemble_poisson_q1(grid)
     while g.n_side > min_interior and g.m > 2:
         B = jacobi_smoother(op, g)
+        op_c = _galerkin_band(op, g)  # before P is built: lower peak
         cg = g.coarsen()
         P = build_prolongation(g, cg)
-        op_c = as_csr(P.T @ sp.csc_array(op) @ P).todia()  # before R is built: lower peak
         levels.append(Level(grid=g, op=op, smoother=B, P=P, R=as_csr(P.T)))
         g, op = cg, op_c
     levels.append(Level(grid=g, op=op, smoother=None, P=None, R=None))
@@ -186,7 +187,9 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     ratio until its relative change falls below ``tol``.  For a symmetric
     cycle the limit is ``||E||_A^2``.  When ``max_cycles`` is exhausted the
     last ratio is returned flagged not-converged.  ``x0`` is left unchanged.
-    Raises ``ValueError`` unless ``0 < tol < 1`` and ``max_cycles >= 1``.
+    Raises ``ValueError`` unless ``0 < tol < 1``, ``max_cycles >= 1`` and
+    ``x0`` (if given) is a finite vector of the finest-level size with a
+    nonzero, finite A-norm.
     """
     if not cfg.is_symmetric:
         raise ValueError("contraction measurement requires a symmetric cycle (pre == post)")
@@ -198,8 +201,14 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     n = A.shape[0]
     rng = np.random.default_rng(seed)
     e = rng.standard_normal(n) if x0 is None else np.array(x0, dtype=float)
+    if e.shape != (n,):
+        raise ValueError(f"x0 must match the finest-level size: shape ({n},), got {e.shape}")
+    if not np.isfinite(e).all():
+        raise ValueError("x0 must be finite")
     zero = np.zeros(n)
     norm = float(np.sqrt(e @ (A @ e)))
+    if not 0.0 < norm < math.inf:  # a zero start would report factor 0, converged
+        raise ValueError("x0 must have a nonzero, finite A-norm")
     ratio = 0.0
     for cycle in range(1, max_cycles + 1):
         if norm == 0.0:
