@@ -198,18 +198,21 @@ def sine_symbol(grid: GridSpec, modes) -> np.ndarray:
     return kx[:, None] * my[None, :] + mx[:, None] * ky[None, :]
 
 
-def jacobi_smoother(A, grid: GridSpec) -> DiagonalSmoother:
+def jacobi_smoother(A, grid: GridSpec, depth: int = 0) -> DiagonalSmoother:
     """Point-Jacobi preconditioner ``B = diag(A)^{-1}`` with exact ``rho(BA)``.
 
-    ``A`` must be the Q1 operator of ``grid``, assembled or a Galerkin
-    product of it (the two are equal).  Its diagonal is then the constant
+    ``A`` must be the Q1 operator of ``grid``: assembled, or the Galerkin
+    product of ``depth`` coarsenings of an assembled one (the two are
+    equal).  Its diagonal is then the constant
     ``d = (8/6)(hy/hx + hx/hy)``, so ``rho(BA) = lambda_max(A) / d`` comes
     from the sine-mode symbol (:func:`sine_symbol`) with no eigensolve.
     The symbol is bilinear in ``(c_x, c_y)``, so its maximum lies on one of
     the four corner modes ``i, j in {1, n_side}``.  The spectrum of
     ``BA / rho(BA)`` lies in (0, 1] up to rounding.  Raises ``ValueError``
     if the diagonal is not positive or differs from ``d`` by more than
-    1e-12 relative, i.e. if ``grid`` does not describe ``A``.
+    ``max(1e-12, eps 4^depth)`` relative, i.e. if ``grid`` does not
+    describe ``A``.  The bound grows with ``depth`` because the rounding
+    of a Galerkin diagonal grows about fourfold per product.
     """
     n = grid.n_interior
     if A.shape != (n, n):
@@ -218,7 +221,8 @@ def jacobi_smoother(A, grid: GridSpec) -> DiagonalSmoother:
     if not np.all(diag > 0.0):
         raise ValueError("matrix diagonal must be positive")
     d = (8.0 / 6.0) * (grid.hy / grid.hx + grid.hx / grid.hy)
-    if not np.all(np.abs(diag - d) <= 1e-12 * d):
+    tol = max(1e-12, np.finfo(float).eps * 4.0 ** depth)
+    if not np.all(np.abs(diag - d) <= tol * d):
         raise ValueError("matrix diagonal does not match the Q1 operator of the grid")
     lam_max = float(sine_symbol(grid, [1, grid.n_side]).max())
     return DiagonalSmoother(inverse_diagonal=1.0 / diag, rho_BA=lam_max / d)

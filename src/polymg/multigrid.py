@@ -122,7 +122,7 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     levels: list[Level] = []
     g, op = grid, assemble_poisson_q1(grid)
     while g.n_side > min_interior and g.m > 2:
-        B = jacobi_smoother(op, g)
+        B = jacobi_smoother(op, g, depth=len(levels))  # op took len(levels) Galerkin products
         op_c = _galerkin_band(op, g)  # before P is built: lower peak
         cg = g.coarsen()
         P = build_prolongation(g, cg)

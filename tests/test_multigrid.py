@@ -198,6 +198,22 @@ def test_build_peak_memory_is_a_few_fine_operators():
     assert peak <= 3 * h.finest.op.data.nbytes
 
 
+def test_diagonal_check_allows_the_rounding_of_deep_galerkin_levels():
+    # from m=11, aspect 2, the m=3 band's diagonal drifts 1.1e-12 relative:
+    # within eps 4^8 for its 8 Galerkin products, past the assembled 1e-12
+    lvl = build_hierarchy(GridSpec(m=5, aspect=2.0)).levels[2]
+
+    def drifted(rel):
+        op = lvl.op.copy()
+        op.data[list(op.offsets).index(0), 7] *= 1.0 + rel
+        return op
+
+    assert jacobi_smoother(drifted(1.1e-12), lvl.grid, depth=8).rho_BA == lvl.smoother.rho_BA
+    for rel, depth in ((1.1e-12, 0), (1e-6, 8)):
+        with pytest.raises(ValueError, match="does not match the Q1 operator"):
+            jacobi_smoother(drifted(rel), lvl.grid, depth=depth)
+
+
 @pytest.mark.parametrize("bad", ["csr", "other grid", "offsets reordered", "data too wide"])
 def test_galerkin_band_rejects_a_band_not_of_its_grid(bad):
     grid = GridSpec(m=4, aspect=2.0)

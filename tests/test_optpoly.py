@@ -119,6 +119,28 @@ def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
     assert len(calls) <= 10
 
 
+def test_roots_follow_their_asymptotic_law():
+    # arcsin(sqrt(r_i)) = theta_i sqrt(1 - 1/(4 i^2)) with theta_i = i pi/(2k+1)
+    k = 200
+    i = np.arange(1, 5)
+    theta = i * np.pi / (2 * k + 1)
+    ratio = np.arcsin(np.sqrt(optimal_roots(k).roots[:4])) / theta
+    assert np.all(np.abs(ratio - np.sqrt(1.0 - 1.0 / (4.0 * i * i))) < 1e-4)
+
+
+@pytest.mark.parametrize("k", [5, 50])
+def test_g_slope_matches_central_difference(k):
+    roots = optimal_roots(k).roots
+    gap = np.diff(roots)
+    step = 1e-6 * gap
+    for t in (0.2, 0.5, 0.8):
+        x = roots[:-1] + t * gap
+        _, neg_slope = optpoly._g_and_slope(x, roots)
+        g_hi, _ = optpoly._g_and_slope(x + step, roots)
+        g_lo, _ = optpoly._g_and_slope(x - step, roots)
+        assert np.allclose(neg_slope, (g_lo - g_hi) / (2.0 * step), rtol=1e-6, atol=0.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(gaps=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=16),
        top=st.floats(0.5, 2.0))
