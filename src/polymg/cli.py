@@ -37,9 +37,9 @@ from .smoothers import SmootherConfig
 __all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
 
 # the build's peak memory, the hierarchy itself (every level's band, P and
-# R), grows about 4x per level: 246 MB at m = 10 (aspect 2; 186 MB above the
-# 60 MB after import, 166 MB after the band assembly and 226 MB after its
-# Galerkin band), 802 MB at m = 11 (aspect 1), so about 3 GB at m = 12
+# R, and the cycle's four fine work vectors), grows about 4x per level:
+# 236 MB at m = 10 (aspect 2; 176 MB above the 60 MB after import) and
+# 759 MB at m = 11 (aspects 1, 2 and 8), so about 3 GB at m = 12
 _MAX_M = 11
 
 

@@ -1,10 +1,10 @@
 """Geometric multigrid V-cycle with polynomial smoothing.
 
-The hierarchy coarsens by factor 2 with bilinear prolongation and Galerkin
-coarse operators ``A_c = P^T A P``, each written from strided stencil sums
-over the fine band, and each level keeps one operator (its 9-point DIA
-band), down to a coarsest level solved by dense Cholesky.  A
-symmetric V-cycle (equal pre- and post-smoothing, SPD-preconditioned
+The hierarchy coarsens by factor 2 with bilinear prolongation and
+rediscretises the Q1 operator on every level, which for this model problem
+is the Galerkin operator ``A_c = P^T A P``.  Each level keeps one operator
+(its 9-point DIA band), down to a coarsest level solved by dense Cholesky.
+A symmetric V-cycle (equal pre- and post-smoothing, SPD-preconditioned
 polynomial smoother) has an A-self-adjoint, positive semidefinite error
 propagator, so its asymptotic A-norm contraction factor equals
 ``||E||_A^2`` for the half-cycle operator ``E`` the spectral bounds address.
@@ -25,14 +25,13 @@ Oosterlee & Schueller, *Multigrid*, 2001, ch. 4); see :func:`measure_C`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (GridSpec, _galerkin_band, assemble_poisson_q1, build_prolongation,
-                  jacobi_smoother, sine_symbol)
+from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother, sine_symbol
 from .linalg import CholeskySolver, as_csr
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
@@ -73,10 +72,26 @@ class Level:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Nested levels, finest first, plus the coarsest-level factorization."""
+    """Nested levels, finest first, plus the coarsest-level factorization.
+
+    It also owns the V-cycle's work arrays, so a cycle allocates only its
+    matrix products: per smoothed level a zero start's iterate ``x`` and the
+    smoother's ``r``, ``z`` and ``t`` (``r`` also takes the cycle's
+    residual), as blocks ``[r | z | t | x]`` at the start of one array of
+    four fine vectors.  A coarser level's blocks thus lie in ``r``, which
+    is not read while the cycle runs below.  A hierarchy runs one cycle at
+    a time: overlapping cycles on it overwrite each other's arrays.
+    """
 
     levels: tuple[Level, ...]
     coarse_solver: CholeskySolver
+    _work: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        buf = np.empty(4 * self.levels[0].op.shape[0])
+        object.__setattr__(self, "_work", tuple(
+            tuple(buf[i * n:(i + 1) * n] for i in (3, 0, 1, 2))  # (x, r, z, t)
+            for n in (lvl.op.shape[0] for lvl in self.levels[:-1])))
 
     @property
     def n_levels(self) -> int:
@@ -107,30 +122,28 @@ class VCycleConfig:
 def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     """Assemble the model problem and coarsen until ``n_side <= min_interior``.
 
-    Coarse operators are Galerkin products of the bilinear prolongation,
-    which equal the rediscretised Q1 operators, so every level's Jacobi
-    smoother takes ``rho(BA)`` from its grid's sine-mode symbol
-    (:func:`~polymg.fem.jacobi_smoother`); no eigensolve runs here.
-    The model problem is a 9-point band on every level, so each level
-    keeps its operator as one DIA band.  Each coarse band is ``P^T A P``
-    written straight from strided stencil sums over the fine band
-    (:func:`~polymg.fem._galerkin_band`), with the bits of scipy's sparse
-    product and no other copy of the fine operator.
+    Every level's operator is the Q1 operator assembled on its own grid
+    (:func:`~polymg.fem.assemble_poisson_q1`), one 9-point DIA band.  For
+    this model problem that rediscretised operator is the Galerkin product
+    ``P^T A P`` of the finer level and the bilinear prolongation, which the
+    V-cycle bounds assume; the tests check the identity against scipy's
+    sparse product.  Each level's Jacobi smoother takes ``rho(BA)`` from
+    its grid's sine-mode symbol (:func:`~polymg.fem.jacobi_smoother`), so
+    no eigensolve runs here.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
     levels: list[Level] = []
-    g, op = grid, assemble_poisson_q1(grid)
+    g = grid
     while g.n_side > min_interior and g.m > 2:
-        B = jacobi_smoother(op, g, depth=len(levels))  # op took len(levels) Galerkin products
-        op_c = _galerkin_band(op, g)  # before P is built: lower peak
+        op = assemble_poisson_q1(g)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
-        levels.append(Level(grid=g, op=op, smoother=B, P=P, R=as_csr(P.T)))
-        g, op = cg, op_c
+        levels.append(Level(grid=g, op=op, smoother=jacobi_smoother(op, g), P=P, R=as_csr(P.T)))
+        g = cg
+    op = assemble_poisson_q1(g)
     levels.append(Level(grid=g, op=op, smoother=None, P=None, R=None))
-    coarse_solver = CholeskySolver(op.toarray())
-    return Hierarchy(levels=tuple(levels), coarse_solver=coarse_solver)
+    return Hierarchy(levels=tuple(levels), coarse_solver=CholeskySolver(op.toarray()))
 
 
 def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.ndarray,
@@ -138,27 +151,31 @@ def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.
     """Cycle from ``level`` down and return the new iterate.
 
     ``x`` is updated in place; ``None`` starts from zero, as every coarse
-    level does, and lets the first smoothing step skip ``b - A 0``.
+    level does, and lets the first smoothing step skip ``b - A 0``.  The
+    iterate of a zero start is the level's work array, which the next
+    cycle overwrites; a coarse correction is used at once.
     """
     lvl = h.levels[level]
     if lvl.P is None:
         return h.coarse_solver.solve(b)
+    work = h._work[level]
     for _ in range(cfg.pre_steps):
-        x = apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+        x = apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother, work)
     if x is None:  # no pre-smoothing
-        x = np.zeros(b.shape)
-    r = b - lvl.op @ x
+        x = work[0]
+        x.fill(0.0)
+    r = np.subtract(b, lvl.op @ x, out=work[1])  # the smoother's r is free here
     ec = _v_cycle_level(h, cfg, None, lvl.R @ r, level + 1)
     x += lvl.P @ ec
     for _ in range(cfg.post_steps):
-        apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+        apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother, work)
     return x
 
 
 def v_cycle(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One V-cycle for ``A x = b`` starting from ``x`` on the finest level.
 
-    Returns the new iterate; ``x`` itself is left unchanged.
+    Returns the new iterate, a new array; ``x`` itself is left unchanged.
     """
     n = h.finest.op.shape[0]
     x = np.array(x, dtype=float)

@@ -18,6 +18,7 @@ expansion and iteration betas that realize the polynomial.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,7 @@ class EquioscillationState:
     roots: np.ndarray
     extrema: np.ndarray  # interior only; lam = 1 is the implicit last extremum
     f0: float            # equioscillation level, f(0) = (2 sum_i 1/r_i)^{-1/2}
-    residual: float      # final max |f(0) - |f(x_i)||
+    residual: float      # max |f(0) - |f(x_i)|| at these roots
     iterations: int
 
     @property
@@ -134,13 +135,14 @@ def optimal_roots(k: int) -> EquioscillationState:
     from the roots' asymptotic law (:func:`_asymptotic_start` at ``i`` and
     ``i + 1/2``), which converges for every ``k`` in the supported range,
     in 4 to 7 steps.  Stagnation at the double-precision floor
-    (residual below 1e-11 that stops improving) is accepted and recorded.
+    (residual below 1e-11 that stops improving) is accepted: the iterate
+    of least residual is returned, with ``iterations`` counting every step.
     """
     if not 1 <= k <= _MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {_MAX_DEGREE}]")
     r = _asymptotic_start(np.arange(1, k + 1), k)
     x_int = _asymptotic_start(np.arange(1, k) + 0.5, k)
-    best = np.inf
+    best = None  # the iterate of least residual so far
     stall = 0
     for outer in range(1, _NEWTON_MAX_ITER + 1):
         x_int = find_extrema(r, x_int)
@@ -151,19 +153,21 @@ def optimal_roots(k: int) -> EquioscillationState:
         f_abs = np.sqrt(w) * np.abs(p_xs)
         F = f0 - f_abs
         res = float(np.max(np.abs(F)))
+        state = EquioscillationState(k, r, x_int, float(f0), res, outer)
         if res < _NEWTON_TOL:
-            return EquioscillationState(k, r, x_int, float(f0), res, outer)
-        if res >= 0.5 * best:
+            return state
+        if best is not None and res >= 0.5 * best.residual:
             stall += 1
             if stall >= 2:
-                if best <= 1e-11:
-                    return EquioscillationState(k, r, x_int, float(f0), res, outer)
+                if best.residual <= 1e-11:
+                    return dataclasses.replace(best, iterations=outer)
                 raise RuntimeError(
                     f"equioscillation Newton stalled at residual {res:.3e} for k={k}"
                 )
         else:
             stall = 0
-        best = min(best, res)
+        if best is None or res < best.residual:
+            best = state
         # J_ij = f(0)^3 / r_j^2 + w(x_i) |f(x_i)| / (r_j (x_i - r_j))
         J = f0 ** 3 / r[None, :] ** 2 \
             + (w * f_abs)[:, None] / (r[None, :] * (xs[:, None] - r[None, :]))

@@ -90,15 +90,17 @@ class SmootherConfig:
 
 
 def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,
-                   cfg: SmootherConfig) -> np.ndarray:
+                   cfg: SmootherConfig, work=None) -> np.ndarray:
     """Run the configured smoother on ``x`` in place and return ``x``.
 
     ``x`` must be a float array the caller may overwrite, or ``None`` to
-    start from zero; then a new array is returned.  ``b`` is only read.
-    Besides the products with ``A``, one call allocates the recurrence
-    residual ``r`` (from a zero start the zero ``x`` instead: ``r_0`` is
-    ``b`` itself), the update ``z`` and a scratch ``t``.  Work whose result
-    is known is skipped, and each skip is exact in IEEE arithmetic:
+    start from zero.  ``b`` is only read.  ``work`` holds four float arrays
+    of ``b``'s shape that the call overwrites: the iterate of a zero start
+    (returned as ``x``), the recurrence residual ``r``, the update ``z``
+    and a scratch ``t``; without it they are allocated once on entry.
+    Besides these, each product with ``A`` allocates its result.  Work
+    whose result is known is skipped, and each skip is exact in IEEE
+    arithmetic:
 
     * ``z_0 = 0``, so the first step's ``a z + t`` is ``t`` (``z = t``);
     * ``a_i = 0`` (every ``simple`` step) gives ``z = t`` as well;
@@ -112,30 +114,30 @@ def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,
     entry that is exactly ``-0.0`` (making it ``+0.0``), the skip keeps the
     sign of that zero.
     """
-    if x is None:
-        x, r = np.zeros(b.shape), b  # r is never written: each update makes a new one
-    elif not cfg.steps:
+    if x is not None and not cfg.steps:
         return x
+    x0, r_out, z, t = [np.empty(b.shape) for _ in range(4)] if work is None else work
+    if x is None:
+        x, r = x0, b  # b is only read: the first update writes r_out
+        x.fill(0.0)
     else:
-        r = b - A @ x
+        r = np.subtract(b, A @ x, out=r_out)
     inv_rho = 1.0 / B.rho_BA
     dinv = B.inverse_diagonal
-    z = t = None
     last = len(cfg.steps) - 1
     for i, (a, c, beta) in enumerate(cfg.steps):
-        t = np.multiply(dinv, r, out=t)
+        np.multiply(dinv, r, out=t)
         t *= c * inv_rho
-        if z is None or a == 0.0:
-            z, t = t, z  # the old z, if any, is free to be the next scratch
+        if i == 0 or a == 0.0:
+            z, t = t, z  # the old z is free to be the next scratch
         else:
             z *= a
             z += t
         if beta == 1.0:
             x += z
         else:
-            t = np.multiply(z, beta, out=t)
+            np.multiply(z, beta, out=t)
             x += t
         if i < last:  # the final residual update would be unused
-            Az = A @ z
-            r = np.subtract(r, Az, out=Az)
+            r = np.subtract(r, A @ z, out=r_out)
     return x

@@ -119,6 +119,33 @@ def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
     assert len(calls) <= 10
 
 
+@pytest.mark.parametrize("k", [114, 143])
+def test_stall_returns_the_best_iterate(k, monkeypatch):
+    # at these degrees Newton stalls at the rounding floor, and its last
+    # iterate's residual is above an earlier one's: the best must be returned
+    search = optpoly.find_extrema
+    seen = []
+
+    def spy(roots, guesses=None):
+        extrema = search(roots, guesses)
+        seen.append((roots, extrema))
+        return extrema
+
+    monkeypatch.setattr(optpoly, "find_extrema", spy)
+    state = optimal_roots(k)
+    residuals = []
+    for roots, extrema in seen:
+        xs = np.append(extrema, 1.0)
+        p = optpoly._product_form(xs, roots)
+        f0 = (2.0 * np.sum(1.0 / roots)) ** -0.5
+        residuals.append(np.max(np.abs(f0 - np.sqrt(xs / (1.0 - p * p)) * np.abs(p))))
+    best = int(np.argmin(residuals))
+    assert best < len(seen) - 1 and state.iterations == len(seen)
+    assert state.residual == residuals[best]
+    assert np.array_equal(state.roots, seen[best][0])
+    assert np.array_equal(state.extrema, seen[best][1])
+
+
 def test_roots_follow_their_asymptotic_law():
     # arcsin(sqrt(r_i)) = theta_i sqrt(1 - 1/(4 i^2)) with theta_i = i pi/(2k+1)
     k = 200
