@@ -152,9 +152,10 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     matching analytic curves.  A cell whose measurement raises a numerical
     error (``ValueError``, including ``LinAlgError``, ``RuntimeError`` or
     ``ArithmeticError``) is written as NaN after a stderr warning; any
-    other exception, such as a ``TypeError``, propagates.  Power iterations
-    for each column are warm-started from the previous degree's limit
-    vector.
+    other exception, such as a ``TypeError``, propagates.  Each factor is
+    a Lanczos upper estimate, not a certificate (see
+    :func:`~polymg.multigrid.measure_contraction`); stderr gives its steps
+    and Ritz residual.
     """
     print(f"[run] building hierarchy m={cfg.m} aspect={cfg.aspect:g}", file=sys.stderr)
     hier = build_hierarchy(GridSpec(m=cfg.m, aspect=cfg.aspect))
@@ -168,7 +169,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     columns: dict[str, list[float]] = {}
     for name in cfg.smoothers:
         values: list[float] = []
-        vec = None
         for k in cfg.k_values:
             try:
                 res = measure_contraction(
@@ -176,19 +176,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
                     VCycleConfig(smoother=COLUMNS[name].smoother(k)),
                     seed=cfg.seed,
                     tol=cfg.tol,
-                    x0=vec,
                 )
-                vec = res.vector
                 values.append(res.factor)
                 note = "" if res.converged else " (cycle cap)"
                 print(
-                    f"[run] {name} k={k}: {res.factor:.6f} after {res.n_cycles} cycles{note}",
+                    f"[run] {name} k={k}: {res.factor:.6f} after {res.n_cycles} steps, "
+                    f"residual {res.residual:.1e}{note}",
                     file=sys.stderr,
                 )
             except (ValueError, RuntimeError, ArithmeticError) as exc:
                 print(f"[run] warning: {name} k={k} failed: {exc}", file=sys.stderr)
                 values.append(math.nan)
-                vec = None
         columns[name] = values
 
     out = cfg.out or Path(f"contraction-m{cfg.m}-a{cfg.aspect:g}.tsv")

@@ -4,7 +4,7 @@ Sparse matrices here are canonical CSR (``scipy.sparse.csr_array``, see
 :func:`as_csr`); the multigrid level operators are 9-point DIA bands and
 are converted where CSR is needed.  Vectors are 1-D float64 arrays.
 Everything here is deterministic: SpMV accumulates in stored order, and
-iterative estimates draw their start vectors from an explicit seed.
+iterative estimates start from a vector the caller passes.
 """
 
 from __future__ import annotations
@@ -83,38 +83,44 @@ _BREAKDOWN = float(np.sqrt(np.finfo(float).eps))
 
 def lanczos_max(
     apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
+    M,
+    x0: np.ndarray,
     *,
     tol: float = 1e-10,
     max_iter: int = 5000,
-    seed: int = 0,
 ) -> LanczosResult:
-    """Upper estimate of the largest eigenvalue of a symmetric operator.
+    """Upper estimate of the largest eigenvalue of an ``M``-self-adjoint operator.
 
-    Plain three-term Lanczos from a seeded random start: one ``apply`` per
-    step, three stored vectors, no reorthogonalisation (lost orthogonality
-    only adds ghost copies of converged Ritz values).  Every few steps the
-    top Ritz value ``theta`` and its residual bound ``r = beta_j |s_j|`` are
-    formed; the run stops once ``r <= tol * theta`` or on breakdown.  Ritz
-    values approach the top eigenvalue from below and an eigenvalue lies
-    within ``r`` of ``theta``, so ``value = theta + r`` is an upper estimate.
-    Exhausting ``max_iter`` returns the last estimate with ``converged=False``.
+    Plain three-term Lanczos from ``x0`` (left unchanged) in the inner
+    product of the SPD operator ``M`` (anything with ``M @ v``).  It keeps
+    ``M``'s images of its three stored vectors, so a step costs one
+    ``apply`` and one product with ``M``; there is no reorthogonalisation
+    (lost orthogonality only adds ghost copies of converged Ritz values).
+    Every few steps the top Ritz value ``theta`` and its residual bound
+    ``r = beta_j |s_j|`` are formed; the run stops once ``r <= tol * theta``
+    or on breakdown.  Ritz values approach the top eigenvalue from below and
+    an eigenvalue lies within ``r`` of ``theta``, so ``value = theta + r`` is
+    an upper estimate, not a certificate.  Exhausting ``max_iter`` returns
+    the last estimate with ``converged=False``.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    q_prev, b = np.zeros(n), 0.0
+    Mq = M @ x0
+    norm = float(np.sqrt(x0 @ Mq))
+    if not 0.0 < norm < np.inf:
+        raise ValueError("x0 must have a nonzero, finite M-norm")
+    q, Mq = x0 / norm, Mq / norm
+    q_prev, b = np.zeros_like(q), 0.0
     alpha: list[float] = []
     beta: list[float] = []
     for j in range(1, max_iter + 1):
         w = apply(q)
-        a = float(q @ w)
+        a = float(Mq @ w)
         w = w - a * q  # a new array: ``apply`` may return its argument
         w -= b * q_prev
+        Mw = M @ w
         alpha.append(a)
-        b_prev, b = b, float(np.linalg.norm(w))
+        b_prev, b = b, float(np.sqrt(max(w @ Mw, 0.0)))
         breakdown = b <= _BREAKDOWN * (abs(a) + b_prev)
         if breakdown or j % _CHECK_EVERY == 0 or j == max_iter:
             theta, s = scipy.linalg.eigh_tridiagonal(
@@ -124,7 +130,7 @@ def lanczos_max(
             if converged or j == max_iter:
                 return LanczosResult(float(theta[0]) + r, bool(converged), j, r)
         beta.append(b)
-        q_prev, q = q, w / b
+        q_prev, q, Mq = q, w / b, Mw / b
 
 
 class CholeskySolver:

@@ -75,9 +75,13 @@ def test_validate_csr_flags_asymmetry():
         validate_csr(A, symmetric=True, tol=1e-12)
 
 
+def _start(n, seed=0):
+    return np.random.default_rng(seed).standard_normal(n)
+
+
 def test_lanczos_max_diagonal_operator():
     d = np.array([0.3, 1.7, 0.9, 2.4, 2.399, 0.01] * 20)
-    res = lanczos_max(lambda v: d * v, n=d.size, tol=1e-12, seed=1)
+    res = lanczos_max(lambda v: d * v, sp.eye_array(d.size), _start(d.size, 1), tol=1e-12)
     assert res.converged
     assert 0.0 <= res.residual <= 1e-12 * res.value
     # theta + residual: an upper estimate
@@ -89,7 +93,7 @@ def test_lanczos_max_matches_dense_spectrum():
     A = _random_spd(20, seed=11)
     s = 1.0 / np.sqrt(np.diag(A))
     S = s[:, None] * A * s[None, :]
-    res = lanczos_max(lambda v: S @ v, n=20, tol=1e-13, seed=2)
+    res = lanczos_max(lambda v: S @ v, sp.eye_array(20), _start(20, 2), tol=1e-13)
     expected = scipy.linalg.eigh(S, eigvals_only=True)[-1]
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-9)
@@ -99,7 +103,7 @@ def test_lanczos_max_matches_dense_spectrum():
 def test_lanczos_max_breakdown_is_converged(n):
     # n steps span the whole space; with tol = 0 only breakdown can stop the run
     d = np.linspace(0.5, 3.0, n)
-    res = lanczos_max(lambda v: d * v, n=n, tol=0.0, max_iter=50, seed=4)
+    res = lanczos_max(lambda v: d * v, sp.eye_array(n), _start(n, 4), tol=0.0, max_iter=50)
     assert res.converged
     assert res.iterations == n
     assert res.value == pytest.approx(d[-1], rel=1e-13)
@@ -107,17 +111,18 @@ def test_lanczos_max_breakdown_is_converged(n):
 
 def test_lanczos_max_flags_exhaustion():
     d = np.random.default_rng(5).random(200)
-    res = lanczos_max(lambda v: d * v, n=200, tol=1e-12, max_iter=3)
+    res = lanczos_max(lambda v: d * v, sp.eye_array(200), _start(200), tol=1e-12, max_iter=3)
     assert not res.converged
     assert res.iterations == 3
     assert res.residual > 1e-12 * res.value
     with pytest.raises(ValueError, match="max_iter"):
-        lanczos_max(lambda v: d * v, n=200, max_iter=0)
+        lanczos_max(lambda v: d * v, sp.eye_array(200), _start(200), max_iter=0)
 
 
 def test_lanczos_max_deterministic_per_seed():
     A = _random_sparse_symmetric(300, seed=6)
-    runs = [lanczos_max(lambda v: A @ v, n=300, tol=1e-10, seed=seed) for seed in (3, 3, 4)]
+    runs = [lanczos_max(lambda v: A @ v, sp.eye_array(300), _start(300, seed), tol=1e-10)
+            for seed in (3, 3, 4)]
     assert runs[0] == runs[1]
     assert runs[0].value == pytest.approx(runs[2].value, rel=1e-9)
 
