@@ -110,14 +110,14 @@ def omega_max_asymptotic(k: int) -> float:
     return 2.0 - math.log(4.0 * k) / (2.0 * k)
 
 
-def omega_max_exact(k: int, tol: float = 1e-14) -> float:
+def omega_max_exact(k: int) -> float:
     """Largest omega satisfying the validity condition, by bisection."""
     _check_k(k)
     return bisect_root(
         lambda om: (1.0 - om) ** (2 * k) * (1.0 + 2.0 * om * k) - 1.0,
         1.0 + 1e-9,
         2.0 - 1e-12,
-        tol=tol,
+        tol=1e-14,
     )
 
 

@@ -139,10 +139,14 @@ def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
 
-def _write_table(path: Path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    lines = ["\t".join(header)]
-    lines.extend("\t".join(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(out: Path | None, header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Write a tab-separated table to ``out``, or to stdout if it is None; return the text."""
+    text = "".join("\t".join(row) + "\n" for row in (header, *rows))
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text)
+    return text
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
@@ -217,19 +221,14 @@ def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
     a change of the root solver within its tolerance moved k=61 from
     1.087300e-05 to 1.087302e-05.
     """
-    lines = ["k\tgamma_inv\testimate\tdiff\tnext_term"]
+    rows = []
     for k in k_values:
         gi = optimal_roots(k).gamma_inv
         est = bnd.opt_gamma_inv_estimate(k)
         n = 2 * k + 1
         nxt = math.pi ** 2 / (60.0 * n * n)
-        lines.append(f"{k}\t{gi:.6f}\t{est:.6f}\t{gi - est:.6e}\t{nxt:.6e}")
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        out.write_text(text)
-    return text
+        rows.append([str(k), f"{gi:.6f}", f"{est:.6f}", f"{gi - est:.6e}", f"{nxt:.6e}"])
+    return _write_table(out, ["k", "gamma_inv", "estimate", "diff", "next_term"], rows)
 
 
 def _cmd_assemble(args: argparse.Namespace) -> int:
@@ -274,12 +273,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
                     _fmt(bnd.bound_opt_conjecture(C, k)),
                 ]
             )
-    if args.out is None:
-        sys.stdout.write("\t".join(header) + "\n")
-        for row in rows:
-            sys.stdout.write("\t".join(row) + "\n")
-    else:
-        _write_table(args.out, header, rows)
+    _write_table(args.out, header, rows)
     return 0
 
 

@@ -1,5 +1,13 @@
-"""End-to-end command line checks via subprocess."""
+"""End-to-end command line checks.
 
+Most tests call ``polymg.cli.main`` in this process; the few that test the
+process itself (the ``python -m polymg`` entry point, the exit status and
+stderr of a usage error, byte-identical output of two fresh processes, the
+modules an import loads) start a subprocess.
+"""
+
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -23,6 +31,24 @@ TIMEOUT_S = 120
 
 
 def run_cli(*args, cwd=None):
+    """``polymg.cli.main(args)`` in this process, in ``cwd`` if given, with its output captured."""
+    out, err = io.StringIO(), io.StringIO()
+    old_cwd = os.getcwd()
+    try:
+        if cwd is not None:
+            os.chdir(cwd)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = polymg.cli.main(list(args))
+            except SystemExit as exc:  # argparse exits on bad usage
+                code = exc.code
+    finally:
+        os.chdir(old_cwd)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+def run_process(*args, cwd=None):
+    """``python -m polymg args`` in a fresh process."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
     try:
@@ -47,7 +73,7 @@ def _read_tsv(path):
 
 
 def test_opt_poly_k1():
-    res = run_cli("opt-poly", "--k", "1")
+    res = run_process("opt-poly", "--k", "1")
     assert res.returncode == 0
     assert "0.666666" in res.stdout
     assert "1.125" in res.stdout
@@ -112,7 +138,7 @@ def test_assemble_reports_the_csr_nonzero_count(tmp_path):
 
 
 def test_bounds_rejects_a_bad_omega_without_a_traceback():
-    res = run_cli("bounds", "--C", "2", "--k", "1", "--omega", "-1")
+    res = run_process("bounds", "--C", "2", "--k", "1", "--omega", "-1")
     assert res.returncode == 2  # a usage error, as for every other bad value
     assert res.stderr.strip().endswith("error: argument --omega: omega must lie in (0, 2)")
     assert "Traceback" not in res.stderr
@@ -120,7 +146,7 @@ def test_bounds_rejects_a_bad_omega_without_a_traceback():
 
 def test_run_deterministic_and_below_bounds(tmp_path):
     args = ("run", "--m", "3", "--aspect", "2", "--k", "1..2", "--seed", "7")
-    first = run_cli(*args, cwd=tmp_path)
+    first = run_process(*args, cwd=tmp_path)
     assert first.returncode == 0, first.stderr
     points = tmp_path / "contraction-m3-a2.tsv"
     curves = tmp_path / "contraction-m3-a2-bounds.tsv"
@@ -142,7 +168,7 @@ def test_run_deterministic_and_below_bounds(tmp_path):
     assert float(rows[0][2]) == pytest.approx(float(rows[0][4]), abs=1e-6)
 
     snapshot = (points.read_bytes(), curves.read_bytes())
-    second = run_cli(*args, cwd=tmp_path)
+    second = run_process(*args, cwd=tmp_path)
     assert second.returncode == 0
     assert (points.read_bytes(), curves.read_bytes()) == snapshot
 

@@ -23,7 +23,7 @@ from polymg.multigrid import (
 )
 from polymg.optpoly import optimal_polynomial
 from polymg.poly import PolynomialSpec, gamma_mu
-from polymg.smoothers import SmootherConfig
+from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 # dense measurements of C on the m=4 model problem, by aspect ratio
 C_M4 = {1.0: 1.9621, 2.0: 7.5408, 4.0: 26.2785}
@@ -315,19 +315,13 @@ def test_v_cycle_shape_validation(hierarchy_m4_a2):
         v_cycle(hierarchy_m4_a2, cfg, np.zeros(7), np.zeros(7))
 
 
-def test_cycle_config_validation():
-    with pytest.raises(ValueError):
-        VCycleConfig(smoother=SmootherConfig.cheb4(1), pre_steps=-1)
-    assert not VCycleConfig(smoother=SmootherConfig.cheb4(1), post_steps=2).is_symmetric
-
-
 def test_zero_smoothing_cycle_is_coarse_projection(two_level_m5_a2):
     # with no smoothing the two-level error propagator is pi_f exactly
     h = two_level_m5_a2
     assert h.n_levels == 2
     top = h.levels[0]
     pif = _fine_space_projector(top.A, top.P, h.levels[1].A)
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1), pre_steps=0, post_steps=0)
+    cfg = VCycleConfig(smoother=SmootherConfig.simple(4.0 / 3.0, 0))  # no smoothing steps
     e = np.random.default_rng(3).standard_normal(top.A.shape[0])
     out = v_cycle(h, cfg, e, np.zeros_like(e))
     assert np.max(np.abs(out - pif @ e)) < 1e-10 * np.linalg.norm(e)
@@ -345,12 +339,14 @@ def test_measured_contraction_matches_operator_norm(hierarchy_m4_a2):
 def test_symmetric_cycle_norm_is_half_cycle_squared():
     h = build_hierarchy(GridSpec(m=4, aspect=2.0), min_interior=7)
     assert h.n_levels == 2
+    top = h.finest
     sm = SmootherConfig.cheb4(1)
-    full = _a_norm(_error_operator(h, VCycleConfig(smoother=sm)), h.finest.A)
-    half = _a_norm(
-        _error_operator(h, VCycleConfig(smoother=sm, pre_steps=0, post_steps=1)),
-        h.finest.A,
-    )
+    full = _a_norm(_error_operator(h, VCycleConfig(smoother=sm)), top.A)
+    # the half cycle: coarse correction, then one smoothing
+    zero = np.zeros(top.A.shape[0])
+    S = np.array([apply_smoother(top.op, top.smoother, e, zero, sm)
+                  for e in np.eye(top.A.shape[0])]).T
+    half = _a_norm(S @ _fine_space_projector(top.A, top.P, h.levels[1].A), top.A)
     assert full == pytest.approx(half ** 2, rel=1e-8)
 
 
@@ -364,12 +360,6 @@ def test_v_cycle_error_operator_is_a_self_adjoint(hierarchy_m4_a2):
     Eu = v_cycle(h, cfg, u, zero)
     Ev = v_cycle(h, cfg, v, zero)
     assert (A @ Eu) @ v == pytest.approx(u @ (A @ Ev), rel=1e-9)
-
-
-def test_measure_contraction_requires_symmetric_cycle(hierarchy_m4_a2):
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1), pre_steps=2, post_steps=1)
-    with pytest.raises(ValueError, match="symmetric"):
-        measure_contraction(hierarchy_m4_a2, cfg)
 
 
 @pytest.mark.parametrize("bad", [{"max_cycles": 0}, {"max_cycles": -3}, {"tol": math.nan},
@@ -445,7 +435,11 @@ def test_measure_C_rejects_operands_of_no_two_level_pair(hierarchy_m4_a2):
     for args in ((A, B, as_csr(sp.eye_array(A.shape[0])), A),  # square P: no coarse space
                  (A, B, P, hierarchy_m4_a2.levels[2].op),  # A_c of the wrong size
                  (small, B, P, Ac),  # no 2^m grid has 10 unknowns
-                 (2.0 * A, B, P, Ac)):  # a diagonal of no grid
+                 (2.0 * A, B, P, Ac),  # a diagonal of no grid
+                 # smoothers that are not the grid's: each gave a wrong C (3.296 and
+                 # 4.729 against 7.881 at m = 5, aspect 2)
+                 (A, DiagonalSmoother(B.inverse_diagonal, rho_BA=1.0), P, Ac),
+                 (A, DiagonalSmoother(np.full(A.shape[0], 0.5), B.rho_BA), P, Ac)):
         with pytest.raises(ValueError):
             measure_C(*args)
         with pytest.raises(ValueError):
