@@ -61,6 +61,16 @@ COLUMNS = {
 }
 
 
+def cycle_key(sm: SmootherConfig) -> tuple:
+    """The steps of ``sm`` that the V-cycle reads.
+
+    The first step's ``a`` multiplies ``z_0 = 0`` and ``apply_smoother``
+    never reads it, so smoothers with equal keys (w43 and cheb at k = 1)
+    run one cycle and need one measurement.
+    """
+    return sm.steps[0][1:], sm.steps[1:]
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Configuration of one contraction-factor sweep."""
@@ -171,16 +181,17 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
     print(f"[run] using C = {C:.6f} ({cfg.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
+    measured = {}  # cycle_key -> result, so each distinct cycle is measured once
     for name in cfg.smoothers:
         values: list[float] = []
         for k in cfg.k_values:
             try:
-                res = measure_contraction(
-                    hier,
-                    VCycleConfig(smoother=COLUMNS[name].smoother(k)),
-                    seed=cfg.seed,
-                    tol=cfg.tol,
-                )
+                sm = COLUMNS[name].smoother(k)
+                key = cycle_key(sm)
+                if key not in measured:
+                    measured[key] = measure_contraction(
+                        hier, VCycleConfig(smoother=sm), seed=cfg.seed, tol=cfg.tol)
+                res = measured[key]
                 values.append(res.factor)
                 note = "" if res.converged else " (cycle cap)"
                 print(

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolynomialSpec, _product_form
+from .poly import PolynomialSpec
 
 __all__ = [
     "EquioscillationState",
@@ -37,17 +37,21 @@ _NEWTON_TOL = 1e-14  # equioscillation residual, and step size of the extremum s
 _NEWTON_MAX_ITER = 100  # iteration cap of both Newton solves
 
 
-def _g_and_slope(x, roots):
-    """``g(x)`` and ``-g'(x)`` from one reciprocal array ``q = 1/(x - r)``.
+def _signed_p(diff, roots):
+    """``(-1)^k p(x) = prod_i (x - r_i) / prod_i r_i`` from ``diff = x - r``."""
+    return np.prod(diff, axis=-1) / np.prod(roots)
 
-    ``g = (1 - p^2)/2 + x sum_i q_i`` and ``-g' = p^2 sum_i q_i +
-    sum_i r_i q_i^2``.  Both sums are BLAS gemv, whose last bits depend on
-    the BLAS thread count.
+
+def _g_and_slope(x, roots):
+    """``g(x)`` and ``-g'(x)`` from one array: ``p`` from ``q = x - r``, then ``q = 1/(x - r)``.
+
+    ``g = (1 - p^2)/2 + x sum_i q_i`` and ``-g' = p^2 sum_i q_i + sum_i r_i q_i^2``;
+    both sums are BLAS gemv, whose last bits depend on the BLAS thread count.
     """
     q = x[..., None] - roots
+    p2 = _signed_p(q, roots) ** 2
     np.reciprocal(q, out=q)
     s = q @ np.ones(len(roots))
-    p2 = _product_form(x, roots) ** 2
     np.square(q, out=q)
     return 0.5 * (1.0 - p2) + x * s, p2 * s + q @ roots
 
@@ -64,11 +68,13 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
     the bracket end that its own iterate just set, as in ``rtsafe`` (Press
     et al., *Numerical Recipes*, section 9.4).  The search returns once
     every gap's step is that small.  Roots must be finite, positive and
-    strictly increasing.
+    strictly increasing, and their product a normal float (``g`` divides by it).
     """
     roots = np.asarray(roots, dtype=float)
     if not np.all(np.isfinite(roots)) or np.any(roots <= 0.0):
         raise ValueError("roots must be finite and positive")
+    if not np.finfo(float).tiny <= np.prod(roots) < np.inf:
+        raise ValueError("the product of the roots must be a normal float")
     k = len(roots)
     if k < 2:
         return np.empty(0)
@@ -148,7 +154,8 @@ def optimal_roots(k: int) -> EquioscillationState:
         x_int = find_extrema(r, x_int)
         xs = np.concatenate([x_int, [1.0]])
         f0 = (2.0 * np.sum(1.0 / r)) ** -0.5
-        p_xs = _product_form(xs, r)
+        diff = xs[:, None] - r
+        p_xs = _signed_p(diff, r)
         w = xs / (1.0 - p_xs ** 2)
         f_abs = np.sqrt(w) * np.abs(p_xs)
         F = f0 - f_abs
@@ -169,8 +176,7 @@ def optimal_roots(k: int) -> EquioscillationState:
         if best is None or res < best.residual:
             best = state
         # J_ij = f(0)^3 / r_j^2 + w(x_i) |f(x_i)| / (r_j (x_i - r_j))
-        J = f0 ** 3 / r[None, :] ** 2 \
-            + (w * f_abs)[:, None] / (r[None, :] * (xs[:, None] - r[None, :]))
+        J = f0 ** 3 / r ** 2 + (w * f_abs)[:, None] / (r * diff)
         r = r + np.linalg.solve(J, -F)
         if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0) or r[-1] >= 1.0:
             raise RuntimeError(f"Newton step left the feasible root region for k={k}")

@@ -101,6 +101,8 @@ class PolynomialSpec:
 
     def __post_init__(self):
         a = np.asarray(self.cheb4_coeffs, dtype=float)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("coefficients must be finite")
         # p(0) = sum alpha_i W_i(1) = sum alpha_i (2i+1), a sum that rounds
         # relative to sum |alpha_i| (2i+1), which is huge when the roots are small
         orders = 2.0 * np.arange(a.size) + 1.0
@@ -112,6 +114,8 @@ class PolynomialSpec:
             r = np.asarray(self.roots, dtype=float)
             if r.shape != (self.degree,):
                 raise ValueError("need exactly `degree` roots")
+            if not np.all(np.isfinite(r)):
+                raise ValueError("roots must be finite")
             if np.any(r <= 0.0):
                 raise ValueError("roots must be positive")
             object.__setattr__(self, "roots", r)
@@ -146,22 +150,21 @@ class PolynomialSpec:
         """``prod_i (1 - lam / r_i)`` with its fourth-kind expansion.
 
         ``alpha_0..alpha_{k-1}`` come from the k-node Gauss rule for the
-        fourth-kind weight, ``(1/pi) int sqrt((1-x)/(1+x)) f(x) dx ~=
-        sum_i w_i f(x_i)`` with ``x_i = cos(i pi / (k + 1/2))`` (the roots of
-        ``W_k``) and ``w_i = (1 - x_i) / (k + 1/2)``, exact for degree
-        ``<= 2k - 1``, against the orthonormal ``W_j``.  The rule returns 0
-        for ``alpha_k``, which instead comes from the leading monomial
-        coefficient: ``alpha_k = 1 / (4^k prod_i r_i)``.
+        fourth-kind weight against the orthonormal ``W_j`` (exact for degree
+        ``<= 2k - 1``) at the roots ``lam_i = sin^2(t_i)``, ``t_i = i pi/(2k+1)``,
+        of ``W_k(1 - 2 lam)``; ``W_j(cos 2t) = sin((2j+1) t) / sin t`` folds
+        weight and basis into ``alpha_j = (4/(2k+1)) sum_i sin((2j+1) t_i)
+        sin(t_i) p(lam_i)``.  The rule returns 0 for ``alpha_k``, the leading
+        monomial coefficient ``1 / (4^k prod_i r_i)``.
         """
         roots = np.asarray(roots, dtype=float)
         k = len(roots)
-        x = np.cos(np.arange(1, k + 1) * np.pi / (k + 0.5))
-        w = (1.0 - x) / (k + 0.5)
-        p_at_nodes = _product_form(0.5 * (1.0 - x), roots)
-        alphas = np.zeros(k + 1)
-        for j, basis in zip(range(k), _w_sequence(x)):
-            alphas[j] = np.sum(w * basis * p_at_nodes)
-        alphas[k] = 1.0 / (4.0 ** k * np.prod(roots))
+        n = 2 * k + 1
+        sines = np.sin(np.arange(2 * n) * (np.pi / n))  # sin(m pi / n), period 2n in m
+        i = np.arange(1, k + 1)
+        weighted = sines[i] * _product_form(sines[i] ** 2, roots)
+        alphas = np.append(sines[np.outer(2 * i - 1, i) % (2 * n)] @ weighted * (4.0 / n),
+                           1.0 / (4.0 ** k * np.prod(roots)))
         return cls(cheb4_coeffs=alphas, roots=roots)
 
     @classmethod

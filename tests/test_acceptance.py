@@ -37,7 +37,7 @@ from polymg.bounds import (
     sharp_constants,
     sharp_f_factor,
 )
-from polymg.cli import COLUMNS, emit_gamma_table
+from polymg.cli import COLUMNS, cycle_key, emit_gamma_table
 from polymg.optpoly import optimal_roots
 from polymg.poly import cheb4_coefficients
 from polymg.smoothers import DiagonalSmoother, apply_smoother
@@ -62,10 +62,8 @@ def contraction_sweep():
 
     Each cell is one Lanczos estimate from the seed-0 start; the elapsed
     wall time of the m=8 portion is recorded for the runtime criterion.
-    A smoother's first step multiplies its ``a`` by ``z_0 = 0``, and
-    ``apply_smoother`` never reads it, so smoothers whose steps differ only
-    there (w43 and cheb at k = 1) run one cycle; each distinct cycle is
-    measured once per grid.
+    Each distinct cycle (:func:`polymg.cli.cycle_key`) is measured once
+    per grid: w43 and cheb at k = 1 run one cycle.
     """
     factors = {}
     elapsed_m8 = 0.0
@@ -76,7 +74,7 @@ def contraction_sweep():
             measured = {}
 
             def factor(sm):
-                key = (sm.steps[0][1:], sm.steps[1:])
+                key = cycle_key(sm)
                 if key not in measured:
                     measured[key] = measure_contraction(
                         hier, VCycleConfig(smoother=sm), tol=1e-6, max_cycles=300).factor

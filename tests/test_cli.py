@@ -207,6 +207,22 @@ def test_run_writes_nan_for_a_numerical_failure(tmp_path, monkeypatch, capsys):
     assert "cheb k=1 failed: no contraction" in capsys.readouterr().err
 
 
+def test_run_measures_each_distinct_cycle_once(tmp_path, monkeypatch):
+    # w43 and cheb at k = 1 differ only in the first step's unread `a`
+    calls = []
+    measure = polymg.cli.measure_contraction
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return measure(*args, **kwargs)
+
+    monkeypatch.setattr(polymg.cli, "measure_contraction", counted)
+    out, _ = run_experiment(ExperimentConfig(m=4, aspect=2.0, out=tmp_path / "c.tsv"))
+    header, rows = _read_tsv(out)
+    assert len(rows) * (len(header) - 1) == 24 and len(calls) == 23
+    assert rows[0][header.index("w43")] == rows[0][header.index("cheb")]
+
+
 def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
     monkeypatch.setattr(polymg.cli, "measure_contraction", _raise(TypeError("bad argument")))
     with pytest.raises(TypeError, match="bad argument"):

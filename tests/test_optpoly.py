@@ -1,6 +1,7 @@
 """Equioscillation-optimal smoother polynomials and their expansions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from polymg import optpoly
 from polymg.optpoly import find_extrema, optimal_polynomial, optimal_roots
-from polymg.poly import PolynomialSpec, gamma_mu
+from polymg.poly import PolynomialSpec, _product_form, gamma_mu
 from polymg.scalar import bisect_root, golden_section_min
 
 # printed reference values for the optimal 1/gamma (last column digit exact)
@@ -91,6 +92,13 @@ def test_find_extrema_rejects_bad_roots(roots):
         find_extrema(roots)
 
 
+@pytest.mark.parametrize("roots", [np.linspace(1e-3, 2e-3, 150), np.linspace(0.5, 600.0, 150)])
+def test_find_extrema_rejects_roots_whose_product_leaves_the_float_range(roots):
+    # g forms p = prod(x - r) / prod(r), which needs prod(r) in the normal range
+    with pytest.raises(ValueError, match="normal float"):
+        find_extrema(roots)
+
+
 def test_find_extrema_rejects_bad_guesses():
     roots = [0.2, 0.5, 0.9]
     for guesses in ([0.3], [math.nan, 0.7], [0.3, math.inf]):
@@ -119,7 +127,7 @@ def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
     assert len(calls) <= 10
 
 
-@pytest.mark.parametrize("k", [114, 143])
+@pytest.mark.parametrize("k", [167, 191])
 def test_stall_returns_the_best_iterate(k, monkeypatch):
     # at these degrees Newton stalls at the rounding floor, and its last
     # iterate's residual is above an earlier one's: the best must be returned
@@ -136,7 +144,7 @@ def test_stall_returns_the_best_iterate(k, monkeypatch):
     residuals = []
     for roots, extrema in seen:
         xs = np.append(extrema, 1.0)
-        p = optpoly._product_form(xs, roots)
+        p = optpoly._signed_p(xs[:, None] - roots, roots)
         f0 = (2.0 * np.sum(1.0 / roots)) ** -0.5
         residuals.append(np.max(np.abs(f0 - np.sqrt(xs / (1.0 - p * p)) * np.abs(p))))
     best = int(np.argmin(residuals))
@@ -185,6 +193,27 @@ def test_extrema_match_bisection(gaps, top):
         assert a < x < b
         ref = bisect_root(g, np.nextafter(a, b), np.nextafter(b, a), tol=1e-13 * (b - a))
         assert abs(x - ref) <= 1e-12 * (b - a)
+
+
+def test_every_supported_degree_converges(optimal_states):
+    # acceptance check 06 takes the betas of the same degrees to [1, 1.6)
+    for k, state in enumerate(optimal_states, start=1):
+        assert state.degree == k and state.residual <= 1e-11, k
+
+
+@pytest.mark.parametrize("k", [2, 50, 200])
+def test_signed_p_matches_exact_product(k, optimal_states):
+    # p from the difference array x - r, as g and the equioscillation residual
+    # take it, against rational arithmetic at extrema down from x = 1; the
+    # 1 - x/r_i of _product_form loses up to 5e-12 relative there at k = 200
+    state = optimal_states[k - 1]
+    xs = np.append(state.extrema, 1.0)[::-(k // 20 + 1)]
+    p2 = optpoly._signed_p(xs[:, None] - state.roots, state.roots) ** 2
+    roots = [Fraction(r) for r in state.roots]
+    exact = np.array([float((math.prod(Fraction(x) - r for r in roots) / math.prod(roots)) ** 2)
+                      for x in xs])
+    assert np.max(np.abs(p2 / exact - 1.0)) <= 1e-13
+    assert np.max(np.abs(p2 / _product_form(xs, state.roots) ** 2 - 1.0)) <= 1e-11
 
 
 def test_gamma_matches_functional():

@@ -13,6 +13,28 @@ def _damped(omega, k):
     return PolynomialSpec.from_roots(np.full(k, 1.0 / omega))
 
 
+def _gauss_rule_alphas(roots):
+    """Reference expansion: the Gauss rule with ``W_j`` at the nodes by recurrence."""
+    k = len(roots)
+    x = np.cos(np.arange(1, k + 1) * np.pi / (k + 0.5))
+    w = (1.0 - x) / (k + 0.5)
+    p = np.prod(1.0 - 0.5 * (1.0 - x)[:, None] / roots, axis=1)
+    alphas = np.zeros(k + 1)
+    w_prev, basis = -np.ones(k), np.ones(k)
+    for j in range(k):
+        alphas[j] = np.sum(w * basis * p)
+        w_prev, basis = basis, 2.0 * x * basis - w_prev
+    alphas[k] = 1.0 / (4.0 ** k * np.prod(roots))
+    return alphas
+
+
+def _beta_error(roots):
+    """Largest |beta - reference beta| of ``from_roots``, over ``max(1, max |beta|)``."""
+    betas = PolynomialSpec.from_roots(roots).iteration_betas
+    reference = PolynomialSpec(cheb4_coeffs=_gauss_rule_alphas(roots)).iteration_betas
+    return np.max(np.abs(betas - reference)) / max(1.0, np.max(np.abs(reference)))
+
+
 def _fourth_kind(k, lam):
     """Reference ``W_k(1 - 2 lam) / (2k + 1)`` straight from the W recurrence."""
     return cheb_w(k, 1.0 - 2.0 * lam) / (2 * k + 1)
@@ -94,6 +116,18 @@ def test_spec_validation():
         PolynomialSpec()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: PolynomialSpec.from_roots([np.nan, 0.5]),
+    lambda: PolynomialSpec.from_roots([np.inf, 0.5]),
+    lambda: PolynomialSpec(cheb4_coeffs=[np.nan, 0.1]),
+    lambda: PolynomialSpec(cheb4_coeffs=[0.0, 1.0 / 3.0], roots=[np.nan]),
+], ids=["nan-root", "inf-root", "nan-coefficient", "nan-root-given"])
+def test_spec_rejects_non_finite_input(build):
+    # NaN passes both `|p(0) - 1| > tol` and `r <= 0` as False
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def test_from_betas_ones_is_fourth_kind():
     for k in (1, 3, 6):
         spec = PolynomialSpec.from_betas(np.ones(k))
@@ -122,6 +156,13 @@ def test_from_roots_expansion_matches_product_form(gaps, top):
     by_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs)(lam)
     scale = max(1.0, float(np.max(np.abs(by_roots))))
     assert np.max(np.abs(by_coeffs - by_roots)) <= 1e-10 * scale
+    assert _beta_error(roots) <= 1e-12
+
+
+def test_from_roots_matches_gauss_rule_recurrence(optimal_states):
+    # the optimal betas lie in [1, 1.6), so this error is absolute
+    for state in optimal_states:
+        assert _beta_error(state.roots) <= 1e-12, state.degree
 
 
 def test_derivative_at_zero_representations_agree():
