@@ -22,7 +22,6 @@ constants ``(w, phi*, lambda*, y)``, computed here numerically.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -238,13 +237,13 @@ def sharp_f_factor(C: float, k: int) -> float:
 
 
 def bound_cheb_sharp(C: float, k: int) -> float:
-    """Sharp Chebyshev bound ``C' / (C' + (4/3) k (k+1))`` with ``C' = C - beta f``."""
+    """Sharp Chebyshev bound ``C' / (C' + (4/3) k (k+1))`` with ``C' = C - beta f``.
+
+    ``C' >= C - 2/3 > 0``, because ``C >= 1`` and ``0 <= f <= (2/3)/beta``.
+    """
     _check_c(C)
     _check_k(k)
     c_prime = C - beta_constant() * sharp_f_factor(C, k)
-    if c_prime <= 0.0:  # cannot occur for C >= 1 since beta f < 1
-        warnings.warn("discount exceeded C; clamping C'", stacklevel=2)
-        c_prime = 1e-15
     return c_prime / (c_prime + (4.0 / 3.0) * k * (k + 1))
 
 

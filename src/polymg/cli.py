@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -34,7 +33,7 @@ from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
 from .smoothers import SmootherConfig
 
-__all__ = ["COLUMNS", "ExperimentConfig", "run_experiment", "emit_gamma_table", "main"]
+__all__ = ["COLUMNS", "emit_gamma_table", "main"]
 
 # the build's peak memory, the hierarchy itself (every level's band, P and
 # R, and the cycle's four fine work vectors), grows about 4x per level:
@@ -59,48 +58,6 @@ COLUMNS = {
     "opt": Column(lambda k: SmootherConfig.optimized(optimal_polynomial(k).iteration_betas),
                   bnd.bound_opt_conjecture),
 }
-
-
-def cycle_key(sm: SmootherConfig) -> tuple:
-    """The steps of ``sm`` that the V-cycle reads.
-
-    The first step's ``a`` multiplies ``z_0 = 0`` and ``apply_smoother``
-    never reads it, so smoothers with equal keys (w43 and cheb at k = 1)
-    run one cycle and need one measurement.
-    """
-    return sm.steps[0][1:], sm.steps[1:]
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Configuration of one contraction-factor sweep."""
-
-    m: int = 8
-    aspect: float = 1.0
-    k_values: tuple[int, ...] = tuple(range(1, 7))
-    smoothers: tuple[str, ...] = tuple(COLUMNS)
-    c_mode: str = "analytic"
-    seed: int = 0
-    tol: float = 1e-8
-    out: Path | None = None
-
-    def __post_init__(self) -> None:
-        if not 2 <= self.m <= _MAX_M:
-            raise ValueError(f"m must lie in [2, {_MAX_M}]")
-        if not (math.isfinite(self.aspect) and self.aspect >= 1.0):
-            raise ValueError("aspect must be finite and >= 1")
-        if not self.k_values or any(k < 1 or k > _MAX_DEGREE for k in self.k_values):
-            raise ValueError(f"degrees must lie in [1, {_MAX_DEGREE}]")
-        if any(name not in COLUMNS for name in self.smoothers):
-            raise ValueError(f"smoother columns must be among {tuple(COLUMNS)}")
-        if self.c_mode not in ("analytic", "measured"):
-            raise ValueError("c_mode must be 'analytic' or 'measured'")
-        if self.c_mode == "measured" and self.m < 3:
-            raise ValueError("measured C needs a coarse level: m >= 3")
-        if not 0.0 < self.tol < 1.0:
-            raise ValueError("tol must lie in (0, 1)")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 def _parse_k_range(text: str) -> list[int]:
@@ -159,68 +116,6 @@ def _write_table(out: Path | None, header: Sequence[str], rows: Sequence[Sequenc
     return text
 
 
-def run_experiment(cfg: ExperimentConfig) -> tuple[Path, Path]:
-    """Measure contraction factors per (smoother, degree); write two files.
-
-    The main file holds measured factors, the companion `-bounds` file the
-    matching analytic curves.  A cell whose measurement raises a numerical
-    error (``ValueError``, including ``LinAlgError``, ``RuntimeError`` or
-    ``ArithmeticError``) is written as NaN after a stderr warning; any
-    other exception, such as a ``TypeError``, propagates.  Each factor is
-    a Lanczos upper estimate, not a certificate (see
-    :func:`~polymg.multigrid.measure_contraction`); stderr gives its steps
-    and Ritz residual.
-    """
-    print(f"[run] building hierarchy m={cfg.m} aspect={cfg.aspect:g}", file=sys.stderr)
-    hier = build_hierarchy(GridSpec(m=cfg.m, aspect=cfg.aspect))
-    if cfg.c_mode == "analytic":
-        C = 2.0 * cfg.aspect ** 2
-    else:
-        top = hier.levels[0]  # exact two-level C of the run grid
-        C = measure_C(top.op, top.smoother, top.P, hier.levels[1].op)
-    print(f"[run] using C = {C:.6f} ({cfg.c_mode})", file=sys.stderr)
-
-    columns: dict[str, list[float]] = {}
-    measured = {}  # cycle_key -> result, so each distinct cycle is measured once
-    for name in cfg.smoothers:
-        values: list[float] = []
-        for k in cfg.k_values:
-            try:
-                sm = COLUMNS[name].smoother(k)
-                key = cycle_key(sm)
-                if key not in measured:
-                    measured[key] = measure_contraction(
-                        hier, VCycleConfig(smoother=sm), seed=cfg.seed, tol=cfg.tol)
-                res = measured[key]
-                values.append(res.factor)
-                note = "" if res.converged else " (cycle cap)"
-                print(
-                    f"[run] {name} k={k}: {res.factor:.6f} after {res.n_cycles} steps, "
-                    f"residual {res.residual:.1e}{note}",
-                    file=sys.stderr,
-                )
-            except (ValueError, RuntimeError, ArithmeticError) as exc:
-                print(f"[run] warning: {name} k={k} failed: {exc}", file=sys.stderr)
-                values.append(math.nan)
-        columns[name] = values
-
-    out = cfg.out or Path(f"contraction-m{cfg.m}-a{cfg.aspect:g}.tsv")
-    header = ["k", *cfg.smoothers]
-    rows = [
-        [str(k)] + [_fmt(columns[name][i]) for name in cfg.smoothers]
-        for i, k in enumerate(cfg.k_values)
-    ]
-    _write_table(out, header, rows)
-
-    curves = out.with_name(out.stem + "-bounds" + out.suffix)
-    bound_rows = [
-        [str(k)] + [_fmt(COLUMNS[name].bound(C, k)) for name in cfg.smoothers]
-        for k in cfg.k_values
-    ]
-    _write_table(curves, header, bound_rows)
-    return out, curves
-
-
 def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
     """Tabulate 1/gamma for the optimal polynomial against its estimate.
 
@@ -250,18 +145,61 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = ExperimentConfig(
-        m=ExperimentConfig.m if args.m is None else args.m,
-        aspect=args.aspect,
-        k_values=tuple(args.k),
-        smoothers=tuple(name for name in COLUMNS if not args.smoother or name in args.smoother),
-        c_mode=args.c_mode,
-        seed=args.seed,
-        tol=args.tol,
-        out=args.out,
-    )
-    points, curves = run_experiment(cfg)
-    print(points)
+    """Measure contraction factors per (smoother, degree); write two files.
+
+    The main file holds measured factors, the companion `-bounds` file the
+    matching analytic curves.  A cell whose measurement raises a numerical
+    error (``ValueError``, including ``LinAlgError``, ``RuntimeError`` or
+    ``ArithmeticError``) is written as NaN after a stderr warning; any
+    other exception, such as a ``TypeError``, propagates.  Each factor is
+    a Lanczos upper estimate, not a certificate (see
+    :func:`~polymg.multigrid.measure_contraction`); stderr gives its steps
+    and Ritz residual.
+    """
+    m = 8 if args.m is None else args.m
+    if args.c_mode == "measured" and m < 3:
+        raise ValueError("measured C needs a coarse level: m >= 3")
+    names = [name for name in COLUMNS if not args.smoother or name in args.smoother]
+    print(f"[run] building hierarchy m={m} aspect={args.aspect:g}", file=sys.stderr)
+    hier = build_hierarchy(GridSpec(m=m, aspect=args.aspect))
+    if args.c_mode == "analytic":
+        C = 2.0 * args.aspect ** 2
+    else:
+        top = hier.levels[0]  # exact two-level C of the run grid
+        C = measure_C(top.op, top.smoother, top.P, hier.levels[1].op)
+    print(f"[run] using C = {C:.6f} ({args.c_mode})", file=sys.stderr)
+
+    columns: dict[str, list[float]] = {}
+    measured = {}  # SmootherConfig -> result, so each distinct cycle is measured once
+    for name in names:
+        values: list[float] = []
+        for k in args.k:
+            try:
+                sm = COLUMNS[name].smoother(k)
+                if sm not in measured:
+                    measured[sm] = measure_contraction(
+                        hier, VCycleConfig(smoother=sm), seed=args.seed, tol=args.tol)
+                res = measured[sm]
+                values.append(res.factor)
+                note = "" if res.converged else " (cycle cap)"
+                print(
+                    f"[run] {name} k={k}: {res.factor:.6f} after {res.n_cycles} steps, "
+                    f"residual {res.residual:.1e}{note}",
+                    file=sys.stderr,
+                )
+            except (ValueError, RuntimeError, ArithmeticError) as exc:
+                print(f"[run] warning: {name} k={k} failed: {exc}", file=sys.stderr)
+                values.append(math.nan)
+        columns[name] = values
+
+    out = args.out or Path(f"contraction-m{m}-a{args.aspect:g}.tsv")
+    header = ["k", *names]
+    rows = [[str(k)] + [_fmt(columns[name][i]) for name in names] for i, k in enumerate(args.k)]
+    _write_table(out, header, rows)
+    curves = out.with_name(out.stem + "-bounds" + out.suffix)
+    bound_rows = [[str(k)] + [_fmt(COLUMNS[name].bound(C, k)) for name in names] for k in args.k]
+    _write_table(curves, header, bound_rows)
+    print(out)
     print(curves)
     return 0
 

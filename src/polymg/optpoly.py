@@ -18,12 +18,11 @@ expansion and iteration betas that realize the polynomial.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolynomialSpec
+from .poly import PolynomialSpec, _signed_p
 
 __all__ = [
     "EquioscillationState",
@@ -35,11 +34,6 @@ __all__ = [
 _MAX_DEGREE = 200  # initial guesses are validated for 1 <= k <= 200
 _NEWTON_TOL = 1e-14  # equioscillation residual, and step size of the extremum search
 _NEWTON_MAX_ITER = 100  # iteration cap of both Newton solves
-
-
-def _signed_p(diff, roots):
-    """``(-1)^k p(x) = prod_i (x - r_i) / prod_i r_i`` from ``diff = x - r``."""
-    return np.prod(diff, axis=-1) / np.prod(roots)
 
 
 def _g_and_slope(x, roots):
@@ -148,7 +142,7 @@ def optimal_roots(k: int) -> EquioscillationState:
         raise ValueError(f"degree must be in [1, {_MAX_DEGREE}]")
     r = _asymptotic_start(np.arange(1, k + 1), k)
     x_int = _asymptotic_start(np.arange(1, k) + 0.5, k)
-    best = None  # the iterate of least residual so far
+    best = None  # (residual, roots, extrema, f0) of the least-residual iterate so far
     stall = 0
     for outer in range(1, _NEWTON_MAX_ITER + 1):
         x_int = find_extrema(r, x_int)
@@ -160,21 +154,14 @@ def optimal_roots(k: int) -> EquioscillationState:
         f_abs = np.sqrt(w) * np.abs(p_xs)
         F = f0 - f_abs
         res = float(np.max(np.abs(F)))
-        state = EquioscillationState(k, r, x_int, float(f0), res, outer)
-        if res < _NEWTON_TOL:
-            return state
-        if best is not None and res >= 0.5 * best.residual:
-            stall += 1
-            if stall >= 2:
-                if best.residual <= 1e-11:
-                    return dataclasses.replace(best, iterations=outer)
-                raise RuntimeError(
-                    f"equioscillation Newton stalled at residual {res:.3e} for k={k}"
-                )
-        else:
-            stall = 0
-        if best is None or res < best.residual:
-            best = state
+        stall = stall + 1 if best is not None and res >= 0.5 * best[0] else 0
+        if best is None or res < best[0]:
+            best = res, r, x_int, float(f0)
+        if res < _NEWTON_TOL or (stall >= 2 and best[0] <= 1e-11):
+            res, r, x_int, f0 = best
+            return EquioscillationState(k, r, x_int, f0, res, outer)
+        if stall >= 2:
+            raise RuntimeError(f"equioscillation Newton stalled at residual {res:.3e} for k={k}")
         # J_ij = f(0)^3 / r_j^2 + w(x_i) |f(x_i)| / (r_j (x_i - r_j))
         J = f0 ** 3 / r ** 2 + (w * f_abs)[:, None] / (r * diff)
         r = r + np.linalg.solve(J, -F)

@@ -44,10 +44,18 @@ def _w_sequence(x):
         w_prev, w = w, 2.0 * x * w - w_prev
 
 
+def _signed_p(diff, roots):
+    """``(-1)^k p(x) = prod_i (x - r_i) / prod_i r_i`` from ``diff = x - r``.
+
+    Each factor ``x - r_i`` is exact near a root, where ``1 - x/r_i`` is not.
+    """
+    return np.prod(diff, axis=-1) / np.prod(roots)
+
+
 def _product_form(lam, roots):
-    """``prod_i (1 - lam / r_i)`` at scalar or array ``lam``."""
+    """``p(lam) = prod_i (r_i - lam) / prod_i r_i`` at scalar or array ``lam``."""
     lam = np.asarray(lam, dtype=float)
-    return np.prod(1.0 - lam[..., None] / roots, axis=-1)
+    return _signed_p(roots - lam[..., None], roots)
 
 
 def cheb_w(n: int, x):
@@ -93,7 +101,7 @@ class PolynomialSpec:
 
     ``cheb4_coeffs`` holds the expansion ``p = sum_i alpha_i W_i(1-2 lam)``,
     ``i = 0..k``; ``roots``, when known, gives the product form
-    ``p(lam) = prod_i (1 - lam / r_i)``, which evaluation prefers.
+    ``p(lam) = prod_i (r_i - lam) / prod_i r_i``, which evaluation prefers.
     """
 
     cheb4_coeffs: np.ndarray
@@ -118,6 +126,8 @@ class PolynomialSpec:
                 raise ValueError("roots must be finite")
             if np.any(r <= 0.0):
                 raise ValueError("roots must be positive")
+            if not np.finfo(float).tiny <= np.prod(r) < np.inf:  # p divides by it
+                raise ValueError("the product of the roots must be a normal float")
             object.__setattr__(self, "roots", r)
 
     @property

@@ -13,6 +13,8 @@ three-term recurrence with per-step constants ``(a_i, c_i, beta_i)``:
   ``p = (1 - omega lam)^k``;
 * ``cheb4``: fourth-kind Chebyshev, ``a_i = (2i-3)/(2i+1)``,
   ``c_i = (8i-4)/(2i+1)`` and ``beta_i = 1``, so ``p = W_k(1-2 lam)/(2k+1)``;
+  ``a_1`` multiplies ``z_0 = 0`` and is stored as 0, so configs that run
+  the same cycle compare and hash equal (``cheb4(1) == simple(4/3, 1)``);
 * ``opt``: the ``cheb4`` constants with over-relaxation weights ``beta_i``,
   realizing ``p = sum_i ((beta_i - beta_{i+1})/(2i+1)) W_i(1-2 lam)``.
 
@@ -85,8 +87,8 @@ class SmootherConfig:
         betas = np.asarray(betas, dtype=float)
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("opt smoother needs a 1-D array of k >= 1 betas")
-        return cls(tuple(((2 * i - 3) / (2 * i + 1), (8 * i - 4) / (2 * i + 1), float(beta))
-                         for i, beta in enumerate(betas, start=1)))
+        return cls(tuple(((2 * i - 3) / (2 * i + 1) if i > 1 else 0.0, (8 * i - 4) / (2 * i + 1),
+                          float(beta)) for i, beta in enumerate(betas, start=1)))
 
 
 def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,

@@ -37,7 +37,7 @@ from polymg.bounds import (
     sharp_constants,
     sharp_f_factor,
 )
-from polymg.cli import COLUMNS, cycle_key, emit_gamma_table
+from polymg.cli import COLUMNS, emit_gamma_table
 from polymg.optpoly import optimal_roots
 from polymg.poly import cheb4_coefficients
 from polymg.smoothers import DiagonalSmoother, apply_smoother
@@ -62,8 +62,8 @@ def contraction_sweep():
 
     Each cell is one Lanczos estimate from the seed-0 start; the elapsed
     wall time of the m=8 portion is recorded for the runtime criterion.
-    Each distinct cycle (:func:`polymg.cli.cycle_key`) is measured once
-    per grid: w43 and cheb at k = 1 run one cycle.
+    Each distinct cycle (an equal ``SmootherConfig``) is measured once per
+    grid: w43 and cheb at k = 1 run one cycle.
     """
     factors = {}
     elapsed_m8 = 0.0
@@ -74,11 +74,10 @@ def contraction_sweep():
             measured = {}
 
             def factor(sm):
-                key = cycle_key(sm)
-                if key not in measured:
-                    measured[key] = measure_contraction(
+                if sm not in measured:
+                    measured[sm] = measure_contraction(
                         hier, VCycleConfig(smoother=sm), tol=1e-6, max_cycles=300).factor
-                return measured[key]
+                return measured[sm]
 
             factors[(m, aspect)] = {name: [factor(COLUMNS[name].smoother(k)) for k in DEGREES]
                                     for name in COLUMNS}

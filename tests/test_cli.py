@@ -20,7 +20,6 @@ import pytest
 import polymg
 import polymg.cli
 from polymg import GridSpec, assemble_poisson_q1, load_matrix_market
-from polymg.cli import ExperimentConfig, run_experiment
 
 # The directory holding the imported polymg package (``src/`` or the install
 # root). Putting it first on the child's PYTHONPATH makes the subprocess run
@@ -198,17 +197,18 @@ def _raise(exc):
     return measure
 
 
-def test_run_writes_nan_for_a_numerical_failure(tmp_path, monkeypatch, capsys):
+def test_run_writes_nan_for_a_numerical_failure(tmp_path, monkeypatch):
     monkeypatch.setattr(polymg.cli, "measure_contraction", _raise(ValueError("no contraction")))
-    out, _ = run_experiment(ExperimentConfig(m=3, k_values=(1,), smoothers=("cheb",),
-                                             out=tmp_path / "c.tsv"))
+    out = tmp_path / "c.tsv"
+    res = run_cli("run", "--m", "3", "--k", "1", "--smoother", "cheb", "--out", str(out))
+    assert res.returncode == 0, res.stderr
     _, rows = _read_tsv(out)
     assert rows == [["1", "nan"]]
-    assert "cheb k=1 failed: no contraction" in capsys.readouterr().err
+    assert "cheb k=1 failed: no contraction" in res.stderr
 
 
 def test_run_measures_each_distinct_cycle_once(tmp_path, monkeypatch):
-    # w43 and cheb at k = 1 differ only in the first step's unread `a`
+    # w43 and cheb at k = 1 are equal configs: cheb4(1) stores its unread a_1 as 0
     calls = []
     measure = polymg.cli.measure_contraction
 
@@ -217,17 +217,28 @@ def test_run_measures_each_distinct_cycle_once(tmp_path, monkeypatch):
         return measure(*args, **kwargs)
 
     monkeypatch.setattr(polymg.cli, "measure_contraction", counted)
-    out, _ = run_experiment(ExperimentConfig(m=4, aspect=2.0, out=tmp_path / "c.tsv"))
+    out = tmp_path / "c.tsv"
+    res = run_cli("run", "--m", "4", "--aspect", "2", "--out", str(out))
+    assert res.returncode == 0, res.stderr
     header, rows = _read_tsv(out)
     assert len(rows) * (len(header) - 1) == 24 and len(calls) == 23
     assert rows[0][header.index("w43")] == rows[0][header.index("cheb")]
+    assert res.stderr.count("[run] ") == 2 + 24  # still one line per cell
 
 
 def test_run_propagates_a_programming_error(tmp_path, monkeypatch):
     monkeypatch.setattr(polymg.cli, "measure_contraction", _raise(TypeError("bad argument")))
     with pytest.raises(TypeError, match="bad argument"):
-        run_experiment(ExperimentConfig(m=3, k_values=(1,), smoothers=("cheb",),
-                                        out=tmp_path / "c.tsv"))
+        run_cli("run", "--m", "3", "--k", "1", "--smoother", "cheb",
+                "--out", str(tmp_path / "c.tsv"))
+
+
+def test_run_rejects_measured_C_without_a_coarse_level(tmp_path):
+    # a rule across two options, so it is checked after parsing: exit 1, not 2
+    res = run_cli("run", "--m", "2", "--c-mode", "measured", cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == "error: measured C needs a coarse level: m >= 3\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args", [
@@ -264,32 +275,36 @@ def test_bad_usage_exits_2(args):
     assert "usage" in res.stderr.lower()
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, 1.0, math.inf])
-def test_experiment_config_rejects_bad_tol(tol):
-    with pytest.raises(ValueError, match="tol"):
-        ExperimentConfig(m=4, tol=tol)
+def _rejected_run_setting(tmp_path, *args):
+    """stderr of ``polymg run --m 4 args``, checked to be a usage error that wrote nothing."""
+    res = run_cli("run", "--m", "4", *args, cwd=tmp_path)
+    assert res.returncode == 2
+    assert list(tmp_path.iterdir()) == []
+    return res.stderr
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, 1.0])
+def test_experiment_config_rejects_bad_tol(tmp_path, tol):
+    assert "argument --tol: tol must lie in (0, 1)" in _rejected_run_setting(
+        tmp_path, "--tol", str(tol))
 
 
 @pytest.mark.parametrize("aspect", [math.nan, math.inf, 0.5])
-def test_experiment_config_rejects_bad_aspect(aspect):
-    with pytest.raises(ValueError, match="aspect"):
-        ExperimentConfig(m=4, aspect=aspect)
+def test_experiment_config_rejects_bad_aspect(tmp_path, aspect):
+    assert "argument --aspect: aspect must be finite and >= 1" in _rejected_run_setting(
+        tmp_path, "--aspect", str(aspect))
 
 
-def test_experiment_config_rejects_a_negative_seed():
-    with pytest.raises(ValueError, match="seed"):
-        ExperimentConfig(m=4, seed=-1)
+def test_experiment_config_rejects_a_negative_seed(tmp_path):
+    assert "argument --seed: seed must be >= 0" in _rejected_run_setting(
+        tmp_path, "--seed", "-1")
 
 
 @pytest.mark.parametrize("m", [1, 12])
-def test_experiment_config_rejects_m_out_of_range(m):
-    with pytest.raises(ValueError, match="m must lie"):
-        ExperimentConfig(m=m)
-
-
-def test_experiment_config_rejects_measured_C_without_a_coarse_level():
-    with pytest.raises(ValueError, match="coarse level"):
-        ExperimentConfig(m=2, c_mode="measured")
+def test_experiment_config_rejects_m_out_of_range(tmp_path, m):
+    # the later --m wins, as argparse keeps the last value of a repeated option
+    assert f"argument --m: invalid choice: {m}" in _rejected_run_setting(
+        tmp_path, "--m", str(m))
 
 
 def test_run_measures_C_on_the_run_grid(tmp_path):
@@ -298,6 +313,11 @@ def test_run_measures_C_on_the_run_grid(tmp_path):
     assert res.returncode == 0, res.stderr
     # the exact two-level C at m = 6, not the m = 5 value 105.900936
     assert "[run] using C = 121.667820 (measured)" in res.stderr
+
+
+def test_cli_exports_only_what_a_user_calls():
+    # run's settings are defined by its parser alone; no config type or sweep function
+    assert polymg.cli.__all__ == ["COLUMNS", "emit_gamma_table", "main"]
 
 
 def test_import_leaves_heavy_scipy_modules_out():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polymg import optpoly
 from polymg.optpoly import find_extrema, optimal_polynomial, optimal_roots
-from polymg.poly import PolynomialSpec, _product_form, gamma_mu
+from polymg.poly import PolynomialSpec, _product_form, _signed_p, gamma_mu
 from polymg.scalar import bisect_root, golden_section_min
 
 # printed reference values for the optimal 1/gamma (last column digit exact)
@@ -127,10 +127,11 @@ def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
     assert len(calls) <= 10
 
 
-@pytest.mark.parametrize("k", [167, 191])
+@pytest.mark.parametrize("k", [167, 168, 175, 187, 191])
 def test_stall_returns_the_best_iterate(k, monkeypatch):
-    # at these degrees Newton stalls at the rounding floor, and its last
-    # iterate's residual is above an earlier one's: the best must be returned
+    # at these degrees Newton stalls at the rounding floor; the iterate of
+    # least residual is returned, the last one included (with one BLAS
+    # thread it is the last at 168, 175 and 187, an earlier one at 167 and 191)
     search = optpoly.find_extrema
     seen = []
 
@@ -144,12 +145,14 @@ def test_stall_returns_the_best_iterate(k, monkeypatch):
     residuals = []
     for roots, extrema in seen:
         xs = np.append(extrema, 1.0)
-        p = optpoly._signed_p(xs[:, None] - roots, roots)
+        p = _signed_p(xs[:, None] - roots, roots)
         f0 = (2.0 * np.sum(1.0 / roots)) ** -0.5
         residuals.append(np.max(np.abs(f0 - np.sqrt(xs / (1.0 - p * p)) * np.abs(p))))
     best = int(np.argmin(residuals))
-    assert best < len(seen) - 1 and state.iterations == len(seen)
-    assert state.residual == residuals[best]
+    assert state.iterations == len(seen)
+    if k in (167, 191):
+        assert best < len(seen) - 1
+    assert state.residual == min(residuals) == residuals[best]
     assert np.array_equal(state.roots, seen[best][0])
     assert np.array_equal(state.extrema, seen[best][1])
 
@@ -203,17 +206,18 @@ def test_every_supported_degree_converges(optimal_states):
 
 @pytest.mark.parametrize("k", [2, 50, 200])
 def test_signed_p_matches_exact_product(k, optimal_states):
-    # p from the difference array x - r, as g and the equioscillation residual
-    # take it, against rational arithmetic at extrema down from x = 1; the
-    # 1 - x/r_i of _product_form loses up to 5e-12 relative there at k = 200
+    # the one product kernel, from x - r as g and the equioscillation
+    # residual take it and from r - x as _product_form does, against rational
+    # arithmetic at extrema down from x = 1, where factors 1 - x/r_i would
+    # lose up to 5e-12 relative at k = 200
     state = optimal_states[k - 1]
     xs = np.append(state.extrema, 1.0)[::-(k // 20 + 1)]
-    p2 = optpoly._signed_p(xs[:, None] - state.roots, state.roots) ** 2
     roots = [Fraction(r) for r in state.roots]
     exact = np.array([float((math.prod(Fraction(x) - r for r in roots) / math.prod(roots)) ** 2)
                       for x in xs])
+    p2 = _signed_p(xs[:, None] - state.roots, state.roots) ** 2
     assert np.max(np.abs(p2 / exact - 1.0)) <= 1e-13
-    assert np.max(np.abs(p2 / _product_form(xs, state.roots) ** 2 - 1.0)) <= 1e-11
+    assert np.max(np.abs(_product_form(xs, state.roots) ** 2 / exact - 1.0)) <= 1e-13
 
 
 def test_gamma_matches_functional():

@@ -128,6 +128,16 @@ def test_spec_rejects_non_finite_input(build):
         build()
 
 
+@pytest.mark.parametrize("root", [1e-3, 1e-2, 1e3], ids=["underflow", "subnormal", "overflow"])
+def test_spec_rejects_roots_whose_product_is_not_a_normal_float(root):
+    # p = prod_i (r_i - lam) / prod_i r_i divides by the product: 1e-450,
+    # 1e-320 and 1e450 at k = 150 and 160
+    k = 160 if root == 1e-2 else 150
+    with pytest.raises(ValueError, match="product of the roots"):
+        PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(k).cheb4_coeffs,
+                       roots=np.full(k, root))
+
+
 def test_from_betas_ones_is_fourth_kind():
     for k in (1, 3, 6):
         spec = PolynomialSpec.from_betas(np.ones(k))

@@ -191,10 +191,32 @@ def test_apply_smoother_updates_x_in_place():
 
 def test_smoother_config_steps():
     assert SmootherConfig.simple(1.25, 3).steps == ((0.0, 1.25, 1.0),) * 3
-    assert SmootherConfig.cheb4(2).steps == ((-1 / 3, 4 / 3, 1.0), (1 / 5, 12 / 5, 1.0))
+    # a_1 = -1/3 multiplies z_0 = 0, so it is stored as 0
+    assert SmootherConfig.cheb4(2).steps == ((0.0, 4 / 3, 1.0), (1 / 5, 12 / 5, 1.0))
     opt = SmootherConfig.optimized([1.5, 1.25])
     assert [step[2] for step in opt.steps] == [1.5, 1.25]
     assert [step[:2] for step in opt.steps] == [step[:2] for step in SmootherConfig.cheb4(2).steps]
+
+
+def test_configs_of_one_cycle_are_equal():
+    # at k = 1 both run z = (4/3)(1/rho) B r once; from k = 2 on a_2 = 1/5 differs
+    assert SmootherConfig.cheb4(1) == SmootherConfig.simple(4 / 3, 1)
+    assert hash(SmootherConfig.cheb4(1)) == hash(SmootherConfig.simple(4 / 3, 1))
+    for k in range(2, 7):
+        assert SmootherConfig.cheb4(k) != SmootherConfig.simple(4 / 3, k)
+
+
+@pytest.mark.parametrize("start", ["zero", "given"])
+def test_the_first_step_never_reads_a(start):
+    # the premise of storing a_1 as 0: the recurrence's a_1 = -1/3 gives the same bits
+    A, B, _, _, _ = _setup(30, seed=3)
+    rng = np.random.default_rng(4)
+    b, x0 = rng.standard_normal(30), rng.standard_normal(30)
+    for cfg in (SmootherConfig.cheb4(3), SmootherConfig.optimized([1.25, 1.5, 1.125])):
+        full = SmootherConfig(((-1 / 3, *cfg.steps[0][1:]),) + cfg.steps[1:])
+        runs = [apply_smoother(A, B, None if start == "zero" else x0.copy(), b, c)
+                for c in (cfg, full)]
+        assert np.array_equal(*runs)
 
 
 def test_fourth_kind_betas_give_cheb4_steps():
