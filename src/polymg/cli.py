@@ -35,10 +35,11 @@ from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "emit_gamma_table", "main"]
 
-# the build's peak memory, the hierarchy itself (every level's band, P and
-# R, and the cycle's four fine work vectors), grows about 4x per level:
-# 236 MB at m = 10 (aspect 2; 176 MB above the 60 MB after import) and
-# 759 MB at m = 11 (aspects 1, 2 and 8), so about 3 GB at m = 12
+# the hierarchy (every level's P and R, the cycle's four fine work vectors
+# and the stencils' two scratch vectors) grows about 4x per level: RSS after
+# the build is 139 MB at m = 10 (aspect 2; 80 MB above the 60 MB after
+# import) and 375 MB at m = 11, whose cheb6 cycles peak at 665 MB, so
+# about 2.6 GB at m = 12
 _MAX_M = 11
 
 
@@ -166,7 +167,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         C = 2.0 * args.aspect ** 2
     else:
         top = hier.levels[0]  # exact two-level C of the run grid
-        C = measure_C(top.op, top.smoother, top.P, hier.levels[1].op)
+        C = measure_C(assemble_poisson_q1(top.grid), top.smoother, top.P,
+                      assemble_poisson_q1(hier.levels[1].grid))
     print(f"[run] using C = {C:.6f} ({args.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}

@@ -5,6 +5,11 @@ size ``hx x hy`` with ``hx/hy = aspect``; homogeneous Dirichlet conditions
 leave ``(2^m - 1)^2`` interior unknowns.  Stretching the elements makes
 point-Jacobi smoothing progressively weaker: the smoothing constant grows
 like ``2 * aspect^2``.
+
+The operator is one constant 9-point stencil cut off at the Dirichlet edge.
+:func:`assemble_poisson_q1` writes it out as a 9-point DIA band, for export,
+for the two-level constants and as a test oracle; the multigrid levels apply
+it from its four distinct entries with :class:`Q1Operator` and store no band.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from .smoothers import DiagonalSmoother
 
 __all__ = [
     "GridSpec",
+    "Q1Operator",
     "assemble_poisson_q1",
     "build_prolongation",
     "jacobi_smoother",
@@ -65,6 +71,13 @@ class GridSpec:
         return GridSpec(m=self.m - 1, aspect=self.aspect)
 
 
+def _stencil(grid: GridSpec) -> np.ndarray:
+    """The 3 x 3 Q1 stencil, entry ``[dx + 1, dy + 1]`` for neighbour ``(dx, dy)``."""
+    (Kx, Mx), (Ky, My) = [(np.array([-1.0, 2.0, -1.0]) / h, np.array([1.0, 4.0, 1.0]) * h / 6)
+                          for h in (grid.hx, grid.hy)]
+    return np.outer(Kx, My) + np.outer(Mx, Ky)
+
+
 def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     """Assemble the Dirichlet Q1 stiffness matrix on the interior nodes.
 
@@ -77,18 +90,77 @@ def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     size ``(2^m - 1)^2`` as a ``dia_array`` with ascending int32 offsets and
     zeros where a neighbour leaves the grid.  Interior rows of the aspect-1
     operator carry the stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
+    The multigrid levels apply the same entries without a band
+    (:class:`Q1Operator`); this explicit matrix is for export, for the
+    two-level constants and as a test oracle.
     """
     n = grid.n_side
     d = np.array([-1, 0, 1])
-    (Kx, Mx), (Ky, My) = [(np.array([-1.0, 2.0, -1.0]) / h, np.array([1.0, 4.0, 1.0]) * h / 6)
-                          for h in (grid.hx, grid.hy)]
-    entry = np.outer(Kx, My) + np.outer(Mx, Ky)  # [dx + 1, dy + 1]
+    entry = _stencil(grid)
     # band (dx, dy) holds A[j - dx n - dy, j] at column j: zero where that row leaves the grid
     jx, jy = np.divmod(np.arange(n * n), n)
     inside = [(i >= d[:, None]) & (i < n + d[:, None]) for i in (jx, jy)]
     data = np.where(inside[0][:, None] & inside[1][None, :], entry[:, :, None], 0.0)
     offsets = (d[:, None] * n + d[None, :]).astype(np.int32).ravel()  # ascending dx n + dy
     return sp.dia_array((data.reshape(9, n * n), offsets), shape=(n * n, n * n))
+
+
+class Q1Operator:
+    """The Q1 operator of a grid, applied from its four distinct stencil entries.
+
+    The band of :func:`assemble_poisson_q1` is one constant 9-point stencil
+    cut off at the Dirichlet edge, so four numbers fix it: the centre ``a``,
+    the y-neighbour ``b``, the x-neighbour ``g`` and the corner ``d``, equal
+    to the band's stored entries bit for bit.  ``A @ x`` returns a new array
+
+        Y = a X + b U + S_x(g X + d U),
+
+    with ``X = x.reshape(n, n)`` (node ``ix * n + iy``), ``U`` the sum of
+    each node's y-neighbours and ``S_x`` the sum of its x-neighbours, both
+    zero past the edge.  Its rounding differs from the band's product, within
+    a few ulps of ``|A| |x|``.  ``scratch``, two ``n x n`` arrays' worth of
+    floats or more, holds ``U`` and ``g X + d U``; the levels of a hierarchy
+    share one, since their products never nest.  Without it the operator
+    allocates its own.  A product allocates only its result.
+    """
+
+    def __init__(self, grid: GridSpec, scratch: np.ndarray | None = None):
+        entry = _stencil(grid)
+        n = grid.n_side
+        N = n * n
+        self.shape = (N, N)
+        # centre, y-neighbour, x-neighbour and corner
+        self.a, self.b, self.g, self.d = map(float, entry[[1, 1, 0, 0], [1, 0, 1, 0]])
+        if scratch is None:
+            scratch = np.empty(2 * N)
+        self._n = n
+        self._U, self._V = U, V = scratch[:N], scratch[N:2 * N]
+        # views for the product; at the first and last node of each x-row the
+        # y-neighbour sum has one term
+        self._U_inner, self._U_first, self._U_last = U[1:-1], U[::n], U[n - 1::n]
+        self._V_below, self._V_above = V[:-n], V[n:]
+
+    def diagonal(self) -> np.ndarray:
+        """The constant diagonal ``a``, as a read-only vector."""
+        return np.broadcast_to(self.a, self.shape[:1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"operand of shape {x.shape} does not match the operator {self.shape}")
+        n, U, V = self._n, self._U, self._V
+        y = np.multiply(x, self.g)
+        np.add(x[:-2], x[2:], out=self._U_inner)  # wrong at both ends of each x-row, set next
+        np.copyto(self._U_first, x[1::n])
+        np.copyto(self._U_last, x[n - 2::n])
+        np.multiply(U, self.d, out=V)
+        V += y  # V = g X + d U
+        np.multiply(x, self.a, out=y)
+        U *= self.b
+        y += U
+        y[n:] += self._V_below
+        y[:-n] += self._V_above
+        return y
 
 
 def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
@@ -137,15 +209,16 @@ def sine_symbol(grid: GridSpec, modes) -> np.ndarray:
 def jacobi_smoother(A, grid: GridSpec) -> DiagonalSmoother:
     """Point-Jacobi preconditioner ``B = diag(A)^{-1}`` with exact ``rho(BA)``.
 
-    ``A`` must be the Q1 operator of ``grid`` (:func:`assemble_poisson_q1`,
-    or any matrix with its entries).  Its diagonal is then the constant
-    ``d = (8/6)(hy/hx + hx/hy)``, so ``rho(BA) = lambda_max(A) / d`` comes
-    from the sine-mode symbol (:func:`sine_symbol`) with no eigensolve.
-    The symbol is bilinear in ``(c_x, c_y)``, so its maximum lies on one of
-    the four corner modes ``i, j in {1, n_side}``.  The spectrum of
-    ``BA / rho(BA)`` lies in (0, 1] up to rounding.  Raises ``ValueError``
-    if the diagonal is not positive or differs from ``d`` by more than
-    1e-12 relative, i.e. if ``grid`` does not describe ``A``.
+    ``A`` must be the Q1 operator of ``grid`` (a :class:`Q1Operator`,
+    :func:`assemble_poisson_q1`, or any matrix with its entries).  Its
+    diagonal is then the constant ``d = (8/6)(hy/hx + hx/hy)``, so
+    ``rho(BA) = lambda_max(A) / d`` comes from the sine-mode symbol
+    (:func:`sine_symbol`) with no eigensolve.  The symbol is bilinear in
+    ``(c_x, c_y)``, so its maximum lies on one of the four corner modes
+    ``i, j in {1, n_side}``.  The spectrum of ``BA / rho(BA)`` lies in
+    (0, 1] up to rounding.  Raises ``ValueError`` if the diagonal is not
+    positive or differs from ``d`` by more than 1e-12 relative, i.e. if
+    ``grid`` does not describe ``A``.
     """
     n = grid.n_interior
     if A.shape != (n, n):
@@ -157,7 +230,7 @@ def jacobi_smoother(A, grid: GridSpec) -> DiagonalSmoother:
     if not np.all(np.abs(diag - d) <= 1e-12 * d):
         raise ValueError("matrix diagonal does not match the Q1 operator of the grid")
     inv = 1.0 / diag
-    if np.all(inv == inv[0]):  # as on every assembled band: one value, stored once
+    if np.all(inv == inv[0]):  # as on every Q1 operator: one value, stored once
         inv = np.broadcast_to(inv[0], inv.shape)
     lam_max = float(sine_symbol(grid, [1, grid.n_side]).max())
     return DiagonalSmoother(inverse_diagonal=inv, rho_BA=lam_max / d)

@@ -1,10 +1,11 @@
 """Sparse and dense linear algebra shared by the solver stack.
 
 Sparse matrices here are canonical CSR (``scipy.sparse.csr_array``, see
-:func:`as_csr`); the multigrid level operators are 9-point DIA bands and
-are converted where CSR is needed.  Vectors are 1-D float64 arrays.
-Everything here is deterministic: SpMV accumulates in stored order, and
-iterative estimates start from a vector the caller passes.
+:func:`as_csr`); the multigrid level operators are matrix-free stencils
+(:class:`~polymg.fem.Q1Operator`), which :func:`lanczos_max` uses only
+through ``M @ v``.  Vectors are 1-D float64 arrays.  Everything here is
+deterministic: SpMV accumulates in stored order, and iterative estimates
+start from a vector the caller passes.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 
 The hierarchy coarsens by factor 2 with bilinear prolongation and
 rediscretises the Q1 operator on every level, which for this model problem
-is the Galerkin operator ``A_c = P^T A P``.  Each level keeps one operator
-(its 9-point DIA band), down to a coarsest level solved by dense Cholesky.
+is the Galerkin operator ``A_c = P^T A P``.  Each level keeps one operator,
+its 9-point stencil applied from four numbers (no stored band), down to a
+coarsest level solved by dense Cholesky.
 The V-cycle smooths once before and once after the coarse correction
 with the same SPD-preconditioned polynomial smoother, so its error
 propagator is A-self-adjoint and positive semidefinite, and its A-norm
@@ -32,7 +33,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother, sine_symbol
+from .fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolongation, jacobi_smoother,
+                  sine_symbol)
 from .linalg import CholeskySolver, as_csr, lanczos_max
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
@@ -54,21 +56,21 @@ __all__ = [
 class Level:
     """One grid level; the coarsest level has no smoother or transfers.
 
-    ``op`` is the level operator, a 9-point band in ``dia_array`` form,
+    ``op`` is the level operator, its grid's :class:`~polymg.fem.Q1Operator`,
     which the smoother, the residual and the A-norms apply.  ``P``
     prolongs from the next coarser level and ``R = P^T`` restricts to it.
     """
 
     grid: GridSpec
-    op: sp.dia_array
+    op: Q1Operator
     smoother: DiagonalSmoother | None
     P: sp.csr_array | None
     R: sp.csr_array | None
 
     @property
     def A(self) -> sp.csr_array:
-        """``op`` as a canonical CSR array without its stored zeros, built on each access."""
-        return as_csr(self.op)
+        """The grid's assembled operator as a canonical CSR array, built on each access."""
+        return as_csr(assemble_poisson_q1(self.grid))
 
 
 @dataclass(frozen=True)
@@ -80,8 +82,9 @@ class Hierarchy:
     smoother's ``r``, ``z`` and ``t`` (``r`` also takes the cycle's
     residual), as blocks ``[r | z | t | x]`` at the start of one array of
     four fine vectors.  A coarser level's blocks thus lie in ``r``, which
-    is not read while the cycle runs below.  A hierarchy runs one cycle at
-    a time: overlapping cycles on it overwrite each other's arrays.
+    is not read while the cycle runs below.  The levels' stencils share two
+    more fine vectors of scratch.  A hierarchy runs one cycle at a time:
+    overlapping cycles on it overwrite each other's arrays.
     """
 
     levels: tuple[Level, ...]
@@ -111,30 +114,32 @@ class VCycleConfig:
 
 
 def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
-    """Assemble the model problem and coarsen until ``n_side <= min_interior``.
+    """Set up the model problem on ``grid`` and coarsen until ``n_side <= min_interior``.
 
-    Every level's operator is the Q1 operator assembled on its own grid
-    (:func:`~polymg.fem.assemble_poisson_q1`), one 9-point DIA band.  For
-    this model problem that rediscretised operator is the Galerkin product
-    ``P^T A P`` of the finer level and the bilinear prolongation, which the
-    V-cycle bounds assume; the tests check the identity against scipy's
-    sparse product.  Each level's Jacobi smoother takes ``rho(BA)`` from
-    its grid's sine-mode symbol (:func:`~polymg.fem.jacobi_smoother`), so
-    no eigensolve runs here.
+    Every level's operator is the Q1 operator of its own grid, a
+    :class:`~polymg.fem.Q1Operator`; all levels share one scratch array
+    sized for the finest grid.  For this model problem that rediscretised
+    operator is the Galerkin product ``P^T A P`` of the finer level and the
+    bilinear prolongation, which the V-cycle bounds assume; the tests check
+    the identity against scipy's sparse product.  Each level's Jacobi
+    smoother takes ``rho(BA)`` from its grid's sine-mode symbol
+    (:func:`~polymg.fem.jacobi_smoother`), so no eigensolve runs here.
+    Only the coarsest grid is assembled, for its Cholesky factor.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
     levels: list[Level] = []
+    scratch = np.empty(2 * grid.n_interior)
     g = grid
     while g.n_side > min_interior and g.m > 2:
-        op = assemble_poisson_q1(g)
+        op = Q1Operator(g, scratch)
         cg = g.coarsen()
         P = build_prolongation(g, cg)
         levels.append(Level(grid=g, op=op, smoother=jacobi_smoother(op, g), P=P, R=as_csr(P.T)))
         g = cg
-    op = assemble_poisson_q1(g)
-    levels.append(Level(grid=g, op=op, smoother=None, P=None, R=None))
-    return Hierarchy(levels=tuple(levels), coarse_solver=CholeskySolver(op.toarray()))
+    levels.append(Level(grid=g, op=Q1Operator(g, scratch), smoother=None, P=None, R=None))
+    return Hierarchy(levels=tuple(levels),
+                     coarse_solver=CholeskySolver(assemble_poisson_q1(g).toarray()))
 
 
 def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.ndarray,
@@ -210,7 +215,7 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     e = rng.standard_normal(n) if x0 is None else np.array(x0, dtype=float)
     if e.shape != (n,):
         raise ValueError(f"x0 must match the finest-level size: shape ({n},), got {e.shape}")
-    if not 0.0 < float(e @ (A @ e)) < math.inf:  # also false for a nan or inf entry
+    if not (np.isfinite(e).all() and 0.0 < float(e @ (A @ e)) < math.inf):
         raise ValueError("x0 must have a nonzero, finite A-norm")
     zero = np.zeros(n)
     res = lanczos_max(lambda v: v_cycle(h, cfg, v, zero), A, e, tol=tol, max_iter=max_cycles)
@@ -282,12 +287,13 @@ def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
     """Exact ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A`` (two-level).
 
     ``B`` is normalized internally so that ``rho(BA) = 1``.  The operands
-    must be one model grid's Q1 operator (DIA or CSR), its Jacobi
-    smoother, bilinear prolongation and coarse operator, else
-    ``ValueError``; ``C`` is then a 4 x 4 block eigenvalue of the sine
-    modes, with no iteration.  ``C >= 1`` and rises towards
-    ``2 aspect^2`` with ``m``.  The signature becomes ``measure_C(grid)``
-    with the next change to the bench, which calls this form.
+    must be one model grid's assembled Q1 operator (DIA or CSR, as
+    ``Level.A`` gives), its Jacobi smoother, bilinear prolongation and
+    coarse operator, else ``ValueError``; ``C`` is then a 4 x 4 block
+    eigenvalue of the sine modes, with no iteration.  ``C >= 1`` and rises
+    towards ``2 aspect^2`` with ``m``.  The signature becomes
+    ``measure_C(grid)`` with the next change to the bench, which calls this
+    form.
     """
     g = _two_level_grid(A, B, P, A_c)
     return _two_grid_sup(g, B.rho_BA / B.inverse_diagonal[0])  # B_hat^{-1}, a constant

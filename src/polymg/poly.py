@@ -95,6 +95,16 @@ def cheb4_coefficients(k: int) -> np.ndarray:
     return np.array([c / (2 * k + 1) for c in w])
 
 
+def _check_roots(r):
+    """Raise ``ValueError`` unless ``p`` can divide by the product of the roots ``r``."""
+    if not np.all(np.isfinite(r)):
+        raise ValueError("roots must be finite")
+    if np.any(r <= 0.0):
+        raise ValueError("roots must be positive")
+    if not np.finfo(float).tiny <= np.prod(r) < np.inf:  # p divides by it
+        raise ValueError("the product of the roots must be a normal float")
+
+
 @dataclass(frozen=True)
 class PolynomialSpec:
     """A smoother polynomial with ``p(0) = 1``.
@@ -122,12 +132,7 @@ class PolynomialSpec:
             r = np.asarray(self.roots, dtype=float)
             if r.shape != (self.degree,):
                 raise ValueError("need exactly `degree` roots")
-            if not np.all(np.isfinite(r)):
-                raise ValueError("roots must be finite")
-            if np.any(r <= 0.0):
-                raise ValueError("roots must be positive")
-            if not np.finfo(float).tiny <= np.prod(r) < np.inf:  # p divides by it
-                raise ValueError("the product of the roots must be a normal float")
+            _check_roots(r)
             object.__setattr__(self, "roots", r)
 
     @property
@@ -168,6 +173,7 @@ class PolynomialSpec:
         monomial coefficient ``1 / (4^k prod_i r_i)``.
         """
         roots = np.asarray(roots, dtype=float)
+        _check_roots(roots)  # before p is evaluated at them
         k = len(roots)
         n = 2 * k + 1
         sines = np.sin(np.arange(2 * n) * (np.pi / n))  # sin(m pi / n), period 2n in m

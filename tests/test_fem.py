@@ -1,4 +1,6 @@
-"""Q1 Poisson assembly, grid bookkeeping, and bilinear prolongation."""
+"""Q1 Poisson assembly, the matrix-free stencil, grid bookkeeping, and bilinear prolongation."""
+
+import math
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse as sp
 
 from polymg.fem import (
     GridSpec,
+    Q1Operator,
     assemble_poisson_q1,
     build_prolongation,
     jacobi_smoother,
@@ -110,6 +113,61 @@ def test_band_matches_the_kronecker_sum_bit_for_bit(m, aspect):
         assert getattr(A, name).tobytes() == getattr(ref, name).tobytes(), name
     x = np.random.default_rng(m).standard_normal(grid.n_interior)
     assert (band @ x).tobytes() == (ref.todia() @ x).tobytes()
+
+
+_ASPECTS = [1.0, 2.0, 8.0, math.sqrt(2.0), 1e150]
+
+
+@pytest.mark.parametrize("aspect", _ASPECTS)
+@pytest.mark.parametrize("m", range(2, 9))
+def test_stencil_product_matches_the_band(m, aspect):
+    # each entry of the stencil's product lies within a few rounding errors
+    # of the band's; x is nonzero on the edge rows, so the Dirichlet cut-offs count
+    grid = GridSpec(m=m, aspect=aspect)
+    band, op = assemble_poisson_q1(grid), Q1Operator(grid)
+    x = np.random.default_rng(m).standard_normal(grid.n_interior)
+    X = x.reshape(grid.n_side, grid.n_side)
+    assert np.all(X[[0, -1], :] != 0.0) and np.all(X[:, [0, -1]] != 0.0)
+    y = op @ x
+    assert op.shape == band.shape and y.shape == x.shape and y is not x
+    assert np.all(np.abs(y - band @ x) <= 8 * np.finfo(float).eps * (abs(band) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("aspect", _ASPECTS)
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_stencil_coefficients_are_the_band_entries_bit_for_bit(m, aspect):
+    grid = GridSpec(m=m, aspect=aspect)
+    band, op = assemble_poisson_q1(grid), Q1Operator(grid)
+    n = grid.n_side
+    # centre, y-neighbour, x-neighbour and corner, each on both sides of the middle node
+    for coefficient, offsets in ((op.a, [0]), (op.b, [-1, 1]), (op.g, [-n, n]),
+                                 (op.d, [-n - 1, -n + 1, n - 1, n + 1])):
+        for k in offsets:
+            stored = band.data[list(band.offsets).index(k), band.shape[0] // 2]
+            assert np.float64(coefficient).tobytes() == stored.tobytes(), k
+    assert set(band.data.ravel()) == {op.a, op.b, op.g, op.d, 0.0}
+    assert np.array_equal(op.diagonal(), band.diagonal())
+
+
+@pytest.mark.parametrize("aspect", _ASPECTS)
+def test_stencil_product_is_symmetric(aspect):
+    grid = GridSpec(m=5, aspect=aspect)
+    op = Q1Operator(grid)
+    x, y = np.random.default_rng(5).standard_normal((2, grid.n_interior))
+    scale = np.abs(x) @ (abs(assemble_poisson_q1(grid)) @ np.abs(y))
+    assert abs(y @ (op @ x) - x @ (op @ y)) <= 64 * np.finfo(float).eps * scale
+
+
+def test_stencils_may_share_scratch():
+    # the levels of a hierarchy share one scratch: products never nest
+    fine, coarse = GridSpec(m=4, aspect=2.0), GridSpec(m=3, aspect=2.0)
+    scratch = np.empty(2 * fine.n_interior)
+    rng = np.random.default_rng(4)
+    for grid in (fine, coarse, fine):
+        x = rng.standard_normal(grid.n_interior)
+        assert np.array_equal(Q1Operator(grid, scratch) @ x, Q1Operator(grid) @ x)
+    with pytest.raises(ValueError, match="shape"):
+        Q1Operator(coarse) @ np.ones(fine.n_interior)
 
 
 def test_prolongation_weights():

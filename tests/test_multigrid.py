@@ -10,7 +10,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from polymg.cli import COLUMNS
-from polymg.fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother, sine_symbol
+from polymg.fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolongation,
+                        jacobi_smoother, sine_symbol)
 from polymg.linalg import as_csr, lanczos_max
 from polymg.multigrid import (
     Level,
@@ -144,13 +145,18 @@ def test_symbol_rho_at_extreme_aspect(aspect):
 
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 4.0])
 def test_level_operators_are_nine_point_bands(aspect):
+    # each level applies its grid's 9-point band, which no level stores
     h = build_hierarchy(GridSpec(m=6, aspect=aspect))
     x = np.random.default_rng(6).standard_normal(h.finest.A.shape[0])
     for lvl in h.levels[:-1]:
         n_side = lvl.grid.n_side
-        assert sorted(lvl.op.offsets) == [d + e for d in (-n_side, 0, n_side) for e in (-1, 0, 1)]
+        band = assemble_poisson_q1(lvl.grid)
+        assert isinstance(lvl.op, Q1Operator) and not sp.issparse(lvl.op)
+        assert sorted(band.offsets) == [d + e for d in (-n_side, 0, n_side) for e in (-1, 0, 1)]
         v = x[: lvl.A.shape[0]]
-        assert np.array_equal(lvl.op @ v, lvl.A @ v)
+        assert np.array_equal(band @ v, lvl.A @ v)
+        err = np.abs(lvl.op @ v - band @ v)
+        assert np.all(err <= 8 * np.finfo(float).eps * (abs(band) @ np.abs(v)))
         assert (lvl.R != lvl.P.T).nnz == 0
 
 
@@ -167,18 +173,22 @@ def _kron_prolongation(n_coarse):
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0, math.sqrt(2.0), 1e150, 3.0])
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_hierarchy_matches_kronecker_and_csr_galerkin_bit_for_bit(m, aspect):
-    # P and R are the Kronecker reference and each band the grid's assembled
-    # operator, bit for bit.  The Galerkin chain A_c = P^T A P by scipy's sparse
+    # P and R are the Kronecker reference and each level's stencil the grid's
+    # assembled band, bit for bit.  The Galerkin chain A_c = P^T A P by scipy's sparse
     # product from the finest band equals the bands up to its rounding, which
     # grows about fourfold per product: at most 8.6e-14 of the largest entry
     # (m=8, aspect 1e150; 7.2e-14 at aspect 2), and 0 at aspect 8
     h = build_hierarchy(GridSpec(m=m, aspect=aspect))
-    galerkin = as_csr(h.finest.op)
+    galerkin = as_csr(assemble_poisson_q1(h.finest.grid))
     for lvl in h.levels:
         op = assemble_poisson_q1(lvl.grid)
-        assert lvl.op.offsets.tobytes() == op.offsets.tobytes()
-        assert lvl.op.data.shape == op.data.shape
-        assert lvl.op.data.tobytes() == op.data.tobytes()
+        assert not sp.issparse(lvl.op) and lvl.op.shape == op.shape
+        # a, b, g, d: offsets 0, -1, -n_side and -n_side - 1 at the middle node
+        rows = [list(op.offsets).index(k) for k in (0, -1, -lvl.grid.n_side, -lvl.grid.n_side - 1)]
+        stored = op.data[rows, op.shape[0] // 2]
+        coefficients = np.array([lvl.op.a, lvl.op.b, lvl.op.g, lvl.op.d])
+        assert coefficients.tobytes() == stored.tobytes()
+        assert set(op.data.ravel()) == set(coefficients) | {0.0}
         diff = (galerkin - as_csr(op)).tocsr()
         assert np.max(np.abs(diff.data), initial=0.0) <= 2e-13 * np.max(np.abs(op.data))
         if lvl.P is None:
@@ -201,10 +211,11 @@ def test_build_peak_memory_is_a_few_fine_operators():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 2.85x: every level's band (1.32x), P and R (1.06x) and the cycle's work
-    # arrays, four fine vectors in all (0.44x).  Four vectors per level (0.59x)
-    # or an inverse diagonal stored per entry (0.15x) would exceed 3x
-    assert peak <= 3 * h.finest.op.data.nbytes
+    # 15.7 fine vectors: P and R on every level (9.55), the cycle's four work
+    # vectors and the stencils' two shared scratch vectors.  Scratch per level
+    # (+0.67), an inverse diagonal stored per entry (+1.33) or any level's band
+    # (+9 on the finest) would exceed 16; the DIA hierarchy took 25.6
+    assert peak <= 16 * h.finest.grid.n_interior * 8
 
 
 @pytest.mark.parametrize("smoother, vectors", [("w43k1", 2.5), ("cheb6", 3.5), ("opt6", 3.5)])
@@ -236,7 +247,7 @@ def test_diagonal_check_rejects_a_drift_past_1e_12():
     lvl = build_hierarchy(GridSpec(m=5, aspect=2.0)).levels[2]
 
     def drifted(rel):
-        op = lvl.op.copy()
+        op = assemble_poisson_q1(lvl.grid)
         op.data[list(op.offsets).index(0), 7] *= 1.0 + rel
         return op
 
@@ -249,9 +260,10 @@ def test_diagonal_check_rejects_a_drift_past_1e_12():
 def test_each_level_stores_one_operator(hierarchy_m4_a2):
     assert [f.name for f in dataclasses.fields(Level)] == ["grid", "op", "smoother", "P", "R"]
     for lvl in hierarchy_m4_a2.levels:
-        A = lvl.A  # built from the band on each access
-        assert lvl.op.format == "dia" and A.format == "csr" and A.has_canonical_format
-        assert np.array_equal(A.toarray(), lvl.op.toarray())
+        A = lvl.A  # assembled from the grid on each access
+        assert isinstance(lvl.op, Q1Operator) and not sp.issparse(lvl.op)
+        assert A.format == "csr" and A.has_canonical_format
+        assert np.array_equal(A.toarray(), assemble_poisson_q1(lvl.grid).toarray())
         assert np.all(A.data != 0.0)
 
 
@@ -429,11 +441,12 @@ def test_measured_C_grows_with_anisotropy():
 
 
 def test_measure_C_rejects_operands_of_no_two_level_pair(hierarchy_m4_a2):
-    top, coarse = hierarchy_m4_a2.levels[:2]
-    A, B, P, Ac = top.op, top.smoother, top.P, coarse.op
+    top, coarse, third = hierarchy_m4_a2.levels[:3]
+    A, Ac = assemble_poisson_q1(top.grid), assemble_poisson_q1(coarse.grid)
+    B, P = top.smoother, top.P
     small = as_csr(A)[:10, :10]
     for args in ((A, B, as_csr(sp.eye_array(A.shape[0])), A),  # square P: no coarse space
-                 (A, B, P, hierarchy_m4_a2.levels[2].op),  # A_c of the wrong size
+                 (A, B, P, assemble_poisson_q1(third.grid)),  # A_c of the wrong size
                  (small, B, P, Ac),  # no 2^m grid has 10 unknowns
                  (2.0 * A, B, P, Ac),  # a diagonal of no grid
                  # smoothers that are not the grid's: each gave a wrong C (3.296 and

@@ -116,15 +116,17 @@ def test_spec_validation():
         PolynomialSpec()
 
 
-@pytest.mark.parametrize("build", [
-    lambda: PolynomialSpec.from_roots([np.nan, 0.5]),
-    lambda: PolynomialSpec.from_roots([np.inf, 0.5]),
-    lambda: PolynomialSpec(cheb4_coeffs=[np.nan, 0.1]),
-    lambda: PolynomialSpec(cheb4_coeffs=[0.0, 1.0 / 3.0], roots=[np.nan]),
+@pytest.mark.parametrize("build, match", [
+    (lambda: PolynomialSpec.from_roots([np.nan, 0.5]), "roots must be finite"),
+    (lambda: PolynomialSpec.from_roots([np.inf, 0.5]), "roots must be finite"),
+    (lambda: PolynomialSpec(cheb4_coeffs=[np.nan, 0.1]), "coefficients must be finite"),
+    (lambda: PolynomialSpec(cheb4_coeffs=[0.0, 1.0 / 3.0], roots=[np.nan]), "roots must be finite"),
 ], ids=["nan-root", "inf-root", "nan-coefficient", "nan-root-given"])
-def test_spec_rejects_non_finite_input(build):
-    # NaN passes both `|p(0) - 1| > tol` and `r <= 0` as False
-    with pytest.raises(ValueError, match="finite"):
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_spec_rejects_non_finite_input(build, match):
+    # NaN passes both `|p(0) - 1| > tol` and `r <= 0` as False; from_roots
+    # checks its roots before evaluating p at them, so nothing warns
+    with pytest.raises(ValueError, match=match):
         build()
 
 

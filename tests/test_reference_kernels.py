@@ -5,7 +5,10 @@
 start).  The references below do all of that work, one full-vector pass
 per operation, and start coarse levels from an allocated zero vector.
 The skips are exact, so every iterate must match the reference bit for
-bit; a later speed change that alters the arithmetic fails here.
+bit; a later speed change that alters the arithmetic fails here.  The
+references apply each level's own operator (``lvl.op @``), so these pins
+hold for whichever product the level uses; ``tests/test_fem.py`` checks
+that product against the assembled band.
 """
 
 import numpy as np
