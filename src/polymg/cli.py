@@ -166,9 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.c_mode == "analytic":
         C = 2.0 * args.aspect ** 2
     else:
-        top = hier.levels[0]  # exact two-level C of the run grid
-        C = measure_C(assemble_poisson_q1(top.grid), top.smoother, top.P,
-                      assemble_poisson_q1(hier.levels[1].grid))
+        C = _measured_C(hier.finest.grid)
     print(f"[run] using C = {C:.6f} ({args.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
@@ -244,11 +242,14 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
     return 0
 
 
+def _measured_C(g: GridSpec) -> float:
+    """The exact two-level ``C`` of ``g`` and its coarsening, from the assembled operands."""
+    return measure_C(assemble_poisson_q1(g), jacobi_smoother(g), build_prolongation(g)[0],
+                     assemble_poisson_q1(g.coarsen()))
+
+
 def _cmd_measure_c(args: argparse.Namespace) -> int:
-    g = GridSpec(m=args.m, aspect=args.aspect)
-    A, cg = assemble_poisson_q1(g), g.coarsen()
-    C = measure_C(A, jacobi_smoother(A, g), build_prolongation(g, cg), assemble_poisson_q1(cg))
-    print(f"C = {C:.12g}")
+    print(f"C = {_measured_C(GridSpec(m=args.m, aspect=args.aspect)):.12g}")
     return 0
 
 

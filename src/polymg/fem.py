@@ -10,6 +10,9 @@ The operator is one constant 9-point stencil cut off at the Dirichlet edge.
 :func:`assemble_poisson_q1` writes it out as a 9-point DIA band, for export,
 for the two-level constants and as a test oracle; the multigrid levels apply
 it from its four distinct entries with :class:`Q1Operator` and store no band.
+The grid alone also fixes a level's other constants: :func:`jacobi_smoother`
+reads the diagonal off the stencil centre and ``rho(BA)`` off the sine-mode
+symbol, and :func:`build_prolongation` writes both bilinear transfers.
 """
 
 from __future__ import annotations
@@ -140,10 +143,6 @@ class Q1Operator:
         self._U_inner, self._U_first, self._U_last = U[1:-1], U[::n], U[n - 1::n]
         self._V_below, self._V_above = V[:-n], V[n:]
 
-    def diagonal(self) -> np.ndarray:
-        """The constant diagonal ``a``, as a read-only vector."""
-        return np.broadcast_to(self.a, self.shape[:1])
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != self.shape[1:]:
@@ -163,32 +162,29 @@ class Q1Operator:
         return y
 
 
-def build_prolongation(fine: GridSpec, coarse: GridSpec) -> sp.csr_array:
-    """Bilinear prolongation between nested grids (factor-2 coarsening).
+def build_prolongation(fine: GridSpec) -> tuple[sp.csr_array, sp.csr_array]:
+    """Bilinear prolongation ``P`` from ``fine.coarsen()`` to ``fine``, and ``R = P^T``.
 
     Coarse node ``(I, J)`` coincides with fine node ``(2I + 1, 2J + 1)``
     (0-based); the interpolation weights are 1 at coincident nodes, 1/2
     along edges and 1/4 at cell centers.  Interior rows not adjacent to the
     boundary sum to one.  Every column holds the same 3 x 3 stencil on fine
     nodes ``2I..2I+2`` by ``2J..2J+2``, the outer product of the 1-D weights
-    ``(1/2, 1, 1/2)``, so the CSR arrays of ``P^T`` are written directly and
-    transposed once into a canonical CSR with int32 indices.  The weight
-    products are exact: this is ``kron(p, p)`` of the 1-D interpolation
-    ``p`` bit for bit, without the Kronecker product's intermediates.
+    ``(1/2, 1, 1/2)``, so the CSR arrays of ``R`` are written directly, in
+    canonical form with int32 indices, and transposed once into ``P``.  The
+    weight products are exact: ``P`` is ``kron(p, p)`` of the 1-D
+    interpolation ``p`` bit for bit, without the Kronecker product's
+    intermediates.
     """
-    if coarse.m != fine.m - 1:
-        raise ValueError("coarse grid must be one refinement level below the fine grid")
-    if coarse.aspect != fine.aspect:
-        raise ValueError("grids must share the aspect ratio")
-    nc, nf = coarse.n_side, fine.n_side
+    nc, nf = fine.coarsen().n_side, fine.n_side
     w = np.array([0.5, 1.0, 0.5])
     d = np.arange(3, dtype=np.int32)
     c = 2 * np.arange(nc, dtype=np.int32)  # first fine node of each coarse stencil
     first = (c[:, None] * nf + c[None, :]).reshape(-1, 1)
     indices = first + (d[:, None] * nf + d[None, :]).reshape(1, 9)
-    Pt = sp.csr_array((np.tile(np.outer(w, w).ravel(), nc * nc), indices.ravel(),
-                       np.arange(0, 9 * nc * nc + 1, 9, dtype=np.int32)), shape=(nc * nc, nf * nf))
-    return Pt.T.tocsr()
+    R = sp.csr_array((np.tile(np.outer(w, w).ravel(), nc * nc), indices.ravel(),
+                      np.arange(0, 9 * nc * nc + 1, 9, dtype=np.int32)), shape=(nc * nc, nf * nf))
+    return R.T.tocsr(), R
 
 
 def sine_symbol(grid: GridSpec, modes) -> np.ndarray:
@@ -206,31 +202,18 @@ def sine_symbol(grid: GridSpec, modes) -> np.ndarray:
     return kx[:, None] * my[None, :] + mx[:, None] * ky[None, :]
 
 
-def jacobi_smoother(A, grid: GridSpec) -> DiagonalSmoother:
-    """Point-Jacobi preconditioner ``B = diag(A)^{-1}`` with exact ``rho(BA)``.
+def jacobi_smoother(grid: GridSpec) -> DiagonalSmoother:
+    """Point-Jacobi ``B = diag(A)^{-1}`` for the grid's Q1 operator ``A``, with exact ``rho(BA)``.
 
-    ``A`` must be the Q1 operator of ``grid`` (a :class:`Q1Operator`,
-    :func:`assemble_poisson_q1`, or any matrix with its entries).  Its
-    diagonal is then the constant ``d = (8/6)(hy/hx + hx/hy)``, so
-    ``rho(BA) = lambda_max(A) / d`` comes from the sine-mode symbol
-    (:func:`sine_symbol`) with no eigensolve.  The symbol is bilinear in
-    ``(c_x, c_y)``, so its maximum lies on one of the four corner modes
-    ``i, j in {1, n_side}``.  The spectrum of ``BA / rho(BA)`` lies in
-    (0, 1] up to rounding.  Raises ``ValueError`` if the diagonal is not
-    positive or differs from ``d`` by more than 1e-12 relative, i.e. if
-    ``grid`` does not describe ``A``.
+    The diagonal is the stencil centre ``a``, one constant (bit for bit the
+    band's entry and :attr:`Q1Operator.a`), so ``1/a`` is stored once as a
+    read-only vector and ``rho(BA) = lambda_max(A) / a`` comes from the
+    sine-mode symbol (:func:`sine_symbol`) with no eigensolve.  The symbol
+    is bilinear in ``(c_x, c_y)``, so its maximum lies on one of the four
+    corner modes ``i, j in {1, n_side}``.  The spectrum of ``BA / rho(BA)``
+    lies in (0, 1] up to rounding.
     """
-    n = grid.n_interior
-    if A.shape != (n, n):
-        raise ValueError(f"operator shape {A.shape} does not match the grid's {n} unknowns")
-    diag = A.diagonal()
-    if not np.all(diag > 0.0):
-        raise ValueError("matrix diagonal must be positive")
-    d = (8.0 / 6.0) * (grid.hy / grid.hx + grid.hx / grid.hy)
-    if not np.all(np.abs(diag - d) <= 1e-12 * d):
-        raise ValueError("matrix diagonal does not match the Q1 operator of the grid")
-    inv = 1.0 / diag
-    if np.all(inv == inv[0]):  # as on every Q1 operator: one value, stored once
-        inv = np.broadcast_to(inv[0], inv.shape)
+    a = float(_stencil(grid)[1, 1])
     lam_max = float(sine_symbol(grid, [1, grid.n_side]).max())
-    return DiagonalSmoother(inverse_diagonal=inv, rho_BA=lam_max / d)
+    return DiagonalSmoother(inverse_diagonal=np.broadcast_to(1.0 / a, (grid.n_interior,)),
+                            rho_BA=lam_max / a)

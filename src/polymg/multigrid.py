@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolongation, jacobi_smoother,
-                  sine_symbol)
+from .fem import (GridSpec, Q1Operator, _stencil, assemble_poisson_q1, build_prolongation,
+                  jacobi_smoother, sine_symbol)
 from .linalg import CholeskySolver, as_csr, lanczos_max
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
@@ -122,9 +122,10 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     operator is the Galerkin product ``P^T A P`` of the finer level and the
     bilinear prolongation, which the V-cycle bounds assume; the tests check
     the identity against scipy's sparse product.  Each level's Jacobi
-    smoother takes ``rho(BA)`` from its grid's sine-mode symbol
-    (:func:`~polymg.fem.jacobi_smoother`), so no eigensolve runs here.
-    Only the coarsest grid is assembled, for its Cholesky factor.
+    smoother (:func:`~polymg.fem.jacobi_smoother`) and transfers ``P`` and
+    ``R`` (:func:`~polymg.fem.build_prolongation`) come from its grid alone,
+    so no eigensolve or transpose runs here.  Only the coarsest grid is
+    assembled, for its Cholesky factor.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
@@ -133,10 +134,9 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     g = grid
     while g.n_side > min_interior and g.m > 2:
         op = Q1Operator(g, scratch)
-        cg = g.coarsen()
-        P = build_prolongation(g, cg)
-        levels.append(Level(grid=g, op=op, smoother=jacobi_smoother(op, g), P=P, R=as_csr(P.T)))
-        g = cg
+        P, R = build_prolongation(g)
+        levels.append(Level(grid=g, op=op, smoother=jacobi_smoother(g), P=P, R=R))
+        g = g.coarsen()
     levels.append(Level(grid=g, op=Q1Operator(g, scratch), smoother=None, P=None, R=None))
     return Hierarchy(levels=tuple(levels),
                      coarse_solver=CholeskySolver(assemble_poisson_q1(g).toarray()))
@@ -226,11 +226,11 @@ def _two_level_grid(A, B: DiagonalSmoother, P, A_c) -> GridSpec:
     """The grid of which ``(A, B, P, A_c)`` is the two-level pair, else ``ValueError``.
 
     ``m`` comes from ``A``'s size and the aspect from ``A[0, n_side] +
-    2 A[0, 1] = -aspect``.  ``A`` and ``A_c`` must carry the diagonals of
-    the grid and its coarsening, ``B`` must be the constant Jacobi smoother
-    :func:`~polymg.fem.jacobi_smoother` gives ``A`` (the same inverse
-    diagonal, and ``rho_BA`` to 1e-12 relative) and ``P`` the grid's
-    bilinear prolongation.
+    2 A[0, 1] = -aspect``.  ``A_c`` must have the coarsened grid's shape,
+    ``A`` and ``A_c`` a diagonal within 1e-12 relative of their grids'
+    stencil centres, ``B`` a constant diagonal within 1e-12 relative of the
+    grid's :func:`~polymg.fem.jacobi_smoother` in ``inverse_diagonal`` and
+    ``rho_BA``, and ``P`` the grid's bilinear prolongation.
     """
     n = A.shape[0]
     n_side = math.isqrt(n)
@@ -239,16 +239,23 @@ def _two_level_grid(A, B: DiagonalSmoother, P, A_c) -> GridSpec:
         raise ValueError(f"operator of shape {A.shape} is not a Q1 grid with m >= 3")
     # rounding can put aspect 1 just below 1; the diagonal check rejects anything further off
     g = GridSpec(m=m, aspect=max(1.0, -(A.diagonal(n_side)[0] + 2.0 * A.diagonal(1)[0])))
-    ref = jacobi_smoother(A, g)
-    jacobi_smoother(A_c, g.coarsen())  # called only for its shape and diagonal checks
+    cg = g.coarsen()
+    if A_c.shape != (cg.n_interior, cg.n_interior):
+        raise ValueError(f"coarse operator shape {A_c.shape} does not match the coarse grid's "
+                         f"{cg.n_interior} unknowns")
+    for op, grid in ((A, g), (A_c, cg)):
+        a = _stencil(grid)[1, 1]
+        if not np.all(np.abs(op.diagonal() - a) <= 1e-12 * a):  # also rejects nan
+            raise ValueError("operator diagonal does not match the Q1 operator of the grid")
     inv = B.inverse_diagonal
     if inv.shape != (n,) or np.any(inv != inv[0]):
         raise ValueError("smoother must be a constant diagonal of the operator's size")
-    # ref's rho comes from the rounded aspect above, so it may differ in its last bits
-    if (not np.array_equal(inv, ref.inverse_diagonal)
-            or abs(B.rho_BA - ref.rho_BA) > 1e-12 * ref.rho_BA):
+    # ref comes from the rounded aspect above, so it may differ in its last bits
+    ref = jacobi_smoother(g)
+    if not all(abs(got - want) <= 1e-12 * want for got, want in
+               ((inv[0], ref.inverse_diagonal[0]), (B.rho_BA, ref.rho_BA))):
         raise ValueError("smoother is not the Jacobi smoother of the operator")
-    P_ref = build_prolongation(g, g.coarsen())
+    P_ref, _ = build_prolongation(g)
     if P.shape != P_ref.shape or (sp.csr_array(P) != P_ref).nnz:
         raise ValueError("P is not the bilinear prolongation of the grid")
     return g
@@ -287,9 +294,10 @@ def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
     """Exact ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A`` (two-level).
 
     ``B`` is normalized internally so that ``rho(BA) = 1``.  The operands
-    must be one model grid's assembled Q1 operator (DIA or CSR, as
+    must be one model grid's assembled Q1 operator (a DIA band, or CSR as
     ``Level.A`` gives), its Jacobi smoother, bilinear prolongation and
-    coarse operator, else ``ValueError``; ``C`` is then a 4 x 4 block
+    coarse operator (diagonals and smoother within 1e-12 relative of the
+    grid's), else ``ValueError``; ``C`` is then a 4 x 4 block
     eigenvalue of the sine modes, with no iteration.  ``C >= 1`` and rises
     towards ``2 aspect^2`` with ``m``.  The signature becomes
     ``measure_C(grid)`` with the next change to the bench, which calls this

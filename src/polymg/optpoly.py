@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolynomialSpec, _signed_p
+from .poly import PolynomialSpec, _check_roots, _signed_p
 
 __all__ = [
     "EquioscillationState",
@@ -65,10 +65,7 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
     strictly increasing, and their product a normal float (``g`` divides by it).
     """
     roots = np.asarray(roots, dtype=float)
-    if not np.all(np.isfinite(roots)) or np.any(roots <= 0.0):
-        raise ValueError("roots must be finite and positive")
-    if not np.finfo(float).tiny <= np.prod(roots) < np.inf:
-        raise ValueError("the product of the roots must be a normal float")
+    _check_roots(roots)
     k = len(roots)
     if k < 2:
         return np.empty(0)

@@ -94,8 +94,7 @@ def test_assembled_spectrum_matches_closed_form(m, aspect):
 
 
 def test_exact_rho_reference_value():
-    grid = GridSpec(m=8, aspect=2.0)
-    B = jacobi_smoother(assemble_poisson_q1(grid), grid)
+    B = jacobi_smoother(GridSpec(m=8, aspect=2.0))
     assert B.rho_BA == pytest.approx(2.3998569363292814, rel=1e-15)
 
 
@@ -138,8 +137,7 @@ def test_symbol_maximum_lies_on_a_corner_mode(aspect):
 @pytest.mark.parametrize("aspect", [1e150, 1e300])
 def test_symbol_rho_at_extreme_aspect(aspect):
     # reference: an upper Lanczos estimate (tol 1e-10) of the same rho(BA)
-    grid = GridSpec(m=3, aspect=aspect)
-    B = jacobi_smoother(assemble_poisson_q1(grid), grid)
+    B = jacobi_smoother(GridSpec(m=3, aspect=aspect))
     assert B.rho_BA == pytest.approx(2.812595994072848, abs=1e-10)
 
 
@@ -242,19 +240,23 @@ def test_v_cycle_peak_memory_is_a_few_fine_vectors(smoother, vectors):
 
 
 def test_diagonal_check_rejects_a_drift_past_1e_12():
-    # every level is assembled on its grid, so its diagonal is the grid's
-    # constant to rounding; a drift of 1.1e-12 or more means another operator
-    lvl = build_hierarchy(GridSpec(m=5, aspect=2.0)).levels[2]
+    # an operand assembled on its grid has the grid's constant diagonal to
+    # rounding; a drift of 1.1e-12 or more means another operator
+    pair = _two_level(5, 2.0)
+    C = measure_C(*pair)
 
-    def drifted(rel):
-        op = assemble_poisson_q1(lvl.grid)
+    def drifted(i, rel):
+        op = pair[i].copy()
         op.data[list(op.offsets).index(0), 7] *= 1.0 + rel
-        return op
+        return (*pair[:i], op, *pair[i + 1:])
 
-    assert jacobi_smoother(drifted(5e-13), lvl.grid).rho_BA == lvl.smoother.rho_BA
-    for rel in (1.1e-12, 1e-6):
-        with pytest.raises(ValueError, match="does not match the Q1 operator"):
-            jacobi_smoother(drifted(rel), lvl.grid)
+    for i in (0, 3):  # A and A_c
+        assert measure_C(*drifted(i, 5e-13)) == C
+        for rel in (1.1e-12, 1e-6):
+            with pytest.raises(ValueError, match="does not match the Q1 operator"):
+                measure_C(*drifted(i, rel))
+            with pytest.raises(ValueError, match="does not match the Q1 operator"):
+                measure_CN(*drifted(i, rel), PolynomialSpec.fourth_kind(1))
 
 
 def test_each_level_stores_one_operator(hierarchy_m4_a2):
@@ -445,10 +447,19 @@ def test_measure_C_rejects_operands_of_no_two_level_pair(hierarchy_m4_a2):
     A, Ac = assemble_poisson_q1(top.grid), assemble_poisson_q1(coarse.grid)
     B, P = top.smoother, top.P
     small = as_csr(A)[:10, :10]
+    isotropic_Ac = assemble_poisson_q1(GridSpec(m=coarse.grid.m, aspect=1.0))
+    bad_diagonals = []
+    for bad in (0.0, np.nan):
+        bad_A, bad_Ac = A.copy(), Ac.copy()
+        bad_A.setdiag(bad)
+        bad_Ac.setdiag(bad)
+        bad_diagonals += [(bad_A, B, P, Ac), (A, B, P, bad_Ac)]
     for args in ((A, B, as_csr(sp.eye_array(A.shape[0])), A),  # square P: no coarse space
                  (A, B, P, assemble_poisson_q1(third.grid)),  # A_c of the wrong size
+                 (A, B, P, isotropic_Ac),  # A_c of another grid of the right size
                  (small, B, P, Ac),  # no 2^m grid has 10 unknowns
                  (2.0 * A, B, P, Ac),  # a diagonal of no grid
+                 *bad_diagonals,  # a zero or nan diagonal in A or A_c
                  # smoothers that are not the grid's: each gave a wrong C (3.296 and
                  # 4.729 against 7.881 at m = 5, aspect 2)
                  (A, DiagonalSmoother(B.inverse_diagonal, rho_BA=1.0), P, Ac),
@@ -471,7 +482,7 @@ def test_prolongation_couples_four_fine_modes_per_coarse_mode(m):
     nf, nc = g.n_side, g.coarsen().n_side
     Sf, Sc = _sine_basis(nf), _sine_basis(nc)
     # P in the 2-D sine bases (node ix * n + iy is kron order)
-    Phat = np.kron(Sf, Sf).T @ build_prolongation(g, g.coarsen()).toarray() @ np.kron(Sc, Sc)
+    Phat = np.kron(Sf, Sf).T @ build_prolongation(g)[0].toarray() @ np.kron(Sc, Sc)
     half = np.arange(1, nc + 1) * np.pi / (2 * (nf + 1))
     expected_1d = np.zeros((nf, nc))
     expected_1d[np.arange(nc), np.arange(nc)] = np.sqrt(2.0) * np.cos(half) ** 2
@@ -486,8 +497,15 @@ def test_prolongation_couples_four_fine_modes_per_coarse_mode(m):
 
 def _two_level(m, aspect):
     g = GridSpec(m=m, aspect=aspect)
-    A, cg = assemble_poisson_q1(g), g.coarsen()
-    return A, jacobi_smoother(A, g), build_prolongation(g, cg), assemble_poisson_q1(cg)
+    return (assemble_poisson_q1(g), jacobi_smoother(g), build_prolongation(g)[0],
+            assemble_poisson_q1(g.coarsen()))
+
+
+@pytest.mark.parametrize("aspect, C", [(1.9, 7.12156945128), (3.3, 20.9940679747)])
+def test_measure_C_accepts_a_grid_whose_recovered_aspect_rounds(aspect, C):
+    # the aspect read back from A's off-diagonals misses these by rounding,
+    # which moves 1/a of the recovered grid by an ulp: within the 1e-12 check
+    assert measure_C(*_two_level(5, aspect)) == pytest.approx(C, rel=1e-11)
 
 
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])

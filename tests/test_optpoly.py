@@ -88,7 +88,8 @@ def test_extremum_against_grid_search():
     [0.2, 0.5, math.inf],
 ])
 def test_find_extrema_rejects_bad_roots(roots):
-    with pytest.raises(ValueError, match="finite and positive"):
+    message = "roots must be positive" if np.all(np.isfinite(roots)) else "roots must be finite"
+    with pytest.raises(ValueError, match=message):
         find_extrema(roots)
 
 
