@@ -71,7 +71,9 @@ def _parse_k_range(text: str) -> list[int]:
             ks = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad degree range {text!r}") from exc
-    if not ks or any(k < 1 or k > _MAX_DEGREE for k in ks):
+    if not ks:
+        raise argparse.ArgumentTypeError(f"empty degree range {text!r}")
+    if any(k < 1 or k > _MAX_DEGREE for k in ks):
         raise argparse.ArgumentTypeError(f"degrees must lie in [1, {_MAX_DEGREE}]")
     return ks
 

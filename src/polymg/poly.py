@@ -15,12 +15,13 @@ expansion in fourth-kind Chebyshev polynomials: with
 ``p = sum_j alpha_j W_j(1 - 2 lam)``, the over-relaxation weights follow
 the recursion ``beta_{j+1} = beta_j - (2j+1) alpha_j`` from
 ``beta_0 = 1``, and consistency requires ``beta_{k+1} = 1 - p(0) = 0``.
+A :class:`PolynomialSpec` is known by its roots: it is evaluated in product
+form, and it carries the expansion only for the betas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -28,20 +29,11 @@ from .scalar import golden_section_min
 
 __all__ = [
     "cheb_w",
-    "cheb4_coefficients",
     "PolynomialSpec",
     "gamma_mu",
 ]
 
 _GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
-
-
-def _w_sequence(x):
-    """Yield ``W_0(x), W_1(x), ...`` by ``W_{j+1} = 2x W_j - W_{j-1}`` from ``W_{-1} = -1``."""
-    w_prev, w = -np.ones_like(x), np.ones_like(x)
-    while True:
-        yield w
-        w_prev, w = w, 2.0 * x * w - w_prev
 
 
 def _signed_p(diff, roots):
@@ -66,33 +58,11 @@ def cheb_w(n: int, x):
     """
     if n < 0 or n != int(n):
         raise ValueError("degree must be a nonnegative integer")
-    w = next(islice(_w_sequence(np.asarray(x, dtype=float)), int(n), None))
+    x = np.asarray(x, dtype=float)
+    w_prev, w = -np.ones_like(x), np.ones_like(x)  # W_{-1} = -1 gives W_1 = 2x + 1
+    for _ in range(int(n)):
+        w_prev, w = w, 2.0 * x * w - w_prev
     return w if w.ndim else float(w)
-
-
-def cheb4_coefficients(k: int) -> np.ndarray:
-    """Monomial coefficients of ``W_k(1-2 lam)/(2k+1)``, lowest degree first.
-
-    The recurrence is carried out in exact integer arithmetic (the
-    coefficients of ``W_k(1-2 lam)`` are integers), so the returned floats
-    are correct to one rounding each.
-    """
-    if k < 0:
-        raise ValueError("degree must be nonnegative")
-    w_prev = [1]
-    if k == 0:
-        return np.array([1.0])
-    w = [3, -4]  # 2(1-2 lam) + 1
-    for _ in range(2, k + 1):
-        # 2(1-2 lam) * w - w_prev
-        nxt = [0] * (len(w) + 1)
-        for i, c in enumerate(w):
-            nxt[i] += 2 * c
-            nxt[i + 1] -= 4 * c
-        for i, c in enumerate(w_prev):
-            nxt[i] -= c
-        w_prev, w = w, nxt
-    return np.array([c / (2 * k + 1) for c in w])
 
 
 def _check_roots(r):
@@ -107,15 +77,16 @@ def _check_roots(r):
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """A smoother polynomial with ``p(0) = 1``.
+    """A smoother polynomial with ``p(0) = 1``, known by its roots.
 
-    ``cheb4_coeffs`` holds the expansion ``p = sum_i alpha_i W_i(1-2 lam)``,
-    ``i = 0..k``; ``roots``, when known, gives the product form
-    ``p(lam) = prod_i (r_i - lam) / prod_i r_i``, which evaluation prefers.
+    ``roots`` gives the product form ``p(lam) = prod_i (r_i - lam) / prod_i r_i``,
+    the one form evaluation uses; ``cheb4_coeffs`` holds the expansion
+    ``p = sum_i alpha_i W_i(1-2 lam)``, ``i = 0..k``, that the iteration
+    betas are read from.
     """
 
     cheb4_coeffs: np.ndarray
-    roots: np.ndarray | None = None
+    roots: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.cheb4_coeffs, dtype=float)
@@ -127,13 +98,12 @@ class PolynomialSpec:
         p0 = float(a @ orders)
         if abs(p0 - 1.0) > 1e-8 * max(1.0, float(np.abs(a) @ orders)):
             raise ValueError(f"coefficients give p(0) = {p0!r}, expected 1")
+        r = np.asarray(self.roots, dtype=float)
+        if r.shape != (a.size - 1,):
+            raise ValueError("need exactly `degree` roots")
+        _check_roots(r)
         object.__setattr__(self, "cheb4_coeffs", a)
-        if self.roots is not None:
-            r = np.asarray(self.roots, dtype=float)
-            if r.shape != (self.degree,):
-                raise ValueError("need exactly `degree` roots")
-            _check_roots(r)
-            object.__setattr__(self, "roots", r)
+        object.__setattr__(self, "roots", r)
 
     @property
     def degree(self) -> int:
@@ -183,27 +153,9 @@ class PolynomialSpec:
                            1.0 / (4.0 ** k * np.prod(roots)))
         return cls(cheb4_coeffs=alphas, roots=roots)
 
-    @classmethod
-    def from_betas(cls, betas) -> "PolynomialSpec":
-        """Polynomial realized by the over-relaxed iteration with these betas.
-
-        ``p = sum_i ((beta_i - beta_{i+1}) / (2i+1)) W_i(1-2 lam)`` with
-        ``beta_0 = 1`` and ``beta_{k+1} = 0``.
-        """
-        betas = np.asarray(betas, dtype=float)
-        ext = np.concatenate([[1.0], betas, [0.0]])
-        return cls(cheb4_coeffs=(ext[:-1] - ext[1:]) / (2.0 * np.arange(len(betas) + 1) + 1.0))
-
     def evaluate(self, lam):
         """Evaluate ``p`` at scalar or array ``lam``."""
-        lam = np.asarray(lam, dtype=float)
-        if self.roots is not None:
-            out = _product_form(lam, self.roots)
-        else:
-            terms = (a * w for a, w in zip(self.cheb4_coeffs, _w_sequence(1.0 - 2.0 * lam)))
-            out = next(terms)
-            for term in terms:
-                out = out + term
+        out = _product_form(lam, self.roots)
         return out if out.ndim else float(out)
 
     __call__ = evaluate
@@ -211,19 +163,11 @@ class PolynomialSpec:
     def one_minus(self, lam):
         """``1 - p(lam)``, without the cancellation of ``1 - evaluate(lam)`` near 0."""
         lam = np.asarray(lam, dtype=float)
-        if self.roots is not None and self.degree > 0:  # degree 0 has no smallest root
-            # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no cancellation
-            s = np.minimum(lam[..., None] / self.roots, 0.5)
-            out = np.where(lam <= 0.5 * np.min(self.roots),
-                           -np.expm1(np.sum(np.log1p(-s), axis=-1)), 1.0 - self.evaluate(lam))
-        else:
-            # p(0) = 1 gives 1 - p = sum_i alpha_i D_i with D_i = W_i(1) - W_i(1-2 lam)
-            # = 2 D_{i-1} - D_{i-2} + 4 lam W_{i-1}(1-2 lam), from D_0 = D_{-1} = 0
-            d_prev, d = 0.0, 0.0
-            out = np.zeros_like(lam)
-            for alpha, w in zip(self.cheb4_coeffs[1:], _w_sequence(1.0 - 2.0 * lam)):
-                d_prev, d = d, 2.0 * d - d_prev + 4.0 * lam * w
-                out = out + alpha * d
+        # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no
+        # cancellation; degree 0 (no roots, p = 1) takes that branch everywhere
+        s = np.minimum(lam[..., None] / self.roots, 0.5)
+        out = np.where(lam <= 0.5 * np.min(self.roots, initial=np.inf),
+                       -np.expm1(np.sum(np.log1p(-s), axis=-1)), 1.0 - self.evaluate(lam))
         return out if out.ndim else float(out)
 
 

@@ -51,11 +51,11 @@ class DiagonalSmoother:
 
     def __post_init__(self):
         d = np.asarray(self.inverse_diagonal, dtype=float)
-        if d.ndim != 1 or np.any(d <= 0.0):
+        if d.ndim != 1 or not np.all(d > 0.0):  # nan is not > 0
             raise ValueError("inverse diagonal must be a positive 1-D array")
         object.__setattr__(self, "inverse_diagonal", d)
-        if not self.rho_BA > 0.0:
-            raise ValueError("rho(BA) must be positive")
+        if not 0.0 < self.rho_BA < np.inf:  # an infinite entry of B makes it infinite
+            raise ValueError("rho(BA) must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,8 @@ class SmootherConfig:
         betas = np.asarray(betas, dtype=float)
         if betas.ndim != 1 or betas.size < 1:
             raise ValueError("opt smoother needs a 1-D array of k >= 1 betas")
+        if not np.all(np.isfinite(betas)):
+            raise ValueError("opt smoother needs finite betas")
         return cls(tuple(((2 * i - 3) / (2 * i + 1) if i > 1 else 0.0, (8 * i - 4) / (2 * i + 1),
                           float(beta)) for i, beta in enumerate(betas, start=1)))
 

@@ -1,9 +1,31 @@
-"""Shared fixtures: model-problem hierarchies reused across test modules."""
+"""Shared fixtures: model-problem hierarchies reused across test modules.
 
+Also the reference sums of fourth-kind expansions, which the library keeps
+only as betas: ``PolynomialSpec`` evaluates its polynomial from its roots.
+"""
+
+import numpy as np
 import pytest
 
 from polymg import GridSpec, build_hierarchy
 from polymg.optpoly import optimal_roots
+from polymg.poly import cheb_w
+
+
+def fourth_kind_sum(alphas, lam):
+    """``sum_i alpha_i W_i(1 - 2 lam)``, each ``W_i`` by its recurrence."""
+    x = 1.0 - 2.0 * np.asarray(lam, dtype=float)
+    return sum(a * cheb_w(i, x) for i, a in enumerate(alphas))
+
+
+def beta_polynomial(betas, lam):
+    """The polynomial realized by the over-relaxed iteration with these betas.
+
+    ``p = sum_i ((beta_i - beta_{i+1}) / (2i+1)) W_i(1-2 lam)`` with
+    ``beta_0 = 1`` and ``beta_{k+1} = 0``.
+    """
+    ext = np.concatenate([[1.0], np.asarray(betas, dtype=float), [0.0]])
+    return fourth_kind_sum((ext[:-1] - ext[1:]) / (2.0 * np.arange(ext.size - 1) + 1.0), lam)
 
 
 @pytest.fixture(scope="session")

@@ -39,7 +39,6 @@ from polymg.bounds import (
 )
 from polymg.cli import COLUMNS, emit_gamma_table
 from polymg.optpoly import optimal_roots
-from polymg.poly import cheb4_coefficients
 from polymg.smoothers import DiagonalSmoother, apply_smoother
 
 ASPECTS = (1.0, 2.0, 4.0, 8.0)
@@ -121,13 +120,16 @@ def test_closed_form_optimal_roots(scorecard):
 
 
 def test_fourth_kind_identities(scorecard):
+    # W_k(1 - 2 lambda)/(2k + 1) written out in monomials, against the smoother
     explicit = {
         1: [1.0, -4.0 / 3.0],
         2: [1.0, -4.0, 16.0 / 5.0],
         3: [1.0, -8.0, 16.0, -64.0 / 7.0],
     }
+    lam = np.linspace(0.0, 1.0, 101)
     coeff_err = max(
-        float(np.max(np.abs(np.asarray(cheb4_coefficients(k)) - explicit[k])))
+        float(np.max(np.abs(PolynomialSpec.fourth_kind(k).evaluate(lam)
+                            - sum(c * lam ** i for i, c in enumerate(explicit[k])))))
         for k in explicit)
     # sup of sqrt(lambda)|p_k| over (0, 1]: check the analytic alternation
     # points and a fine grid against the claimed level 1/(2k+1)

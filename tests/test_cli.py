@@ -268,6 +268,7 @@ def test_run_rejects_measured_C_without_a_coarse_level(tmp_path):
     ("measure-c", "--m", "2"),  # m = 2 has no coarse level
     ("bounds", "--C", "2", "--k", "1", "--omega", "2.5"),  # the simple bound needs 0 < omega < 2
     ("bounds", "--C", "2", "--k", "1", "--omega", "nan"),
+    ("run", "--k", "3..1"),  # reversed, so empty
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -281,6 +282,12 @@ def _rejected_run_setting(tmp_path, *args):
     assert res.returncode == 2
     assert list(tmp_path.iterdir()) == []
     return res.stderr
+
+
+@pytest.mark.parametrize("k", ["3..1", ","])
+def test_empty_degree_range_is_named(tmp_path, k):
+    # both ends of '3..1' lie in [1, 200]; the range between them is empty
+    assert f"argument --k: empty degree range {k!r}" in _rejected_run_setting(tmp_path, "--k", k)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, 1.0])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import beta_polynomial, fourth_kind_sum
 from polymg import optpoly
 from polymg.optpoly import find_extrema, optimal_polynomial, optimal_roots
 from polymg.poly import PolynomialSpec, _product_form, _signed_p, gamma_mu
@@ -265,9 +266,8 @@ def test_beta_sample_range_and_consistency():
         assert betas.shape == (k,)
         assert np.all(betas >= 1.0 - 1e-12)
         assert np.all(betas < 1.6)
-        realized = PolynomialSpec.from_betas(betas)
         direct = PolynomialSpec.from_roots(state.roots)
-        assert np.max(np.abs(realized(lam) - direct(lam))) < 1e-10
+        assert np.max(np.abs(beta_polynomial(betas, lam) - direct(lam))) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -275,8 +275,8 @@ def test_beta_sample_range_and_consistency():
 def test_roots_betas_polynomial_round_trip(k):
     state = optimal_roots(k)
     lam = np.linspace(0.0, 1.0, 257)
-    realized = PolynomialSpec.from_betas(PolynomialSpec.from_roots(state.roots).iteration_betas)
-    assert np.max(np.abs(realized(lam) - PolynomialSpec.from_roots(state.roots)(lam))) < 1e-10
+    realized = beta_polynomial(PolynomialSpec.from_roots(state.roots).iteration_betas, lam)
+    assert np.max(np.abs(realized - PolynomialSpec.from_roots(state.roots)(lam))) < 1e-10
 
 
 def test_optimal_polynomial_bundles_representations():
@@ -286,7 +286,7 @@ def test_optimal_polynomial_bundles_representations():
     assert spec.iteration_betas is not None
     lam = np.linspace(0.0, 1.0, 129)
     by_roots = PolynomialSpec.from_roots(spec.roots)(lam)
-    by_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs)(lam)
+    by_coeffs = fourth_kind_sum(spec.cheb4_coeffs, lam)
     assert np.max(np.abs(by_roots - by_coeffs)) < 1e-12
 
 

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polymg.poly import PolynomialSpec, cheb4_coefficients, cheb_w, gamma_mu
+from conftest import fourth_kind_sum
+from polymg.optpoly import optimal_polynomial
+from polymg.poly import PolynomialSpec, cheb_w, gamma_mu
 
 
 def _damped(omega, k):
@@ -31,7 +33,7 @@ def _gauss_rule_alphas(roots):
 def _beta_error(roots):
     """Largest |beta - reference beta| of ``from_roots``, over ``max(1, max |beta|)``."""
     betas = PolynomialSpec.from_roots(roots).iteration_betas
-    reference = PolynomialSpec(cheb4_coeffs=_gauss_rule_alphas(roots)).iteration_betas
+    reference = PolynomialSpec(cheb4_coeffs=_gauss_rule_alphas(roots), roots=roots).iteration_betas
     return np.max(np.abs(betas - reference)) / max(1.0, np.max(np.abs(reference)))
 
 
@@ -65,18 +67,9 @@ def test_cheb_w_rejects_negative_degree():
         cheb_w(-1, 0.0)
 
 
-def test_cheb4_coefficients_explicit():
-    assert np.allclose(cheb4_coefficients(1), [1.0, -4.0 / 3.0], atol=1e-15)
-    assert np.allclose(cheb4_coefficients(2), [1.0, -4.0, 16.0 / 5.0], atol=1e-15)
-    assert np.allclose(cheb4_coefficients(3), [1.0, -8.0, 16.0, -64.0 / 7.0], atol=1e-14)
-
-
 def test_cheb4_smoother_consistency():
     lam = np.linspace(0.0, 1.0, 101)
     for k in (1, 2, 3, 6, 11):
-        coeffs = cheb4_coefficients(k)
-        horner = sum(c * lam ** i for i, c in enumerate(coeffs))
-        assert np.allclose(_fourth_kind(k, lam), horner, atol=1e-12)
         spec = PolynomialSpec.fourth_kind(k)
         assert np.allclose(spec(lam), _fourth_kind(k, lam), atol=1e-12)
 
@@ -111,15 +104,17 @@ def test_spec_validation():
         PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(2).cheb4_coeffs,
                        roots=np.array([0.5]))
     with pytest.raises(ValueError, match="p\\(0\\)"):
-        PolynomialSpec(cheb4_coeffs=np.array([0.5, 0.5]))
+        PolynomialSpec(cheb4_coeffs=np.array([0.5, 0.5]), roots=np.array([1.0]))
     with pytest.raises(TypeError):
         PolynomialSpec()
+    with pytest.raises(TypeError):  # the roots are required
+        PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(1).cheb4_coeffs)
 
 
 @pytest.mark.parametrize("build, match", [
     (lambda: PolynomialSpec.from_roots([np.nan, 0.5]), "roots must be finite"),
     (lambda: PolynomialSpec.from_roots([np.inf, 0.5]), "roots must be finite"),
-    (lambda: PolynomialSpec(cheb4_coeffs=[np.nan, 0.1]), "coefficients must be finite"),
+    (lambda: PolynomialSpec(cheb4_coeffs=[np.nan, 0.1], roots=[1.0]), "coefficients must be finite"),
     (lambda: PolynomialSpec(cheb4_coeffs=[0.0, 1.0 / 3.0], roots=[np.nan]), "roots must be finite"),
 ], ids=["nan-root", "inf-root", "nan-coefficient", "nan-root-given"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -140,14 +135,6 @@ def test_spec_rejects_roots_whose_product_is_not_a_normal_float(root):
                        roots=np.full(k, root))
 
 
-def test_from_betas_ones_is_fourth_kind():
-    for k in (1, 3, 6):
-        spec = PolynomialSpec.from_betas(np.ones(k))
-        expected = np.zeros(k + 1)
-        expected[k] = 1.0 / (2 * k + 1)
-        assert np.array_equal(spec.cheb4_coeffs, expected)
-
-
 def test_simple_polynomial_evaluates():
     lam = np.linspace(0.0, 1.0, 33)
     spec = _damped(1.5, 3)
@@ -165,7 +152,7 @@ def test_from_roots_expansion_matches_product_form(gaps, top):
     spec = PolynomialSpec.from_roots(roots)
     lam = np.linspace(0.0, 1.0, 257)
     by_roots = spec(lam)
-    by_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs)(lam)
+    by_coeffs = fourth_kind_sum(spec.cheb4_coeffs, lam)
     scale = max(1.0, float(np.max(np.abs(by_roots))))
     assert np.max(np.abs(by_coeffs - by_roots)) <= 1e-10 * scale
     assert _beta_error(roots) <= 1e-12
@@ -183,14 +170,12 @@ def test_derivative_at_zero_representations_agree():
     for k in (1, 2, 4, 7):
         spec = PolynomialSpec.fourth_kind(k)
         from_roots = PolynomialSpec.from_roots(spec.roots).one_minus(lam) / lam
-        from_coeffs = PolynomialSpec(cheb4_coeffs=spec.cheb4_coeffs).one_minus(lam) / lam
-        assert from_roots == pytest.approx(from_coeffs, rel=1e-12)
         assert from_roots == pytest.approx((2.0 / 3.0) * k * (k + 1), rel=1e-12)
 
 
 def test_one_minus_matches_direct_form():
     lam = np.linspace(0.0, 1.0, 101)
-    for spec in (PolynomialSpec.fourth_kind(5), PolynomialSpec.from_betas([1.2, 1.5, 1.1]),
+    for spec in (PolynomialSpec.fourth_kind(5), optimal_polynomial(3),
                  _damped(1.5, 3), _damped(1.0, 0)):
         assert np.allclose(spec.one_minus(lam), 1.0 - spec(lam), rtol=0.0, atol=1e-13)
 

@@ -7,6 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import beta_polynomial
 from polymg.linalg import as_csr
 from polymg.optpoly import optimal_polynomial
 from polymg.poly import PolynomialSpec, cheb_w
@@ -74,13 +75,12 @@ def test_cheb4_realizes_shifted_chebyshev(k):
 def test_opt_realizes_beta_polynomial(k):
     A, B, s, lam, U = _setup(22, seed=80 + k)
     betas = optimal_polynomial(k).iteration_betas
-    p = PolynomialSpec.from_betas(betas)
     rng = np.random.default_rng(k + 7)
     x_star = rng.standard_normal(22)
     b = A @ x_star
     x0 = rng.standard_normal(22)
     out = _opt(A, B, x0, b, betas)
-    expected = x_star + _apply_poly(p(lam), s, U, x0 - x_star)
+    expected = x_star + _apply_poly(beta_polynomial(betas, lam), s, U, x0 - x_star)
     assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
 
 
@@ -170,7 +170,7 @@ def test_apply_smoother_realizes_random_beta_polynomial(n, seed, betas):
     b = A @ x_star
     x0 = rng.standard_normal(n)
     out = _opt(A, B, x0, b, betas)
-    expected = x_star + _apply_poly(PolynomialSpec.from_betas(betas)(lam), s, U, x0 - x_star)
+    expected = x_star + _apply_poly(beta_polynomial(betas, lam), s, U, x0 - x_star)
     assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
     k = len(betas)
     assert np.array_equal(_opt(A, B, x0, b, np.ones(k)), _cheb4(A, B, x0, b, k))
@@ -240,6 +240,10 @@ def test_smoother_config_validation():
         SmootherConfig.optimized(np.ones((2, 2)))
     with pytest.raises(ValueError):
         SmootherConfig.optimized([])
+    # a non-finite beta would otherwise surface as NaN in the cycle
+    for betas in ([np.nan, 1.2], [np.inf], [1.1, -np.inf]):
+        with pytest.raises(ValueError, match="finite betas"):
+            SmootherConfig.optimized(betas)
 
 
 def test_diagonal_smoother_validation():
@@ -247,5 +251,10 @@ def test_diagonal_smoother_validation():
         DiagonalSmoother(inverse_diagonal=np.array([1.0, -1.0]), rho_BA=1.0)
     with pytest.raises(ValueError):
         DiagonalSmoother(inverse_diagonal=np.ones(3), rho_BA=0.0)
+    with pytest.raises(ValueError, match="positive 1-D"):
+        DiagonalSmoother(inverse_diagonal=[np.nan, 1.0], rho_BA=1.0)
+    for d, rho in (([np.inf, 1.0], np.inf), (np.ones(2), np.nan), (np.ones(2), np.inf)):
+        with pytest.raises(ValueError, match="rho"):
+            DiagonalSmoother(inverse_diagonal=d, rho_BA=rho)
     B = DiagonalSmoother(inverse_diagonal=[1, 2, 3, 4], rho_BA=1.5)
     assert B.inverse_diagonal.dtype == np.float64 and B.inverse_diagonal.shape == (4,)
