@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .poly import PolynomialSpec, gamma_mu
+from .poly import PolynomialSpec, _check_degree, gamma_mu
 from .scalar import bisect_root, golden_section_min
 
 __all__ = [
@@ -59,11 +59,6 @@ def _check_c(C: float) -> None:
         raise ValueError("smoothing constant C must be finite and >= 1")
 
 
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError("polynomial degree k must be >= 1")
-
-
 def bound_generic(C: float, gamma: float) -> float:
     """Generic smoothing-quality bound ``C / (C + 1/gamma)``."""
     _check_c(C)
@@ -81,7 +76,7 @@ def omega_condition_holds(omega: float, k: int) -> bool:
     """
     if not 0.0 < omega < 2.0:
         raise ValueError("need 0 < omega < 2")
-    _check_k(k)
+    _check_degree(k)
     return (1.0 - omega) ** (2 * k) <= 1.0 / (1.0 + 2.0 * omega * k)
 
 
@@ -105,13 +100,13 @@ def omega_max_asymptotic(k: int) -> float:
     5.2e-4 at k = 10, 50 and 100. The remainder is o(1/k) but, for
     moderate k, larger than a fixed ``c/k`` budget such as 0.05/k.
     """
-    _check_k(k)
+    _check_degree(k)
     return 2.0 - math.log(4.0 * k) / (2.0 * k)
 
 
 def omega_max_exact(k: int) -> float:
     """Largest omega satisfying the validity condition, by bisection."""
-    _check_k(k)
+    _check_degree(k)
     return bisect_root(
         lambda om: (1.0 - om) ** (2 * k) * (1.0 + 2.0 * om * k) - 1.0,
         1.0 + 1e-9,
@@ -123,14 +118,14 @@ def omega_max_exact(k: int) -> float:
 def bound_cheb(C: float, k: int) -> float:
     """Fourth-kind Chebyshev V-cycle bound ``C / (C + (4/3) k (k+1))``."""
     _check_c(C)
-    _check_k(k)
+    _check_degree(k)
     return C / (C + (4.0 / 3.0) * k * (k + 1))
 
 
 def bound_cheb_two_level(C: float, k: int) -> float:
     """Two-level fourth-kind Chebyshev bound ``C / (2k+1)^2``."""
     _check_c(C)
-    _check_k(k)
+    _check_degree(k)
     return C / (2 * k + 1) ** 2
 
 
@@ -141,13 +136,13 @@ def bound_opt_conjecture(C: float, k: int) -> float:
     so this slightly over-estimates the true optimal-polynomial bound.
     """
     _check_c(C)
-    _check_k(k)
+    _check_degree(k)
     return C / (C + opt_gamma_inv_estimate(k))
 
 
 def opt_gamma_inv_estimate(k: int) -> float:
     """Leading terms ``(4/pi^2)(2k+1)^2 - 2/3`` of the optimal ``1/gamma``."""
-    _check_k(k)
+    _check_degree(k)
     n = 2 * k + 1
     return (4.0 / math.pi ** 2) * n * n - 2.0 / 3.0
 
@@ -227,7 +222,7 @@ def sharp_f_factor(C: float, k: int) -> float:
     ``0 <= f <= (2/3)/beta`` and ``f -> 1`` as ``k -> infinity``.
     """
     _check_c(C)
-    _check_k(k)
+    _check_degree(k)
     n = 2 * k + 1
     if C < n * n / 7.97 + 0.512:
         return (1.0 + 65.0 / (15.0 * n * n - 33.0)) * (
@@ -242,7 +237,7 @@ def bound_cheb_sharp(C: float, k: int) -> float:
     ``C' >= C - 2/3 > 0``, because ``C >= 1`` and ``0 <= f <= (2/3)/beta``.
     """
     _check_c(C)
-    _check_k(k)
+    _check_degree(k)
     c_prime = C - beta_constant() * sharp_f_factor(C, k)
     return c_prime / (c_prime + (4.0 / 3.0) * k * (k + 1))
 
@@ -266,7 +261,7 @@ def cheb_sharp_exact_discount(C: float, k: int) -> float:
     and tends to ``beta`` as ``k -> infinity`` at fixed ``C``.
     """
     _check_c(C)
-    _check_k(k)
+    _check_degree(k)
     sc = sharp_constants(2 * k + 1)
     if 1.0 / C <= sc.lambda_star * (2.0 - sc.lambda_star):
         return (1.0 - sc.y) / sc.lambda_star * sharp_g_factor(C)

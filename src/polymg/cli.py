@@ -230,7 +230,7 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
 
 def _cmd_opt_poly(args: argparse.Namespace) -> int:
     state = optimal_roots(args.k)
-    spec = PolynomialSpec.from_roots(state.roots)
+    spec = PolynomialSpec(state.roots)
     print(f"k {args.k}")
     print(f"gamma_inv {state.gamma_inv:.10f}")
     print("root beta")

@@ -12,8 +12,8 @@ extrema, themselves located by a safeguarded inner Newton on
 Newton starts from the asymptotic law of the optimal roots,
 ``arcsin(sqrt(r_i)) ~ (i pi/(2k+1)) sqrt(1 - 1/(4 i^2))``, whose sum
 gives the leading term ``1/gamma ~ (4/pi^2)(2k+1)^2``.
-:meth:`~polymg.poly.PolynomialSpec.from_roots` turns the roots into the
-expansion and iteration betas that realize the polynomial.
+:class:`~polymg.poly.PolynomialSpec` of the roots computes the expansion
+and iteration betas that realize the polynomial.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolynomialSpec, _check_roots, _signed_p
+from .poly import PolynomialSpec, _check_degree, _check_roots, _signed_p
 
 __all__ = [
     "EquioscillationState",
@@ -135,7 +135,8 @@ def optimal_roots(k: int) -> EquioscillationState:
     (residual below 1e-11 that stops improving) is accepted: the iterate
     of least residual is returned, with ``iterations`` counting every step.
     """
-    if not 1 <= k <= _MAX_DEGREE:
+    _check_degree(k)
+    if k > _MAX_DEGREE:
         raise ValueError(f"degree must be in [1, {_MAX_DEGREE}]")
     r = _asymptotic_start(np.arange(1, k + 1), k)
     x_int = _asymptotic_start(np.arange(1, k) + 0.5, k)
@@ -169,4 +170,4 @@ def optimal_roots(k: int) -> EquioscillationState:
 
 def optimal_polynomial(k: int) -> PolynomialSpec:
     """Optimal degree-k smoother polynomial with roots, expansion, and betas."""
-    return PolynomialSpec.from_roots(optimal_roots(k).roots)
+    return PolynomialSpec(optimal_roots(k).roots)

@@ -15,12 +15,13 @@ expansion in fourth-kind Chebyshev polynomials: with
 ``p = sum_j alpha_j W_j(1 - 2 lam)``, the over-relaxation weights follow
 the recursion ``beta_{j+1} = beta_j - (2j+1) alpha_j`` from
 ``beta_0 = 1``, and consistency requires ``beta_{k+1} = 1 - p(0) = 0``.
-A :class:`PolynomialSpec` is known by its roots: it is evaluated in product
-form, and it carries the expansion only for the betas.
+A :class:`PolynomialSpec` stores only its roots: it is evaluated in product
+form, and the expansion that gives its betas is computed from them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,74 +66,48 @@ def cheb_w(n: int, x):
     return w if w.ndim else float(w)
 
 
+def _check_degree(k) -> None:
+    """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= 1``."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"polynomial degree k must be an integer >= 1, got {k!r}")
+
+
 def _check_roots(r):
     """Raise ``ValueError`` unless ``p`` can divide by the product of the roots ``r``."""
     if not np.all(np.isfinite(r)):
         raise ValueError("roots must be finite")
     if np.any(r <= 0.0):
         raise ValueError("roots must be positive")
-    if not np.finfo(float).tiny <= np.prod(r) < np.inf:  # p divides by it
+    with np.errstate(over="ignore", under="ignore"):  # the check below names the fault
+        prod = np.prod(r)
+    if not np.finfo(float).tiny <= prod < np.inf:  # p divides by it
         raise ValueError("the product of the roots must be a normal float")
 
 
 @dataclass(frozen=True)
 class PolynomialSpec:
-    """A smoother polynomial with ``p(0) = 1``, known by its roots.
+    """A smoother polynomial ``p(lam) = prod_i (r_i - lam) / prod_i r_i``, so ``p(0) = 1``.
 
-    ``roots`` gives the product form ``p(lam) = prod_i (r_i - lam) / prod_i r_i``,
-    the one form evaluation uses; ``cheb4_coeffs`` holds the expansion
-    ``p = sum_i alpha_i W_i(1-2 lam)``, ``i = 0..k``, that the iteration
-    betas are read from.
+    ``roots`` is the one stored form, and evaluation uses it; the expansion
+    ``cheb4_coeffs`` and the iteration betas are computed from the roots.
     """
 
-    cheb4_coeffs: np.ndarray
     roots: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.cheb4_coeffs, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise ValueError("coefficients must be finite")
-        # p(0) = sum alpha_i W_i(1) = sum alpha_i (2i+1), a sum that rounds
-        # relative to sum |alpha_i| (2i+1), which is huge when the roots are small
-        orders = 2.0 * np.arange(a.size) + 1.0
-        p0 = float(a @ orders)
-        if abs(p0 - 1.0) > 1e-8 * max(1.0, float(np.abs(a) @ orders)):
-            raise ValueError(f"coefficients give p(0) = {p0!r}, expected 1")
         r = np.asarray(self.roots, dtype=float)
-        if r.shape != (a.size - 1,):
-            raise ValueError("need exactly `degree` roots")
+        if r.ndim != 1:
+            raise ValueError("roots must be a 1-D array")
         _check_roots(r)
-        object.__setattr__(self, "cheb4_coeffs", a)
         object.__setattr__(self, "roots", r)
 
     @property
     def degree(self) -> int:
-        return self.cheb4_coeffs.size - 1
+        return self.roots.size
 
     @property
-    def iteration_betas(self) -> np.ndarray:
-        """Over-relaxation weights ``beta_1..beta_k`` of the iteration realizing ``p``."""
-        k = self.degree
-        betas = np.zeros(k + 2)
-        betas[0] = 1.0
-        for j in range(k + 1):
-            betas[j + 1] = betas[j] - (2 * j + 1) * self.cheb4_coeffs[j]
-        return betas[1 : k + 1]
-
-    @classmethod
-    def fourth_kind(cls, k: int) -> "PolynomialSpec":
-        """The smoother ``W_k(1-2 lam)/(2k+1)``; roots ``sin^2(i pi/(2k+1))``."""
-        if k < 1:
-            raise ValueError("degree must be >= 1")
-        i = np.arange(1, k + 1)
-        roots = 0.5 - 0.5 * np.cos(i * np.pi / (k + 0.5))
-        coeffs = np.zeros(k + 1)
-        coeffs[k] = 1.0 / (2 * k + 1)
-        return cls(cheb4_coeffs=coeffs, roots=roots)
-
-    @classmethod
-    def from_roots(cls, roots) -> "PolynomialSpec":
-        """``prod_i (1 - lam / r_i)`` with its fourth-kind expansion.
+    def cheb4_coeffs(self) -> np.ndarray:
+        """The expansion ``p = sum_i alpha_i W_i(1 - 2 lam)``, ``i = 0..k``.
 
         ``alpha_0..alpha_{k-1}`` come from the k-node Gauss rule for the
         fourth-kind weight against the orthonormal ``W_j`` (exact for degree
@@ -142,23 +117,35 @@ class PolynomialSpec:
         sin(t_i) p(lam_i)``.  The rule returns 0 for ``alpha_k``, the leading
         monomial coefficient ``1 / (4^k prod_i r_i)``.
         """
-        roots = np.asarray(roots, dtype=float)
-        _check_roots(roots)  # before p is evaluated at them
-        k = len(roots)
+        k = self.degree
         n = 2 * k + 1
         sines = np.sin(np.arange(2 * n) * (np.pi / n))  # sin(m pi / n), period 2n in m
         i = np.arange(1, k + 1)
-        weighted = sines[i] * _product_form(sines[i] ** 2, roots)
-        alphas = np.append(sines[np.outer(2 * i - 1, i) % (2 * n)] @ weighted * (4.0 / n),
-                           1.0 / (4.0 ** k * np.prod(roots)))
-        return cls(cheb4_coeffs=alphas, roots=roots)
+        weighted = sines[i] * _product_form(sines[i] ** 2, self.roots)
+        return np.append(sines[np.outer(2 * i - 1, i) % (2 * n)] @ weighted * (4.0 / n),
+                         1.0 / (4.0 ** k * np.prod(self.roots)))
+
+    @property
+    def iteration_betas(self) -> np.ndarray:
+        """Over-relaxation weights ``beta_1..beta_k`` of the iteration realizing ``p``."""
+        # beta_{j+1} = beta_j - (2j+1) alpha_j from beta_0 = 1, one subtraction at a time
+        steps = (2.0 * np.arange(self.degree + 1) + 1.0) * self.cheb4_coeffs
+        return np.subtract.accumulate(np.append(1.0, steps))[1:-1]
+
+    @classmethod
+    def fourth_kind(cls, k: int) -> "PolynomialSpec":
+        """The smoother ``W_k(1-2 lam)/(2k+1)``; roots ``sin^2(i pi/(2k+1))``.
+
+        The roots are the Gauss nodes of :attr:`cheb4_coeffs` to the bit, so
+        ``alpha_0..alpha_{k-1}`` are exactly 0 and every beta exactly 1.
+        """
+        _check_degree(k)
+        return cls(np.sin(np.arange(1, k + 1) * (np.pi / (2 * k + 1))) ** 2)
 
     def evaluate(self, lam):
         """Evaluate ``p`` at scalar or array ``lam``."""
         out = _product_form(lam, self.roots)
         return out if out.ndim else float(out)
-
-    __call__ = evaluate
 
     def one_minus(self, lam):
         """``1 - p(lam)``, without the cancellation of ``1 - evaluate(lam)`` near 0."""

@@ -44,8 +44,9 @@ def test_bound_simple_examples():
     assert value == pytest.approx(3.0 / 7.0, abs=1e-15)
     assert valid
     assert not bound_simple(2.0, 1.9, 1).valid
-    with pytest.raises(ValueError):
-        bound_simple(2.0, 4.0 / 3.0, 0)
+    for k in (0, 2.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError):
+            bound_simple(2.0, 4.0 / 3.0, k)
 
 
 def test_omega_condition_boundary_exact_at_k1():
@@ -271,8 +272,12 @@ def test_input_validation():
     for C in (math.inf, math.nan):  # each would give a nan bound
         with pytest.raises(ValueError, match="finite"):
             bound_cheb(C, 3)
-    with pytest.raises(ValueError):
-        bound_cheb(2.0, 0)
+    # each would give nan (nan), 0.0 (inf) or a bound for no polynomial (2.5, True)
+    for k in (0, 2.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            bound_cheb(2.0, k)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            bound_opt_conjecture(2.0, k)
     with pytest.raises(ValueError):
         omega_condition_holds(2.5, 1)
     for omega in (-1.0, math.nan):  # -1 makes C + 2 omega k zero: omega is checked first

@@ -577,6 +577,6 @@ def test_CN_reference_chain_values(two_level_m5_a2):
 def test_measure_CN_rejects_non_contraction(two_level_m5_a2):
     h = two_level_m5_a2
     top = h.levels[0]
-    bad = PolynomialSpec.from_roots(np.array([0.5]))
+    bad = PolynomialSpec(np.array([0.5]))
     with pytest.raises(ValueError, match="not a contraction"):
         measure_CN(top.A, top.smoother, top.P, h.levels[1].A, bad)

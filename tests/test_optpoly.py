@@ -51,10 +51,10 @@ def test_gamma_inv_reference_table():
 def test_equioscillation_at_optimum():
     for k in (3, 7):
         state = optimal_roots(k)
-        p = PolynomialSpec.from_roots(state.roots)
+        p = PolynomialSpec(state.roots)
         # the level is attained at the k-1 interior extrema and at x = 1
         x = np.append(state.extrema, 1.0)
-        pv = p(x)
+        pv = p.evaluate(x)
         f = np.sqrt(x / (1.0 - pv * pv)) * np.abs(pv)
         assert np.allclose(f, state.f0, atol=1e-10)
         assert state.residual < 1e-11
@@ -95,6 +95,7 @@ def test_find_extrema_rejects_bad_roots(roots):
 
 
 @pytest.mark.parametrize("roots", [np.linspace(1e-3, 2e-3, 150), np.linspace(0.5, 600.0, 150)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_find_extrema_rejects_roots_whose_product_leaves_the_float_range(roots):
     # g forms p = prod(x - r) / prod(r), which needs prod(r) in the normal range
     with pytest.raises(ValueError, match="normal float"):
@@ -225,7 +226,7 @@ def test_signed_p_matches_exact_product(k, optimal_states):
 def test_gamma_matches_functional():
     for k in (1, 2, 4, 6):
         state = optimal_roots(k)
-        assert gamma_mu(PolynomialSpec.from_roots(state.roots)) == pytest.approx(
+        assert gamma_mu(PolynomialSpec(state.roots)) == pytest.approx(
             state.f0 ** 2, rel=1e-9)
         assert state.gamma_inv == pytest.approx(2.0 * np.sum(1.0 / state.roots), rel=1e-12)
         assert state.gamma_inv == pytest.approx(1.0 / state.f0 ** 2, rel=1e-10)
@@ -262,12 +263,12 @@ def test_beta_sample_range_and_consistency():
     lam = np.linspace(0.0, 1.0, 257)
     for k in (1, 2, 3, 5, 10, 25, 60):
         state = optimal_roots(k)
-        betas = PolynomialSpec.from_roots(state.roots).iteration_betas
+        betas = PolynomialSpec(state.roots).iteration_betas
         assert betas.shape == (k,)
         assert np.all(betas >= 1.0 - 1e-12)
         assert np.all(betas < 1.6)
-        direct = PolynomialSpec.from_roots(state.roots)
-        assert np.max(np.abs(beta_polynomial(betas, lam) - direct(lam))) < 1e-10
+        direct = PolynomialSpec(state.roots)
+        assert np.max(np.abs(beta_polynomial(betas, lam) - direct.evaluate(lam))) < 1e-10
 
 
 @settings(max_examples=50, deadline=None)
@@ -275,8 +276,8 @@ def test_beta_sample_range_and_consistency():
 def test_roots_betas_polynomial_round_trip(k):
     state = optimal_roots(k)
     lam = np.linspace(0.0, 1.0, 257)
-    realized = beta_polynomial(PolynomialSpec.from_roots(state.roots).iteration_betas, lam)
-    assert np.max(np.abs(realized - PolynomialSpec.from_roots(state.roots)(lam))) < 1e-10
+    realized = beta_polynomial(PolynomialSpec(state.roots).iteration_betas, lam)
+    assert np.max(np.abs(realized - PolynomialSpec(state.roots).evaluate(lam))) < 1e-10
 
 
 def test_optimal_polynomial_bundles_representations():
@@ -285,7 +286,7 @@ def test_optimal_polynomial_bundles_representations():
     assert spec.cheb4_coeffs is not None
     assert spec.iteration_betas is not None
     lam = np.linspace(0.0, 1.0, 129)
-    by_roots = PolynomialSpec.from_roots(spec.roots)(lam)
+    by_roots = PolynomialSpec(spec.roots).evaluate(lam)
     by_coeffs = fourth_kind_sum(spec.cheb4_coeffs, lam)
     assert np.max(np.abs(by_roots - by_coeffs)) < 1e-12
 
@@ -295,3 +296,7 @@ def test_degree_validation():
         optimal_roots(0)
     with pytest.raises(ValueError):
         optimal_roots(201)
+    # k = 2.5 would take the sqrt of a negative number in the starting roots
+    for k in (2.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            optimal_roots(k)

@@ -12,7 +12,7 @@ from polymg.poly import PolynomialSpec, cheb_w, gamma_mu
 
 def _damped(omega, k):
     """The damped-iteration polynomial ``(1 - omega lam)^k``."""
-    return PolynomialSpec.from_roots(np.full(k, 1.0 / omega))
+    return PolynomialSpec(np.full(k, 1.0 / omega))
 
 
 def _gauss_rule_alphas(roots):
@@ -31,9 +31,11 @@ def _gauss_rule_alphas(roots):
 
 
 def _beta_error(roots):
-    """Largest |beta - reference beta| of ``from_roots``, over ``max(1, max |beta|)``."""
-    betas = PolynomialSpec.from_roots(roots).iteration_betas
-    reference = PolynomialSpec(cheb4_coeffs=_gauss_rule_alphas(roots), roots=roots).iteration_betas
+    """Largest |beta - reference beta| of the spec, over ``max(1, max |beta|)``."""
+    betas = PolynomialSpec(roots).iteration_betas
+    # beta_{j+1} = beta_j - (2j+1) alpha_j from beta_0 = 1, on the reference expansion
+    alphas = _gauss_rule_alphas(roots)[:-1]
+    reference = 1.0 - np.cumsum((2.0 * np.arange(len(alphas)) + 1.0) * alphas)
     return np.max(np.abs(betas - reference)) / max(1.0, np.max(np.abs(reference)))
 
 
@@ -71,7 +73,7 @@ def test_cheb4_smoother_consistency():
     lam = np.linspace(0.0, 1.0, 101)
     for k in (1, 2, 3, 6, 11):
         spec = PolynomialSpec.fourth_kind(k)
-        assert np.allclose(spec(lam), _fourth_kind(k, lam), atol=1e-12)
+        assert np.allclose(spec.evaluate(lam), _fourth_kind(k, lam), atol=1e-12)
 
 
 def test_fourth_kind_roots_are_zeros():
@@ -99,47 +101,47 @@ def test_weighted_equioscillation():
 
 def test_spec_validation():
     with pytest.raises(ValueError, match="roots must be positive"):
-        PolynomialSpec.from_roots(np.array([-0.5]))
-    with pytest.raises(ValueError, match="exactly"):
-        PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(2).cheb4_coeffs,
-                       roots=np.array([0.5]))
-    with pytest.raises(ValueError, match="p\\(0\\)"):
-        PolynomialSpec(cheb4_coeffs=np.array([0.5, 0.5]), roots=np.array([1.0]))
-    with pytest.raises(TypeError):
-        PolynomialSpec()
+        PolynomialSpec(np.array([-0.5]))
+    with pytest.raises(ValueError, match="1-D"):
+        PolynomialSpec(np.full((2, 2), 0.5))
     with pytest.raises(TypeError):  # the roots are required
-        PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(1).cheb4_coeffs)
+        PolynomialSpec()
+    with pytest.raises(TypeError):  # the expansion is computed from the roots, never given
+        PolynomialSpec(cheb4_coeffs=np.array([0.0, 1.0 / 3.0]), roots=np.array([0.75]))
+    # np.arange(1, 3.5) would silently give a degree-3 polynomial for k = 2.5
+    for k in (0, 2.5, np.nan, np.inf, True):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            PolynomialSpec.fourth_kind(k)
 
 
 @pytest.mark.parametrize("build, match", [
-    (lambda: PolynomialSpec.from_roots([np.nan, 0.5]), "roots must be finite"),
-    (lambda: PolynomialSpec.from_roots([np.inf, 0.5]), "roots must be finite"),
-    (lambda: PolynomialSpec(cheb4_coeffs=[np.nan, 0.1], roots=[1.0]), "coefficients must be finite"),
-    (lambda: PolynomialSpec(cheb4_coeffs=[0.0, 1.0 / 3.0], roots=[np.nan]), "roots must be finite"),
-], ids=["nan-root", "inf-root", "nan-coefficient", "nan-root-given"])
+    (lambda: PolynomialSpec([np.nan, 0.5]), "roots must be finite"),
+    (lambda: PolynomialSpec([np.inf, 0.5]), "roots must be finite"),
+    (lambda: PolynomialSpec([np.nan]), "roots must be finite"),
+], ids=["nan-root", "inf-root", "nan-root-given"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spec_rejects_non_finite_input(build, match):
-    # NaN passes both `|p(0) - 1| > tol` and `r <= 0` as False; from_roots
-    # checks its roots before evaluating p at them, so nothing warns
+    # NaN passes `r <= 0` as False; the roots are checked before p is
+    # evaluated at them, so nothing warns
     with pytest.raises(ValueError, match=match):
         build()
 
 
 @pytest.mark.parametrize("root", [1e-3, 1e-2, 1e3], ids=["underflow", "subnormal", "overflow"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spec_rejects_roots_whose_product_is_not_a_normal_float(root):
     # p = prod_i (r_i - lam) / prod_i r_i divides by the product: 1e-450,
-    # 1e-320 and 1e450 at k = 150 and 160
+    # 1e-320 and 1e450 at k = 150 and 160; the check names it before numpy warns
     k = 160 if root == 1e-2 else 150
     with pytest.raises(ValueError, match="product of the roots"):
-        PolynomialSpec(cheb4_coeffs=PolynomialSpec.fourth_kind(k).cheb4_coeffs,
-                       roots=np.full(k, root))
+        PolynomialSpec(np.full(k, root))
 
 
 def test_simple_polynomial_evaluates():
     lam = np.linspace(0.0, 1.0, 33)
     spec = _damped(1.5, 3)
-    assert np.allclose(spec(lam), (1.0 - 1.5 * lam) ** 3, atol=1e-14)
-    assert _damped(1.0, 0)(0.7) == 1.0
+    assert np.allclose(spec.evaluate(lam), (1.0 - 1.5 * lam) ** 3, atol=1e-14)
+    assert _damped(1.0, 0).evaluate(0.7) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -149,9 +151,9 @@ def test_from_roots_expansion_matches_product_form(gaps, top):
     # the Gauss rule gives alpha_0..alpha_{k-1} and the leading coefficient
     # alpha_k; a wrong node, weight or basis shows up as a mismatch
     roots = np.cumsum(gaps) / np.sum(gaps) * top
-    spec = PolynomialSpec.from_roots(roots)
+    spec = PolynomialSpec(roots)
     lam = np.linspace(0.0, 1.0, 257)
-    by_roots = spec(lam)
+    by_roots = spec.evaluate(lam)
     by_coeffs = fourth_kind_sum(spec.cheb4_coeffs, lam)
     scale = max(1.0, float(np.max(np.abs(by_roots))))
     assert np.max(np.abs(by_coeffs - by_roots)) <= 1e-10 * scale
@@ -165,19 +167,19 @@ def test_from_roots_matches_gauss_rule_recurrence(optimal_states):
 
 
 def test_derivative_at_zero_representations_agree():
-    # (1 - p(lam)) / lam tends to -p'(0) = (2/3) k (k+1); one_minus keeps it accurate at tiny lam
+    # (1 - p(lam)) / lam tends to -p'(0) = sum_i 1/r_i = (2/3) k (k+1); one_minus keeps
+    # it accurate at tiny lam, and the roots sin^2(i pi/(2k+1)) are accurate to the last bits
     lam = 1e-20
-    for k in (1, 2, 4, 7):
-        spec = PolynomialSpec.fourth_kind(k)
-        from_roots = PolynomialSpec.from_roots(spec.roots).one_minus(lam) / lam
-        assert from_roots == pytest.approx((2.0 / 3.0) * k * (k + 1), rel=1e-12)
+    for k in range(1, 201):
+        slope = PolynomialSpec.fourth_kind(k).one_minus(lam) / lam
+        assert slope == pytest.approx((2.0 / 3.0) * k * (k + 1), rel=1e-14), k
 
 
 def test_one_minus_matches_direct_form():
     lam = np.linspace(0.0, 1.0, 101)
     for spec in (PolynomialSpec.fourth_kind(5), optimal_polynomial(3),
                  _damped(1.5, 3), _damped(1.0, 0)):
-        assert np.allclose(spec.one_minus(lam), 1.0 - spec(lam), rtol=0.0, atol=1e-13)
+        assert np.allclose(spec.one_minus(lam), 1.0 - spec.evaluate(lam), rtol=0.0, atol=1e-13)
 
 
 def test_gamma_examples():
@@ -198,10 +200,10 @@ def test_gamma_dominates_pointwise():
     for _ in range(20):
         k = int(rng.integers(1, 5))
         roots = rng.uniform(0.6, 3.0, size=k)
-        spec = PolynomialSpec.from_roots(roots)
+        spec = PolynomialSpec(roots)
         g = gamma_mu(spec)
         lam = rng.uniform(1e-6, 1.0, size=50)
-        pv = spec(lam)
+        pv = spec.evaluate(lam)
         assert np.all(lam * pv * pv / (1.0 - pv * pv) <= g + 1e-12)
 
 
@@ -220,7 +222,7 @@ def test_gamma_mu_nonincreasing_in_mu():
 )
 def test_gamma_mu_nonincreasing_in_mu_random_polynomials(roots, mus):
     # every root above 1/2 keeps |1 - lam/r| < 1 on (0, 1], so p is valid
-    spec = PolynomialSpec.from_roots(roots)
+    spec = PolynomialSpec(roots)
     mu1, mu2 = sorted(mus)
     assert gamma_mu(spec, mu1) >= gamma_mu(spec, mu2) - 1e-12
 
@@ -228,7 +230,7 @@ def test_gamma_mu_nonincreasing_in_mu_random_polynomials(roots, mus):
 def test_gamma_mu_at_extreme_mu():
     # p = 1 - lam gives lam p^2 / (1 - p^2) = (1 - lam)^2 / (2 - lam), decreasing on (0, 1];
     # below 1e-16, p(mu) rounds to 1, and near 1 the grid points coincide
-    spec = PolynomialSpec.from_roots([1.0])
+    spec = PolynomialSpec([1.0])
     for mu in (0.0, 5e-324, 1e-270, 1e-20, 1e-9, 0.5, 1.0 - 2.0 ** -52):
         expected = (1.0 - mu) ** 2 / (2.0 - mu)
         assert gamma_mu(spec, mu) == pytest.approx(expected, rel=1e-12), mu
@@ -237,6 +239,6 @@ def test_gamma_mu_at_extreme_mu():
 def test_gamma_rejects_invalid_polynomial():
     # p = 1 - 2 lam hits |p| = 1 at lam = 1
     with pytest.raises(ValueError, match="not a valid smoother"):
-        gamma_mu(PolynomialSpec.from_roots(np.array([0.5])))
+        gamma_mu(PolynomialSpec(np.array([0.5])))
     with pytest.raises(ValueError, match="0 <= mu < 1"):
         gamma_mu(PolynomialSpec.fourth_kind(1), mu=1.0)

@@ -220,9 +220,12 @@ def test_the_first_step_never_reads_a(start):
 
 
 def test_fourth_kind_betas_give_cheb4_steps():
-    # the fourth-kind expansion is alpha_k e_k, so every beta is exactly one
-    for k in range(1, 61):
-        betas = PolynomialSpec.fourth_kind(k).iteration_betas
+    # the roots are the Gauss nodes to the bit, so the expansion is alpha_k e_k
+    # and every beta is exactly one
+    for k in range(1, 201):
+        spec = PolynomialSpec.fourth_kind(k)
+        assert np.array_equal(spec.cheb4_coeffs[:k], np.zeros(k))
+        betas = spec.iteration_betas
         assert np.array_equal(betas, np.ones(k))
         assert SmootherConfig.optimized(betas).steps == SmootherConfig.cheb4(k).steps
 
