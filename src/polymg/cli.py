@@ -37,9 +37,9 @@ __all__ = ["COLUMNS", "emit_gamma_table", "main"]
 
 # the hierarchy (every level's P and R, the cycle's four fine work vectors
 # and the stencils' two scratch vectors) grows about 4x per level: RSS after
-# the build is 139 MB at m = 10 (aspect 2; 80 MB above the 60 MB after
-# import) and 375 MB at m = 11, whose cheb6 cycles peak at 665 MB, so
-# about 2.6 GB at m = 12
+# the build is 129 MB at m = 10 (aspect 2; 79 MB above the 50 MB after
+# import) and 364 MB at m = 11, whose cheb6 cycles add about 290 MB more,
+# so about 2.6 GB at m = 12
 _MAX_M = 11
 
 

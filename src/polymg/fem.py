@@ -12,7 +12,8 @@ for the two-level constants and as a test oracle; the multigrid levels apply
 it from its four distinct entries with :class:`Q1Operator` and store no band.
 The grid alone also fixes a level's other constants: :func:`jacobi_smoother`
 reads the diagonal off the stencil centre and ``rho(BA)`` off the sine-mode
-symbol, and :func:`build_prolongation` writes both bilinear transfers.
+symbol, :func:`build_prolongation` writes both bilinear transfers, and
+:class:`SineSolver` solves with the operator in its sine modes.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .smoothers import DiagonalSmoother
 __all__ = [
     "GridSpec",
     "Q1Operator",
+    "SineSolver",
     "assemble_poisson_q1",
     "build_prolongation",
     "jacobi_smoother",
@@ -200,6 +202,29 @@ def sine_symbol(grid: GridSpec, modes) -> np.ndarray:
     kx, mx = (2.0 - 2.0 * c) / grid.hx, grid.hx * (4.0 + 2.0 * c) / 6.0
     ky, my = (2.0 - 2.0 * c) / grid.hy, grid.hy * (4.0 + 2.0 * c) / 6.0
     return kx[:, None] * my[None, :] + mx[:, None] * ky[None, :]
+
+
+class SineSolver:
+    """Exact solve with a grid's Q1 operator in its orthonormal sine modes.
+
+    ``S_ij = sqrt(2/(n+1)) sin(i j pi/(n+1))``, ``n = n_side``, is symmetric
+    and its own inverse, and diagonalises both 1-D factors of the operator,
+    so ``A = (S (x) S) diag(lam) (S (x) S)`` with ``lam`` the
+    :func:`sine_symbol` of modes ``1..n``.  ``solve(b)`` returns
+    ``X = S ((S B S) / lam) S`` for ``B = b.reshape(n, n)`` (node
+    ``ix * n + iy``) as a new flat array: four ``n x n`` products, with
+    nothing assembled or factored.
+    """
+
+    def __init__(self, grid: GridSpec):
+        n = grid.n_side
+        i = np.arange(1, n + 1)
+        self._S = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(i, i) * (np.pi / (n + 1)))
+        self._lam = sine_symbol(grid, i)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        S = self._S
+        return (S @ ((S @ np.reshape(b, self._lam.shape) @ S) / self._lam) @ S).ravel()
 
 
 def jacobi_smoother(grid: GridSpec) -> DiagonalSmoother:

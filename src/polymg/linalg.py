@@ -1,4 +1,4 @@
-"""Sparse and dense linear algebra shared by the solver stack.
+"""Sparse linear algebra shared by the solver stack.
 
 Sparse matrices here are canonical CSR (``scipy.sparse.csr_array``, see
 :func:`as_csr`); the multigrid level operators are matrix-free stencils
@@ -13,15 +13,11 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.io
-import scipy.linalg
 import scipy.sparse as sp
 
 __all__ = [
     "LanczosResult",
-    "CholeskySolver",
     "as_csr",
-    "validate_csr",
     "lanczos_max",
     "save_matrix_market",
     "load_matrix_market",
@@ -34,36 +30,6 @@ def as_csr(A) -> sp.csr_array:
     A.sum_duplicates()
     A.sort_indices()
     return A
-
-
-def validate_csr(A, symmetric: bool = False, tol: float = 0.0) -> None:
-    """Check CSR structural invariants, raising ``ValueError`` on violation.
-
-    Verifies monotone row offsets and strictly increasing column indices
-    within each row (which also rules out duplicates).  With ``symmetric``,
-    additionally requires ``max|A - A^T| <= tol``.
-    """
-    if not sp.issparse(A) or A.format != "csr":
-        raise ValueError("expected a CSR matrix")
-    n_rows, n_cols = A.shape
-    indptr, indices = A.indptr, A.indices
-    if len(indptr) != n_rows + 1 or indptr[0] != 0 or indptr[-1] != len(indices):
-        raise ValueError("row offsets are inconsistent with the index array")
-    if np.any(np.diff(indptr) < 0):
-        raise ValueError("row offsets must be nondecreasing")
-    row_of = np.repeat(np.arange(n_rows), np.diff(indptr))
-    bad = (indices < 0) | (indices >= n_cols)
-    bad[1:] |= (np.diff(indices) <= 0) & (np.diff(row_of) == 0)
-    if bad.any():
-        row = row_of[np.argmax(bad)]
-        raise ValueError(f"row {row}: column indices not strictly increasing in range")
-    if symmetric:
-        if n_rows != n_cols:
-            raise ValueError("symmetry requires a square matrix")
-        diff = (A - A.T).tocoo()
-        err = np.max(np.abs(diff.data)) if diff.nnz else 0.0
-        if err > tol:
-            raise ValueError(f"matrix is not symmetric: max|A - A^T| = {err:.3e}")
 
 
 class LanczosResult(NamedTuple):
@@ -104,6 +70,9 @@ def lanczos_max(
     an upper estimate, not a certificate.  Exhausting ``max_iter`` returns
     the last estimate with ``converged=False``.
     """
+    # imported at its one use: scipy.linalg loads scipy's bundled OpenBLAS, about 8 MB of RSS
+    import scipy.linalg
+
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     Mq = M @ x0
@@ -134,40 +103,27 @@ def lanczos_max(
         q_prev, q, Mq = q, w / b, Mw / b
 
 
-class CholeskySolver:
-    """Cached dense Cholesky factorization of an SPD matrix."""
-
-    def __init__(self, M: np.ndarray):
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError("expected a square dense matrix")
-        if not np.allclose(M, M.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(M))))):
-            raise ValueError("matrix is not symmetric")
-        try:
-            self._factor = scipy.linalg.cho_factor(M, lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise ValueError("matrix is not SPD (non-positive pivot)") from exc
-        self.n = M.shape[0]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ValueError("right-hand side length mismatch")
-        return scipy.linalg.cho_solve(self._factor, b)
-
-
 def save_matrix_market(path, A) -> None:
     """Export a symmetric sparse matrix in Matrix Market coordinate format.
 
     Writes 1-based indices with a
     ``%%MatrixMarket matrix coordinate real symmetric`` header (lower
-    triangle stored).
+    triangle stored).  Raises ``ValueError`` unless
+    ``max|A - A^T| <= 1e-12 max(1, max|A|)``.
     """
+    import scipy.io  # imported at use: it adds about 1.5 MB of RSS
+
     A = as_csr(A)
-    validate_csr(A, symmetric=True, tol=1e-12 * max(1.0, float(np.max(np.abs(A.data)))))
+    if A.shape[0] != A.shape[1]:
+        raise ValueError("symmetry requires a square matrix")
+    err = abs(A - A.T).max()
+    if not err <= 1e-12 * max(1.0, float(abs(A).max())):
+        raise ValueError(f"matrix is not symmetric: max|A - A^T| = {err:.3e}")
     scipy.io.mmwrite(str(path), sp.coo_matrix(A), field="real", symmetry="symmetric")
 
 
 def load_matrix_market(path) -> sp.csr_array:
     """Import a Matrix Market file written by :func:`save_matrix_market`."""
+    import scipy.io  # imported at use: it adds about 1.5 MB of RSS
+
     return as_csr(scipy.io.mmread(str(path)))

@@ -4,7 +4,7 @@ The hierarchy coarsens by factor 2 with bilinear prolongation and
 rediscretises the Q1 operator on every level, which for this model problem
 is the Galerkin operator ``A_c = P^T A P``.  Each level keeps one operator,
 its 9-point stencil applied from four numbers (no stored band), down to a
-coarsest level solved by dense Cholesky.
+coarsest level solved exactly in its sine modes (:class:`~polymg.fem.SineSolver`).
 The V-cycle smooths once before and once after the coarse correction
 with the same SPD-preconditioned polynomial smoother, so its error
 propagator is A-self-adjoint and positive semidefinite, and its A-norm
@@ -33,9 +33,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (GridSpec, Q1Operator, _stencil, assemble_poisson_q1, build_prolongation,
-                  jacobi_smoother, sine_symbol)
-from .linalg import CholeskySolver, as_csr, lanczos_max
+from .fem import (GridSpec, Q1Operator, SineSolver, _stencil, assemble_poisson_q1,
+                  build_prolongation, jacobi_smoother, sine_symbol)
+from .linalg import as_csr, lanczos_max
 from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
@@ -75,7 +75,7 @@ class Level:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Nested levels, finest first, plus the coarsest-level factorization.
+    """Nested levels, finest first, plus the coarsest level's exact solver.
 
     It also owns the V-cycle's work arrays, so a cycle allocates only its
     matrix products: per smoothed level a zero start's iterate ``x`` and the
@@ -88,7 +88,7 @@ class Hierarchy:
     """
 
     levels: tuple[Level, ...]
-    coarse_solver: CholeskySolver
+    coarse_solver: SineSolver
     _work: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,8 +124,9 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     the identity against scipy's sparse product.  Each level's Jacobi
     smoother (:func:`~polymg.fem.jacobi_smoother`) and transfers ``P`` and
     ``R`` (:func:`~polymg.fem.build_prolongation`) come from its grid alone,
-    so no eigensolve or transpose runs here.  Only the coarsest grid is
-    assembled, for its Cholesky factor.
+    and so does the coarsest grid's exact solve in its sine modes
+    (:class:`~polymg.fem.SineSolver`): no grid is assembled and no
+    eigensolve, factorisation or transpose runs here.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")
@@ -138,8 +139,7 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
         levels.append(Level(grid=g, op=op, smoother=jacobi_smoother(g), P=P, R=R))
         g = g.coarsen()
     levels.append(Level(grid=g, op=Q1Operator(g, scratch), smoother=None, P=None, R=None))
-    return Hierarchy(levels=tuple(levels),
-                     coarse_solver=CholeskySolver(assemble_poisson_q1(g).toarray()))
+    return Hierarchy(levels=tuple(levels), coarse_solver=SineSolver(g))
 
 
 def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.ndarray,

@@ -57,19 +57,18 @@ def cheb_w(n: int, x):
     Uses ``W_0 = 1``, ``W_1 = 2x + 1``, ``W_n = 2x W_{n-1} - W_{n-2}``,
     which is stable on ``[-1, 1]``.  ``x`` may be a scalar or array.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("degree must be a nonnegative integer")
+    _check_degree(n, lowest=0)
     x = np.asarray(x, dtype=float)
     w_prev, w = -np.ones_like(x), np.ones_like(x)  # W_{-1} = -1 gives W_1 = 2x + 1
-    for _ in range(int(n)):
+    for _ in range(n):
         w_prev, w = w, 2.0 * x * w - w_prev
     return w if w.ndim else float(w)
 
 
-def _check_degree(k) -> None:
-    """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= 1``."""
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-        raise ValueError(f"polynomial degree k must be an integer >= 1, got {k!r}")
+def _check_degree(k, lowest: int = 1) -> None:
+    """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= lowest``."""
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < lowest:
+        raise ValueError(f"polynomial degree k must be an integer >= {lowest}, got {k!r}")
 
 
 def _check_roots(r):
@@ -115,7 +114,8 @@ class PolynomialSpec:
         of ``W_k(1 - 2 lam)``; ``W_j(cos 2t) = sin((2j+1) t) / sin t`` folds
         weight and basis into ``alpha_j = (4/(2k+1)) sum_i sin((2j+1) t_i)
         sin(t_i) p(lam_i)``.  The rule returns 0 for ``alpha_k``, the leading
-        monomial coefficient ``1 / (4^k prod_i r_i)``.
+        monomial coefficient ``1 / (4^k prod_i r_i)``, formed as
+        ``2^(-2k) / prod_i r_i`` so that ``4^k`` cannot overflow.
         """
         k = self.degree
         n = 2 * k + 1
@@ -123,7 +123,7 @@ class PolynomialSpec:
         i = np.arange(1, k + 1)
         weighted = sines[i] * _product_form(sines[i] ** 2, self.roots)
         return np.append(sines[np.outer(2 * i - 1, i) % (2 * n)] @ weighted * (4.0 / n),
-                         1.0 / (4.0 ** k * np.prod(self.roots)))
+                         np.ldexp(1.0 / np.prod(self.roots), -2 * k))
 
     @property
     def iteration_betas(self) -> np.ndarray:

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .poly import _check_degree
+
 __all__ = [
     "DiagonalSmoother",
     "SmootherConfig",
@@ -72,14 +74,12 @@ class SmootherConfig:
     def simple(cls, omega: float, k: int) -> "SmootherConfig":
         if not 0.0 < omega < 2.0:
             raise ValueError("simple smoother needs 0 < omega < 2")
-        if k < 0:
-            raise ValueError("polynomial degree must be nonnegative")
+        _check_degree(k, lowest=0)
         return cls(((0.0, float(omega), 1.0),) * k)
 
     @classmethod
     def cheb4(cls, k: int) -> "SmootherConfig":
-        if k < 1:
-            raise ValueError("cheb4 smoother needs k >= 1")
+        _check_degree(k)
         return cls.optimized(np.ones(k))
 
     @classmethod

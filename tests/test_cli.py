@@ -327,13 +327,50 @@ def test_cli_exports_only_what_a_user_calls():
     assert polymg.cli.__all__ == ["COLUMNS", "emit_gamma_table", "main"]
 
 
-def test_import_leaves_heavy_scipy_modules_out():
-    # scipy.sparse.linalg and scipy.optimize add about 2 MB and 18 MB of RSS
-    code = ("import sys, polymg.cli; "
-            "print([m for m in ('scipy.sparse.linalg', 'scipy.optimize') if m in sys.modules])")
+def _run_python(code):
+    """Run ``code`` in a fresh interpreter on this process's polymg source."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [PACKAGE_ROOT, os.environ.get("PYTHONPATH")])))
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, timeout=TIMEOUT_S)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "[]"
+    return res.stdout.split()
+
+
+def test_import_leaves_heavy_scipy_modules_out():
+    # scipy.sparse.linalg, scipy.optimize, scipy.linalg and scipy.io add about
+    # 2, 18, 8 and 1.5 MB of RSS
+    heavy = ("scipy.sparse.linalg", "scipy.optimize", "scipy.linalg", "scipy.io")
+    out = _run_python(f"import sys, polymg.cli; print(*(m in sys.modules for m in {heavy!r}))")
+    assert out == ["False"] * len(heavy)
+
+
+def test_only_the_contraction_estimate_loads_scipy_linalg():
+    # the build, the cycle, the optimal polynomials, C and the bounds run on
+    # numpy and scipy.sparse; lanczos_max imports scipy.linalg at its first call
+    code = """if True:
+        import contextlib, io, sys
+        import numpy as np
+        import polymg.cli
+        from polymg import (GridSpec, SmootherConfig, VCycleConfig, build_hierarchy, measure_C,
+                            measure_contraction, optimal_polynomial, v_cycle)
+        h = build_hierarchy(GridSpec(m=5, aspect=2.0))
+        cfg = VCycleConfig(smoother=SmootherConfig.cheb4(2))
+        x = b = np.ones(h.finest.op.shape[0])
+        for _ in range(3):
+            x = v_cycle(h, cfg, x, b)
+        optimal_polynomial(6)
+        fine, coarse = h.levels[:2]
+        measure_C(fine.A, fine.smoother, fine.P, coarse.A)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert polymg.cli.main(["bounds", "--C", "2,8", "--k", "1..6"]) == 0
+        print("scipy.linalg" in sys.modules)
+        print(repr(measure_contraction(h, cfg, seed=3, tol=1e-6, max_cycles=50).factor))
+        print("scipy.linalg" in sys.modules)
+    """
+    loaded_before, factor, loaded_after = _run_python(code)
+    assert (loaded_before, loaded_after) == ("False", "True")
+    h = polymg.build_hierarchy(GridSpec(m=5, aspect=2.0))
+    cfg = polymg.VCycleConfig(smoother=polymg.SmootherConfig.cheb4(2))
+    assert float(factor) == polymg.measure_contraction(h, cfg, seed=3, tol=1e-6,
+                                                       max_cycles=50).factor

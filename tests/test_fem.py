@@ -15,7 +15,7 @@ from polymg.fem import (
     jacobi_smoother,
     sine_symbol,
 )
-from polymg.linalg import as_csr, validate_csr
+from polymg.linalg import as_csr
 
 
 def _center_row(A, n_side):
@@ -84,7 +84,7 @@ def test_diagonal_is_constant(aspect):
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
 def test_assembled_matrix_is_spd(aspect):
     A = assemble_poisson_q1(GridSpec(m=3, aspect=aspect))
-    validate_csr(as_csr(A), symmetric=True, tol=1e-13)
+    assert np.max(np.abs((A - A.T).toarray())) <= 1e-13
     assert scipy.linalg.eigh(A.toarray(), eigvals_only=True)[0] > 0.0
 
 

@@ -5,14 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from polymg.linalg import (
-    CholeskySolver,
-    as_csr,
-    lanczos_max,
-    load_matrix_market,
-    save_matrix_market,
-    validate_csr,
-)
+from polymg.linalg import as_csr, lanczos_max, load_matrix_market, save_matrix_market
 
 
 def _random_spd(n, seed, shift=1.0):
@@ -34,45 +27,7 @@ def test_as_csr_sums_duplicates():
     B = as_csr(A)
     assert B[0, 1] == 3.0
     assert B.nnz == 2
-    validate_csr(B)
-
-
-def test_validate_csr_accepts_assembled():
-    validate_csr(_random_sparse_symmetric(40, seed=0), symmetric=True, tol=0.0)
-
-
-def test_validate_csr_rejects_duplicate_columns():
-    # raw constructor keeps the duplicate column index in row 0
-    A = sp.csr_array((np.array([1.0, 2.0]), np.array([1, 1]), np.array([0, 2, 2])),
-                     shape=(2, 2))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        validate_csr(A)
-
-
-def test_validate_csr_rejects_unsorted_row():
-    # row 1 holds columns 2, 0: both in range, out of order
-    A = sp.csr_array((np.ones(3), np.array([1, 2, 0]), np.array([0, 1, 3, 3])), shape=(3, 3))
-    with pytest.raises(ValueError, match="row 1: column indices not strictly increasing"):
-        validate_csr(A)
-
-
-def test_validate_csr_rejects_out_of_range_column():
-    # row 2 is sorted but its last column exceeds the width
-    A = sp.csr_array((np.ones(5), np.array([0, 1, 2, 0, 3]), np.array([0, 1, 3, 5])),
-                     shape=(3, 3))
-    with pytest.raises(ValueError, match="row 2: column indices not strictly increasing in range"):
-        validate_csr(A)
-
-
-def test_validate_csr_rejects_wrong_format():
-    with pytest.raises(ValueError, match="CSR"):
-        validate_csr(sp.coo_array(np.eye(3)))
-
-
-def test_validate_csr_flags_asymmetry():
-    A = as_csr(sp.csr_array(np.array([[1.0, 2.0], [0.0, 1.0]])))
-    with pytest.raises(ValueError, match="not symmetric"):
-        validate_csr(A, symmetric=True, tol=1e-12)
+    assert B.has_canonical_format
 
 
 def _start(n, seed=0):
@@ -125,23 +80,6 @@ def test_lanczos_max_deterministic_per_seed():
             for seed in (3, 3, 4)]
     assert runs[0] == runs[1]
     assert runs[0].value == pytest.approx(runs[2].value, rel=1e-9)
-
-
-def test_cholesky_solver_roundtrip():
-    A = _random_spd(25, seed=4)
-    x = np.random.default_rng(5).standard_normal(25)
-    solver = CholeskySolver(A)
-    assert np.allclose(solver.solve(A @ x), x, atol=1e-9)
-
-
-def test_cholesky_rejects_indefinite_and_asymmetric():
-    with pytest.raises(ValueError, match="not SPD"):
-        CholeskySolver(np.diag([1.0, -1.0]))
-    with pytest.raises(ValueError, match="not symmetric"):
-        CholeskySolver(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    solver = CholeskySolver(np.eye(3))
-    with pytest.raises(ValueError, match="length"):
-        solver.solve(np.ones(4))
 
 
 def test_matrix_market_roundtrip(tmp_path):

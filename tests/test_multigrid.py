@@ -276,12 +276,17 @@ def test_hierarchy_levels_are_galerkin(hierarchy_m4_a2):
         assert np.max(np.abs(diff)) < 1e-12
 
 
-def test_coarsest_solve_is_exact(hierarchy_m4_a2):
-    h = hierarchy_m4_a2
-    Ac = h.levels[-1].A
-    b = np.random.default_rng(0).standard_normal(Ac.shape[0])
-    x = h.coarse_solver.solve(b)
-    assert np.max(np.abs(Ac @ x - b)) < 1e-10
+def test_coarsest_solve_is_exact():
+    rng = np.random.default_rng(0)
+    for aspect in (1.0, 2.0, 8.0):
+        for min_interior in (3, 7, 15):
+            h = build_hierarchy(GridSpec(m=5, aspect=aspect), min_interior=min_interior)
+            coarsest = h.levels[-1].grid
+            assert coarsest.n_side == min_interior
+            b = rng.standard_normal(coarsest.n_interior)
+            want = np.linalg.solve(assemble_poisson_q1(coarsest).toarray(), b)
+            got = h.coarse_solver.solve(b)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_v_cycle_preserves_solution(hierarchy_m4_a2):

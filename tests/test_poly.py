@@ -65,8 +65,10 @@ def test_cheb_w_endpoint_value():
 
 
 def test_cheb_w_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        cheb_w(-1, 0.0)
+    # and any degree that is not an integer: True is no degree 1, 2.0 no degree 2
+    for n in (-1, 2.5, True, float("nan"), 2.0):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            cheb_w(n, 0.3)
 
 
 def test_cheb4_smoother_consistency():

@@ -221,8 +221,8 @@ def test_the_first_step_never_reads_a(start):
 
 def test_fourth_kind_betas_give_cheb4_steps():
     # the roots are the Gauss nodes to the bit, so the expansion is alpha_k e_k
-    # and every beta is exactly one
-    for k in range(1, 201):
+    # and every beta is exactly one; from k = 512 4^k overflows, alpha_k does not
+    for k in (*range(1, 201), *range(512, 517)):
         spec = PolynomialSpec.fourth_kind(k)
         assert np.array_equal(spec.cheb4_coeffs[:k], np.zeros(k))
         betas = spec.iteration_betas
@@ -239,6 +239,12 @@ def test_smoother_config_validation():
         SmootherConfig.simple(1.0, -1)
     with pytest.raises(ValueError):
         SmootherConfig.simple(float("nan"), 1)
+    # a degree is an integer: True is not one step, 2.5 and nan are no degree
+    for k in (2.5, True, float("nan")):
+        with pytest.raises(ValueError, match="integer >= 0"):
+            SmootherConfig.simple(1.0, k)
+        with pytest.raises(ValueError, match="integer >= 1"):
+            SmootherConfig.cheb4(k)
     with pytest.raises(ValueError):
         SmootherConfig.optimized(np.ones((2, 2)))
     with pytest.raises(ValueError):
