@@ -1,15 +1,19 @@
 """Closed-form V-cycle contraction bounds and their sharp refinements.
 
-All bounds estimate ``||E||_A^2`` for the half V-cycle error propagator in
-terms of the smoothing constant ``C >= 1`` and the polynomial degree ``k``;
-each has the generic form ``C / (C + 1/gamma)`` for the polynomial's
-``gamma`` functional:
+All bounds estimate ``||E||_A^2`` in terms of the smoothing constant
+``C >= 1`` and the polynomial degree ``k``.  The V-cycle bounds, for the
+half V-cycle error propagator, have the form ``C / (C + 1/gamma)`` with
+the smoother polynomial's ``gamma`` functional or a lower estimate of
+``1/gamma``:
 
 * damped Jacobi (degree k, damping omega): ``C / (C + 2 omega k)``,
   valid iff ``(1 - omega)^{2k} <= 1/(1 + 2 omega k)``;
 * fourth-kind Chebyshev: ``C / (C + (4/3) k (k+1))``;
-* two-level fourth-kind Chebyshev: ``C / (2k+1)^2``;
 * optimal polynomial (conjectured): ``C / (C + (4/pi^2)(2k+1)^2 - 2/3)``.
+
+The two-level fourth-kind Chebyshev bound ``C / (2k+1)^2`` has no such
+form: it bounds the two-grid factor ``||(I - Pi) p_k(B A)||_A^2`` of the
+fourth-kind polynomial ``p_k`` and the A-orthogonal coarse projection ``Pi``.
 
 The sharp refinement replaces ``C`` by ``C' = C - beta f(C, k)`` in the
 Chebyshev bound, where ``beta = 1 - (1/3) / inf_{4 < phi <= 3 pi/2}
@@ -22,15 +26,13 @@ constants ``(w, phi*, lambda*, y)``, computed here numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .poly import PolynomialSpec, _check_degree, gamma_mu
+from .poly import _check_degree
 from .scalar import bisect_root, golden_section_min
 
 __all__ = [
-    "bound_generic",
     "omega_condition_holds",
     "SimpleBound",
     "bound_simple",
@@ -43,13 +45,11 @@ __all__ = [
     "bound_opt_conjecture",
     "opt_gamma_inv_estimate",
     "beta_constant",
-    "LimitConstants",
     "limit_constants",
     "SharpConstants",
     "sharp_constants",
     "sharp_g_factor",
     "cheb_sharp_exact_discount",
-    "bound_sharp_generic",
     "crossover_C",
 ]
 
@@ -57,14 +57,6 @@ __all__ = [
 def _check_c(C: float) -> None:
     if not (C >= 1.0 and math.isfinite(C)):
         raise ValueError("smoothing constant C must be finite and >= 1")
-
-
-def bound_generic(C: float, gamma: float) -> float:
-    """Generic smoothing-quality bound ``C / (C + 1/gamma)``."""
-    _check_c(C)
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    return C / (C + 1.0 / gamma)
 
 
 def omega_condition_holds(omega: float, k: int) -> bool:
@@ -136,7 +128,6 @@ def bound_opt_conjecture(C: float, k: int) -> float:
     so this slightly over-estimates the true optimal-polynomial bound.
     """
     _check_c(C)
-    _check_degree(k)
     return C / (C + opt_gamma_inv_estimate(k))
 
 
@@ -151,13 +142,13 @@ def opt_gamma_inv_estimate(k: int) -> float:
 # sharp refinement of the Chebyshev bound
 
 
-class LimitConstants(NamedTuple):
-    """Large-k limits of the spectrum-split constants."""
+class SharpConstants(NamedTuple):
+    """Spectrum-split constants of the sharp Chebyshev bound at degree k (n = 2k+1)."""
 
-    w0: float        # inf over (4, 3 pi/2] of csc^2(phi) - phi^{-2}
-    y0: float        # 1 / (3 w0)
-    phi_star: float  # solution of csc^2(phi) - phi^{-2} = w0 closest to 2
-    beta: float      # 1 - y0
+    w: float            # inf over (4, 3 pi/2] of csc^2(phi) - n^{-2} csc^2(phi/n)
+    phi_star: float     # the level-w crossing closest to 2
+    lambda_star: float  # sin^2(phi*/n)
+    y: float            # (n^2 - 1) / (3 n^2 w)
 
 
 def _level_and_crossing(h) -> tuple[float, float]:
@@ -168,44 +159,29 @@ def _level_and_crossing(h) -> tuple[float, float]:
 
 
 @lru_cache(maxsize=1)
-def limit_constants() -> LimitConstants:
-    w0, phi_star = _level_and_crossing(lambda phi: 1.0 / math.sin(phi) ** 2 - 1.0 / phi ** 2)
-    y0 = 1.0 / (3.0 * w0)
-    return LimitConstants(w0=w0, y0=y0, phi_star=phi_star, beta=1.0 - y0)
+def limit_constants() -> SharpConstants:
+    """The k -> infinity limit of :func:`sharp_constants`, where ``lambda* = 0``
+    and ``y = 1/(3w)``."""
+    w, phi_star = _level_and_crossing(lambda phi: 1.0 / math.sin(phi) ** 2 - 1.0 / phi ** 2)
+    return SharpConstants(w=w, phi_star=phi_star, lambda_star=0.0, y=1.0 / (3.0 * w))
 
 
 def beta_constant() -> float:
-    """The sharp-bound discount constant ``beta = 0.650914713503148...``."""
-    return limit_constants().beta
+    """The sharp-bound discount constant ``beta = 1 - y = 0.650914713503148...`` at
+    k -> infinity."""
+    return 1.0 - limit_constants().y
 
 
-@dataclass(frozen=True)
-class SharpConstants:
-    """Degree-dependent constants of the sharp Chebyshev bound (n = 2k+1)."""
-
-    w: float
-    phi_star: float
-    lambda_star: float
-    y: float
-
-    def mu_star(self, C: float) -> float:
-        """Spectrum split point; always at most ``1/C``."""
-        _check_c(C)
-        if 1.0 / C <= self.lambda_star * (2.0 - self.lambda_star):
-            return 1.0 - math.sqrt(1.0 - 1.0 / C)
-        return self.lambda_star
-
-
-@lru_cache(maxsize=None)
-def sharp_constants(n: int) -> SharpConstants:
-    """Numerically solve for ``(w, phi*, lambda*, y)`` at polynomial order n.
+@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not hit a cached 1 or 2
+def sharp_constants(k: int) -> SharpConstants:
+    """Numerically solve for ``(w, phi*, lambda*, y)`` at degree k, ``n = 2k+1``.
 
     ``w`` minimizes ``csc^2(phi) - n^{-2} csc^2(phi/n)`` on ``(4, 3 pi/2]``
     and ``phi*`` is the level-w crossing closest to 2;
     ``lambda* = sin^2(phi*/n)`` and ``y = (n^2 - 1)/(3 n^2 w)``.
     """
-    if n < 3:
-        raise ValueError("need n >= 3 (n = 2k+1 for degree k >= 1)")
+    _check_degree(k)
+    n = 2 * k + 1
     w, phi_star = _level_and_crossing(
         lambda phi: 1.0 / math.sin(phi) ** 2 - (1.0 / n ** 2) / math.sin(phi / n) ** 2)
     lambda_star = math.sin(phi_star / n) ** 2
@@ -236,22 +212,20 @@ def bound_cheb_sharp(C: float, k: int) -> float:
 
     ``C' >= C - 2/3 > 0``, because ``C >= 1`` and ``0 <= f <= (2/3)/beta``.
     """
-    _check_c(C)
-    _check_degree(k)
     c_prime = C - beta_constant() * sharp_f_factor(C, k)
     return c_prime / (c_prime + (4.0 / 3.0) * k * (k + 1))
 
 
 def sharp_g_factor(C: float) -> float:
-    """Factor ``g(C) = 1 + 2 (C-1)(1 - 1/sqrt(1 - 1/C))`` with ``g(1) = 1``.
+    """Factor ``g(C) = 1 + 2 (C-1)(1 - 1/sqrt(1 - 1/C)) = 1 / (C (1 + sqrt(1 - 1/C))^2)``.
 
-    Bounded below by ``(2 + 4C)/(16 C^2 - 5)``, which yields the closed-form
-    branch of the discount.
+    The closed form on the right is what is evaluated: the left one cancels
+    ``1 - 1 + O(1/C)`` and loses all its digits by ``C ~ 1e8``.  It gives
+    ``g(1) = 1`` and is bounded below by ``(2 + 4C)/(16 C^2 - 5)``, which
+    yields the closed-form branch of the discount.
     """
     _check_c(C)
-    if C == 1.0:
-        return 1.0
-    return 1.0 + 2.0 * (C - 1.0) * (1.0 - 1.0 / math.sqrt(1.0 - 1.0 / C))
+    return 1.0 / (C * (1.0 + math.sqrt(1.0 - 1.0 / C)) ** 2)
 
 
 def cheb_sharp_exact_discount(C: float, k: int) -> float:
@@ -261,28 +235,10 @@ def cheb_sharp_exact_discount(C: float, k: int) -> float:
     and tends to ``beta`` as ``k -> infinity`` at fixed ``C``.
     """
     _check_c(C)
-    _check_degree(k)
-    sc = sharp_constants(2 * k + 1)
+    sc = sharp_constants(k)
     if 1.0 / C <= sc.lambda_star * (2.0 - sc.lambda_star):
         return (1.0 - sc.y) / sc.lambda_star * sharp_g_factor(C)
     return (1.0 - sc.lambda_star * C) / (1.0 - sc.lambda_star) * (1.0 - sc.y)
-
-
-def bound_sharp_generic(C: float, p: PolynomialSpec, mu: float) -> float:
-    """Sharp generic bound with the spectrum-split weighted gamma.
-
-    Uses ``gamma = ((1 - 1/C) gamma_0 + (1/C - mu) gamma_mu) / (1 - mu)``
-    for any split point ``0 <= mu <= 1/C``; reduces to the plain generic
-    bound at ``mu = 0`` and to ``gamma_mu`` alone at ``C = 1``.
-    """
-    _check_c(C)
-    if not 0.0 <= mu <= 1.0 / C:
-        raise ValueError("need 0 <= mu <= 1/C")
-    gamma_0 = gamma_mu(p, 0.0)
-    gamma_m = gamma_0 if mu == 0.0 else gamma_mu(p, mu)
-    c_inv = 1.0 / C
-    gamma = ((1.0 - c_inv) * gamma_0 + (c_inv - mu) * gamma_m) / (1.0 - mu)
-    return bound_generic(C, gamma)
 
 
 def crossover_C() -> float:

@@ -26,8 +26,11 @@ from polymg import (
 )
 from polymg.bounds import (
     beta_constant,
+    bound_cheb,
     bound_cheb_sharp,
+    bound_cheb_two_level,
     bound_opt_conjecture,
+    bound_simple,
     cheb_sharp_exact_discount,
     crossover_C,
     limit_constants,
@@ -149,12 +152,12 @@ def test_fourth_kind_identities(scorecard):
 
 def test_limit_constants_values(scorecard):
     lc = limit_constants()
-    w_tail = sharp_constants(200001).w
+    w_tail = sharp_constants(100000).w
     checks = [
         abs(beta_constant() - 0.650914713503148) <= 1e-12,
-        abs(lc.w0 - 0.95487649) <= 1e-7,
+        abs(lc.w - 0.95487649) <= 1e-7,
         abs(w_tail - 0.95487649) <= 1e-7,
-        abs(lc.y0 - 0.349085) <= 1e-5,
+        abs(lc.y - 0.349085) <= 1e-5,
         abs(lc.phi_star - 1.99661) <= 1e-4,
     ]
     scorecard("04 spectrum-split limit constants", all(checks))
@@ -320,3 +323,71 @@ def test_omega_condition_and_asymptotic_gap(scorecard):
         "exact-vs-asymptotic omega_max gap exceeds 0.05/k: "
         + ", ".join(f"k={k}: |diff| = {gaps[k]:.6e} vs allowed {0.05 / k:.1e}"
                     for k in sorted(gaps)))
+
+
+def _two_grid_factor(level, A_c, p):
+    """Dense ``||(I - Pi) p(B_hat A)||_A^2``, ``Pi = P A_c^{-1} P^T A`` the A-orthogonal
+    coarse projection and ``B_hat = B / rho(BA)``."""
+    A, P, A_c = level.A.toarray(), level.P.toarray(), A_c.toarray()
+    BA = (level.smoother.inverse_diagonal / level.smoother.rho_BA)[:, None] * A
+    E = np.eye(A.shape[0]) - P @ np.linalg.solve(A_c, P.T @ A)
+    for r in p.roots:
+        E = E - (E @ BA) / r
+    L = np.linalg.cholesky(A)  # ||X||_A = ||L^T X L^{-T}||_2
+    return float(np.linalg.norm(L.T @ np.linalg.solve(L, E.T).T, 2) ** 2)
+
+
+def test_printed_bounds_above_exact_counterparts(scorecard):
+    # V-cycle side: McCormick's U = 1 - 1/max_l C_N(l) over every level pair is
+    # exact for each smoother polynomial; each printed V-cycle bound lies above it,
+    # at the finest pair's exact C and at 2 aspect^2.  Two-grid side: the dense
+    # cheb4 factor lies below C/(2k+1)^2 at the grid's exact C.  Allowances:
+    # 1e-12 absolute on U (eigvalsh rounding), 1e-9 relative on the dense factor.
+    t0 = time.time()
+    degrees = (1, 2, 3, 4, 6, 12, 25)
+    worst = {}
+    violations = []
+
+    def check(name, exact, bound, allowed):
+        worst[name] = max(worst.get(name, 0.0), exact / bound)
+        if not exact <= bound + allowed:
+            violations.append((name, exact, bound))
+
+    for aspect in ASPECTS:
+        hier = build_hierarchy(GridSpec(m=8, aspect=aspect))
+        A = [level.A for level in hier.levels]
+        pairs = [(A[i], level.smoother, level.P, A[i + 1])
+                 for i, level in enumerate(hier.levels[:-1])]
+        C_values = (measure_C(*pairs[0]), 2.0 * aspect * aspect)
+
+        def U(p):
+            return 1.0 - 1.0 / max(measure_CN(*pair, p) for pair in pairs)
+
+        for k in degrees:
+            u_cheb = U(PolynomialSpec.fourth_kind(k))
+            u_opt = U(optimal_polynomial(k))
+            u_simple = {omega: U(PolynomialSpec(np.full(k, 1.0 / omega)))
+                        for omega in (4.0 / 3.0, 1.5)}
+            for C in C_values:
+                sharp = bound_cheb_sharp(C, k)
+                check("cheb_sharp", u_cheb, sharp, 1e-12)
+                if not sharp <= bound_cheb(C, k):
+                    violations.append(("cheb_sharp above cheb", C, k))
+                check("opt", u_opt, bound_opt_conjecture(C, k), 1e-12)
+                for omega, u in u_simple.items():
+                    value, valid = bound_simple(C, omega, k)
+                    if valid:
+                        check("simple", u, value, 1e-12)
+    for aspect in (1.0, 2.0, 8.0):
+        hier = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
+        top, A_c = hier.levels[0], hier.levels[1].A
+        C = measure_C(top.A, top.smoother, top.P, A_c)
+        for k in degrees:
+            bound = bound_cheb_two_level(C, k)
+            check("cheb_2l", _two_grid_factor(top, A_c, PolynomialSpec.fourth_kind(k)),
+                  bound, 1e-9 * bound)
+    elapsed = time.time() - t0
+    ratios = ", ".join(f"{name} {r:.6f}" for name, r in worst.items())
+    scorecard(f"12 printed bounds above exact counterparts (worst exact/bound: {ratios}; "
+              f"{elapsed:.1f}s)", not violations)
+    assert not violations, violations
