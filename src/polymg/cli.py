@@ -26,20 +26,20 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bounds as bnd
-from .fem import GridSpec, assemble_poisson_q1, build_prolongation, jacobi_smoother
+from .fem import GridSpec, assemble_poisson_q1, jacobi_smoother
 from .linalg import as_csr, save_matrix_market
-from .multigrid import VCycleConfig, build_hierarchy, measure_C, measure_contraction
+from .multigrid import VCycleConfig, _two_grid_sup, build_hierarchy, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
 from .smoothers import SmootherConfig
 
 __all__ = ["COLUMNS", "emit_gamma_table", "main"]
 
-# the hierarchy (every level's P and R, the cycle's four fine work vectors
-# and the stencils' two scratch vectors) grows about 4x per level: RSS after
-# the build is 129 MB at m = 10 (aspect 2; 79 MB above the 50 MB after
-# import) and 364 MB at m = 11, whose cheb6 cycles add about 290 MB more,
-# so about 2.6 GB at m = 12
+# the hierarchy (every level's R, whose transpose view is P, the cycle's four
+# fine work vectors and the stencils' two scratch vectors) grows about 4x per
+# level: RSS after the build is 88 MB at m = 10 (aspect 2; 37 MB above the
+# 51 MB after import) and 200 MB at m = 11, whose cheb6 cycles add about
+# 290 MB more, so about 1.8 GB at m = 12
 _MAX_M = 11
 
 
@@ -245,9 +245,9 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
 
 
 def _measured_C(g: GridSpec) -> float:
-    """The exact two-level ``C`` of ``g`` and its coarsening, from the assembled operands."""
-    return measure_C(assemble_poisson_q1(g), jacobi_smoother(g), build_prolongation(g)[0],
-                     assemble_poisson_q1(g.coarsen()))
+    """The exact two-level ``C`` of ``g`` and its coarsening, from the grid's sine modes."""
+    B = jacobi_smoother(g)
+    return _two_grid_sup(g, B.rho_BA / B.inverse_diagonal[0])
 
 
 def _cmd_measure_c(args: argparse.Namespace) -> int:

@@ -12,8 +12,8 @@ for the two-level constants and as a test oracle; the multigrid levels apply
 it from its four distinct entries with :class:`Q1Operator` and store no band.
 The grid alone also fixes a level's other constants: :func:`jacobi_smoother`
 reads the diagonal off the stencil centre and ``rho(BA)`` off the sine-mode
-symbol, :func:`build_prolongation` writes both bilinear transfers, and
-:class:`SineSolver` solves with the operator in its sine modes.
+symbol, :func:`build_prolongation` writes the restriction (its transpose
+view prolongs), and :class:`SineSolver` solves with the operator in its sine modes.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ class Q1Operator:
         return y
 
 
-def build_prolongation(fine: GridSpec) -> tuple[sp.csr_array, sp.csr_array]:
+def build_prolongation(fine: GridSpec) -> tuple[sp.csc_array, sp.csr_array]:
     """Bilinear prolongation ``P`` from ``fine.coarsen()`` to ``fine``, and ``R = P^T``.
 
     Coarse node ``(I, J)`` coincides with fine node ``(2I + 1, 2J + 1)``
@@ -173,10 +173,10 @@ def build_prolongation(fine: GridSpec) -> tuple[sp.csr_array, sp.csr_array]:
     boundary sum to one.  Every column holds the same 3 x 3 stencil on fine
     nodes ``2I..2I+2`` by ``2J..2J+2``, the outer product of the 1-D weights
     ``(1/2, 1, 1/2)``, so the CSR arrays of ``R`` are written directly, in
-    canonical form with int32 indices, and transposed once into ``P``.  The
-    weight products are exact: ``P`` is ``kron(p, p)`` of the 1-D
-    interpolation ``p`` bit for bit, without the Kronecker product's
-    intermediates.
+    canonical form with int32 indices; ``P`` is ``R.T``, the CSC view on
+    them, whose product sums each row in column order as a CSR ``P`` would.
+    The weight products are exact: ``P`` is ``kron(p, p)`` of the 1-D
+    interpolation ``p`` bit for bit, without the Kronecker product's intermediates.
     """
     nc, nf = fine.coarsen().n_side, fine.n_side
     w = np.array([0.5, 1.0, 0.5])
@@ -186,7 +186,7 @@ def build_prolongation(fine: GridSpec) -> tuple[sp.csr_array, sp.csr_array]:
     indices = first + (d[:, None] * nf + d[None, :]).reshape(1, 9)
     R = sp.csr_array((np.tile(np.outer(w, w).ravel(), nc * nc), indices.ravel(),
                       np.arange(0, 9 * nc * nc + 1, 9, dtype=np.int32)), shape=(nc * nc, nf * nf))
-    return R.T.tocsr(), R
+    return R.T, R
 
 
 def sine_symbol(grid: GridSpec, modes) -> np.ndarray:

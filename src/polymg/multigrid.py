@@ -57,14 +57,14 @@ class Level:
     """One grid level; the coarsest level has no smoother or transfers.
 
     ``op`` is the level operator, its grid's :class:`~polymg.fem.Q1Operator`,
-    which the smoother, the residual and the A-norms apply.  ``P``
-    prolongs from the next coarser level and ``R = P^T`` restricts to it.
+    which the smoother, the residual and the A-norms apply.  ``R`` restricts
+    to the next coarser level and its CSC transpose view ``P`` prolongs from it.
     """
 
     grid: GridSpec
     op: Q1Operator
     smoother: DiagonalSmoother | None
-    P: sp.csr_array | None
+    P: sp.csc_array | None
     R: sp.csr_array | None
 
     @property
@@ -122,11 +122,11 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     operator is the Galerkin product ``P^T A P`` of the finer level and the
     bilinear prolongation, which the V-cycle bounds assume; the tests check
     the identity against scipy's sparse product.  Each level's Jacobi
-    smoother (:func:`~polymg.fem.jacobi_smoother`) and transfers ``P`` and
-    ``R`` (:func:`~polymg.fem.build_prolongation`) come from its grid alone,
-    and so does the coarsest grid's exact solve in its sine modes
-    (:class:`~polymg.fem.SineSolver`): no grid is assembled and no
-    eigensolve, factorisation or transpose runs here.
+    smoother (:func:`~polymg.fem.jacobi_smoother`) and restriction ``R``, with
+    ``P`` its transpose view (:func:`~polymg.fem.build_prolongation`), come
+    from its grid alone, and so does the coarsest grid's exact solve in its
+    sine modes (:class:`~polymg.fem.SineSolver`): no grid is assembled and no
+    eigensolve, factorisation or transpose copy runs here.
     """
     if min_interior < 3:
         raise ValueError("coarsest grid cannot have fewer than 3 interior nodes per side")

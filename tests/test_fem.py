@@ -214,14 +214,21 @@ def test_jacobi_spectral_radius_approaches_three_halves():
 @pytest.mark.parametrize("m", range(3, 9))
 def test_grid_only_level_constants_match_the_operator_formulas_bit_for_bit(m, aspect):
     # the smoother and R come from the grid alone; here they meet the band's
-    # diagonal, the closed-form diagonal (8/6)(hy/hx + hx/hy) and P's transpose
+    # diagonal, the closed-form diagonal (8/6)(hy/hx + hx/hy) and the
+    # transpose of kron(p, p), with P the transpose view of R
     grid = GridSpec(m=m, aspect=aspect)
     B = jacobi_smoother(grid)
     assert np.array_equal(B.inverse_diagonal, 1.0 / assemble_poisson_q1(grid).diagonal())
     d = (8.0 / 6.0) * (grid.hy / grid.hx + grid.hx / grid.hy)
     assert B.rho_BA == float(sine_symbol(grid, [1, grid.n_side]).max()) / d
     P, R = build_prolongation(grid)
-    Pt = as_csr(P.T)
-    assert R.shape == Pt.shape
-    for got, want in ((R.data, Pt.data), (R.indices, Pt.indices), (R.indptr, Pt.indptr)):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    nc = grid.coarsen().n_side
+    # the 1-D interpolation puts coarse node c at fine node 2c + 1 with 1/2 on each neighbour
+    c = np.repeat(np.arange(nc), 3)
+    p = sp.csr_array((np.tile([0.5, 1.0, 0.5], nc), (2 * c + np.tile([0, 1, 2], nc), c)),
+                     shape=(grid.n_side, nc))
+    ref = as_csr(sp.kron(p.T, p.T))
+    assert R.shape == ref.shape and np.shares_memory(P.data, R.data)
+    assert R.indices.dtype == R.indptr.dtype == np.int32
+    assert R.data.tobytes() == ref.data.tobytes()
+    assert np.array_equal(R.indices, ref.indices) and np.array_equal(R.indptr, ref.indptr)

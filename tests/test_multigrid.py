@@ -172,7 +172,8 @@ def _kron_prolongation(n_coarse):
 @pytest.mark.parametrize("m", [3, 4, 5, 6, 7, 8])
 def test_hierarchy_matches_kronecker_and_csr_galerkin_bit_for_bit(m, aspect):
     # P and R are the Kronecker reference and each level's stencil the grid's
-    # assembled band, bit for bit.  The Galerkin chain A_c = P^T A P by scipy's sparse
+    # assembled band, bit for bit; P is R's transpose view, stored once, and
+    # prolongs with the reference's bits.  The Galerkin chain A_c = P^T A P by scipy's sparse
     # product from the finest band equals the bands up to its rounding, which
     # grows about fourfold per product: at most 8.6e-14 of the largest entry
     # (m=8, aspect 1e150; 7.2e-14 at aspect 2), and 0 at aspect 8
@@ -192,10 +193,13 @@ def test_hierarchy_matches_kronecker_and_csr_galerkin_bit_for_bit(m, aspect):
         if lvl.P is None:
             break
         P = _kron_prolongation(lvl.grid.coarsen().n_side)
-        for got, ref in ((lvl.P, P), (lvl.R, as_csr(P.T))):
+        for got, ref in ((as_csr(lvl.P), P), (lvl.R, as_csr(P.T))):
             assert got.data.tobytes() == ref.data.tobytes()
             assert np.array_equal(got.indices, ref.indices)
             assert np.array_equal(got.indptr, ref.indptr)
+        assert np.shares_memory(lvl.P.data, lvl.R.data)
+        e = np.random.default_rng(m).standard_normal(P.shape[1])
+        assert (lvl.P @ e).tobytes() == (P @ e).tobytes()
         galerkin = as_csr(P.T @ galerkin @ P)
     assert len(h.levels) > 1
 
@@ -209,11 +213,12 @@ def test_build_peak_memory_is_a_few_fine_operators():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # 15.7 fine vectors: P and R on every level (9.55), the cycle's four work
-    # vectors and the stencils' two shared scratch vectors.  Scratch per level
-    # (+0.67), an inverse diagonal stored per entry (+1.33) or any level's band
-    # (+9 on the finest) would exceed 16; the DIA hierarchy took 25.6
-    assert peak <= 16 * h.finest.grid.n_interior * 8
+    # 10.7 fine vectors: R on every level (4.8; P is its transpose view), the
+    # cycle's four work vectors and the stencils' two shared scratch vectors.
+    # Scratch per level (+0.67), an inverse diagonal stored per entry (+1.33),
+    # a stored copy of P (+4.8) or any level's band (+9 on the finest) would
+    # exceed 11; the DIA hierarchy took 25.6
+    assert peak <= 11 * h.finest.grid.n_interior * 8
 
 
 @pytest.mark.parametrize("smoother, vectors", [("w43k1", 2.5), ("cheb6", 3.5), ("opt6", 3.5)])
