@@ -16,7 +16,6 @@ from .bounds import (
 from .fem import GridSpec, assemble_poisson_q1
 from .linalg import load_matrix_market, save_matrix_market
 from .multigrid import (
-    VCycleConfig,
     build_hierarchy,
     measure_C,
     measure_CN,
@@ -34,7 +33,6 @@ __all__ = [
     "assemble_poisson_q1",
     "build_hierarchy",
     "SmootherConfig",
-    "VCycleConfig",
     "v_cycle",
     "measure_contraction",
     "measure_C",

@@ -28,7 +28,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 from . import bounds as bnd
 from .fem import GridSpec, assemble_poisson_q1, jacobi_smoother
 from .linalg import as_csr, save_matrix_market
-from .multigrid import VCycleConfig, _two_grid_sup, build_hierarchy, measure_contraction
+from .multigrid import _two_grid_sup, build_hierarchy, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
 from .smoothers import SmootherConfig
@@ -179,8 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             try:
                 sm = COLUMNS[name].smoother(k)
                 if sm not in measured:
-                    measured[sm] = measure_contraction(
-                        hier, VCycleConfig(smoother=sm), seed=args.seed, tol=args.tol)
+                    measured[sm] = measure_contraction(hier, sm, seed=args.seed, tol=args.tol)
                 res = measured[sm]
                 values.append(res.factor)
                 note = "" if res.converged else " (cycle cap)"

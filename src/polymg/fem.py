@@ -27,15 +27,7 @@ import scipy.sparse as sp
 
 from .smoothers import DiagonalSmoother
 
-__all__ = [
-    "GridSpec",
-    "Q1Operator",
-    "SineSolver",
-    "assemble_poisson_q1",
-    "build_prolongation",
-    "jacobi_smoother",
-    "sine_symbol",
-]
+__all__ = ["GridSpec", "assemble_poisson_q1"]
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = [
-    "LanczosResult",
-    "as_csr",
-    "lanczos_max",
-    "save_matrix_market",
-    "load_matrix_market",
-]
+__all__ = ["save_matrix_market", "load_matrix_market"]
 
 
 def as_csr(A) -> sp.csr_array:

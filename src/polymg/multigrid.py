@@ -40,9 +40,7 @@ from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 __all__ = [
-    "Level",
     "Hierarchy",
-    "VCycleConfig",
     "ContractionResult",
     "build_hierarchy",
     "v_cycle",
@@ -106,11 +104,13 @@ class Hierarchy:
         return self.levels[0]
 
 
-@dataclass(frozen=True)
-class VCycleConfig:
-    """The smoother the V-cycle applies once before and once after the coarse correction."""
+def VCycleConfig(smoother: SmootherConfig) -> SmootherConfig:
+    """Return ``smoother``: the V-cycle takes its :class:`~polymg.smoothers.SmootherConfig` itself.
 
-    smoother: SmootherConfig
+    Kept only because ``bench/workloads.py`` calls ``VCycleConfig(smoother=...)``;
+    ROADMAP item 1 deletes it with the next change to the bench.
+    """
+    return smoother
 
 
 def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
@@ -142,8 +142,8 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     return Hierarchy(levels=tuple(levels), coarse_solver=SineSolver(g))
 
 
-def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.ndarray,
-                   level: int) -> np.ndarray:
+def _v_cycle_level(h: Hierarchy, smoother: SmootherConfig, x: np.ndarray | None,
+                   b: np.ndarray, level: int) -> np.ndarray:
     """Cycle from ``level`` down and return the new iterate.
 
     ``x`` is updated in place; ``None`` starts from zero, as every coarse
@@ -155,14 +155,14 @@ def _v_cycle_level(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray | None, b: np.
     if lvl.P is None:
         return h.coarse_solver.solve(b)
     work = h._work[level]
-    x = apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother, work)
+    x = apply_smoother(lvl.op, lvl.smoother, x, b, smoother, work)
     r = np.subtract(b, lvl.op @ x, out=work[1])  # the smoother's r is free here
-    ec = _v_cycle_level(h, cfg, None, lvl.R @ r, level + 1)
+    ec = _v_cycle_level(h, smoother, None, lvl.R @ r, level + 1)
     x += lvl.P @ ec
-    return apply_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother, work)
+    return apply_smoother(lvl.op, lvl.smoother, x, b, smoother, work)
 
 
-def v_cycle(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray) -> np.ndarray:
+def v_cycle(h: Hierarchy, smoother: SmootherConfig, x: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One V-cycle for ``A x = b`` starting from ``x`` on the finest level.
 
     Returns the new iterate, a new array; ``x`` itself is left unchanged.
@@ -172,7 +172,7 @@ def v_cycle(h: Hierarchy, cfg: VCycleConfig, x: np.ndarray, b: np.ndarray) -> np
     b = np.asarray(b, dtype=float)
     if x.shape != (n,) or b.shape != (n,):
         raise ValueError("x and b must match the finest-level size")
-    return _v_cycle_level(h, cfg, x, b, 0)
+    return _v_cycle_level(h, smoother, x, b, 0)
 
 
 class ContractionResult(NamedTuple):
@@ -192,13 +192,13 @@ class ContractionResult(NamedTuple):
     vector: np.ndarray
 
 
-def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
+def measure_contraction(h: Hierarchy, smoother: SmootherConfig, seed: int = 0,
                         tol: float = 1e-8, max_cycles: int = 500,
                         x0: np.ndarray | None = None) -> ContractionResult:
     """A-norm error contraction ``||E||_A^2`` of the V-cycle.
 
     :func:`~polymg.linalg.lanczos_max` estimates the top eigenvalue of the
-    cycle's error propagator ``v_cycle(h, cfg, ., 0)``, which is
+    cycle's error propagator ``v_cycle(h, smoother, ., 0)``, which is
     A-self-adjoint and positive semidefinite, in the A-inner product from a
     seeded normal start or from ``x0`` (left unchanged).  Raises
     ``ValueError`` unless ``0 < tol < 1``, ``max_cycles >= 1`` and ``x0``
@@ -218,7 +218,7 @@ def measure_contraction(h: Hierarchy, cfg: VCycleConfig, seed: int = 0,
     if not (np.isfinite(e).all() and 0.0 < float(e @ (A @ e)) < math.inf):
         raise ValueError("x0 must have a nonzero, finite A-norm")
     zero = np.zeros(n)
-    res = lanczos_max(lambda v: v_cycle(h, cfg, v, zero), A, e, tol=tol, max_iter=max_cycles)
+    res = lanczos_max(lambda v: v_cycle(h, smoother, v, zero), A, e, tol=tol, max_iter=max_cycles)
     return ContractionResult(res.value, res.converged, res.iterations, res.residual, e)
 
 

@@ -24,12 +24,7 @@ import numpy as np
 
 from .poly import PolynomialSpec, _check_degree, _check_roots, _signed_p
 
-__all__ = [
-    "EquioscillationState",
-    "find_extrema",
-    "optimal_roots",
-    "optimal_polynomial",
-]
+__all__ = ["EquioscillationState", "optimal_roots", "optimal_polynomial"]
 
 _MAX_DEGREE = 200  # initial guesses are validated for 1 <= k <= 200
 _NEWTON_TOL = 1e-14  # equioscillation residual, and step size of the extremum search

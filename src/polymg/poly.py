@@ -28,11 +28,7 @@ import numpy as np
 
 from .scalar import golden_section_min
 
-__all__ = [
-    "cheb_w",
-    "PolynomialSpec",
-    "gamma_mu",
-]
+__all__ = ["PolynomialSpec", "gamma_mu"]
 
 _GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
 
@@ -163,30 +159,27 @@ def _gamma_objective(p: PolynomialSpec, lam):
     return lam * pv * pv / (p.one_minus(lam) * (1.0 + pv))
 
 
-def gamma_mu(p: PolynomialSpec, mu: float = 0.0) -> float:
-    """Evaluate ``sup_{mu < lam <= 1} lam p(lam)^2 / (1 - p(lam)^2)``.
+def gamma_mu(p: PolynomialSpec) -> float:
+    """Evaluate ``sup_{0 < lam <= 1} lam p(lam)^2 / (1 - p(lam)^2)``.
 
-    A Chebyshev-spaced grid on ``[max(mu, eps^2), 1]`` locates candidate
-    maxima, each refined by golden section.  ``1 - p`` comes from
-    :meth:`PolynomialSpec.one_minus`, so the left end gives the limit at
-    ``mu`` (``1 / (-2 p'(0))`` for ``mu = 0``) to rounding.  Raises
-    ``ValueError`` when the polynomial is not a contraction on ``(mu, 1]``.
+    A Chebyshev-spaced grid on ``[eps^2, 1]`` locates candidate maxima,
+    each refined by golden section.  ``1 - p`` comes from
+    :meth:`PolynomialSpec.one_minus`, so the left end gives the limit
+    ``1 / (-2 p'(0))`` at 0 to rounding.  Raises ``ValueError`` when the
+    polynomial is not a contraction on ``(0, 1]``.
     """
-    if not 0.0 <= mu < 1.0:
-        raise ValueError("need 0 <= mu < 1")
-    lo = max(mu, np.finfo(float).eps ** 2)  # keeps lam / r_i clear of underflow
+    lo = np.finfo(float).eps ** 2  # keeps lam / r_i clear of underflow
     n_grid = _GAMMA_GRID_PER_DEGREE * (p.degree + 1)
     j = np.arange(n_grid + 1)
     xs = lo + (1.0 - lo) * 0.5 * (1.0 - np.cos(np.pi * j / n_grid))
     pv, dv = p.evaluate(xs), p.one_minus(xs)
     if np.any(dv <= 0.0) or np.any(pv <= -1.0):
-        raise ValueError(f"|p| >= 1 inside ({mu}, 1]: not a valid smoother polynomial")
+        raise ValueError("|p| >= 1 inside (0, 1]: not a valid smoother polynomial")
     h = xs * pv * pv / (dv * (1.0 + pv))
     best = float(np.max(h))
-    # golden-section refinement around each interior local maximum; for mu
-    # within a few ulps of 1 the grid points coincide and there is nothing to refine
+    # golden-section refinement around each interior local maximum
     for t in range(1, len(xs) - 1):
-        if h[t] >= h[t - 1] and h[t] >= h[t + 1] and xs[t + 1] > xs[t - 1]:
+        if h[t] >= h[t - 1] and h[t] >= h[t + 1]:
             xm = golden_section_min(
                 lambda x: -_gamma_objective(p, x), xs[t - 1], xs[t + 1], tol=1e-13
             )

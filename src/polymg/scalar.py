@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-__all__ = ["golden_section_min", "bisect_root"]
+__all__: list[str] = []
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 

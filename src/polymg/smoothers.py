@@ -32,11 +32,7 @@ import numpy as np
 
 from .poly import _check_degree
 
-__all__ = [
-    "DiagonalSmoother",
-    "SmootherConfig",
-    "apply_smoother",
-]
+__all__ = ["SmootherConfig"]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from polymg import (
     GridSpec,
     PolynomialSpec,
     SmootherConfig,
-    VCycleConfig,
     build_hierarchy,
     gamma_mu,
     measure_C,
@@ -77,8 +76,7 @@ def contraction_sweep():
 
             def factor(sm):
                 if sm not in measured:
-                    measured[sm] = measure_contraction(
-                        hier, VCycleConfig(smoother=sm), tol=1e-6, max_cycles=300).factor
+                    measured[sm] = measure_contraction(hier, sm, tol=1e-6, max_cycles=300).factor
                 return measured[sm]
 
             factors[(m, aspect)] = {name: [factor(COLUMNS[name].smoother(k)) for k in DEGREES]
@@ -260,8 +258,7 @@ def test_two_level_chain_inequality(scorecard):
             p = PolynomialSpec.fourth_kind(k)
             gamma = gamma_mu(p)
             C_N = measure_CN(top.A, top.smoother, P, A_c, p)
-            measured = measure_contraction(
-                hier, VCycleConfig(smoother=SmootherConfig.cheb4(k))).factor
+            measured = measure_contraction(hier, SmootherConfig.cheb4(k)).factor
             mccormick = 1.0 - 1.0 / C_N
             generic = C / (C + 1.0 / gamma)
             links = (measured - mccormick, mccormick - generic,

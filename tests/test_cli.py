@@ -352,10 +352,10 @@ def test_only_the_contraction_estimate_loads_scipy_linalg():
         import contextlib, io, sys
         import numpy as np
         import polymg.cli
-        from polymg import (GridSpec, SmootherConfig, VCycleConfig, build_hierarchy, measure_C,
+        from polymg import (GridSpec, SmootherConfig, build_hierarchy, measure_C,
                             measure_contraction, optimal_polynomial, v_cycle)
         h = build_hierarchy(GridSpec(m=5, aspect=2.0))
-        cfg = VCycleConfig(smoother=SmootherConfig.cheb4(2))
+        cfg = SmootherConfig.cheb4(2)
         x = b = np.ones(h.finest.op.shape[0])
         for _ in range(3):
             x = v_cycle(h, cfg, x, b)
@@ -371,6 +371,6 @@ def test_only_the_contraction_estimate_loads_scipy_linalg():
     loaded_before, factor, loaded_after = _run_python(code)
     assert (loaded_before, loaded_after) == ("False", "True")
     h = polymg.build_hierarchy(GridSpec(m=5, aspect=2.0))
-    cfg = polymg.VCycleConfig(smoother=polymg.SmootherConfig.cheb4(2))
+    cfg = polymg.SmootherConfig.cheb4(2)
     assert float(factor) == polymg.measure_contraction(h, cfg, seed=3, tol=1e-6,
                                                        max_cycles=50).factor

@@ -9,13 +9,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+import polymg.multigrid
 from polymg.cli import COLUMNS
 from polymg.fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolongation,
                         jacobi_smoother, sine_symbol)
 from polymg.linalg import as_csr, lanczos_max
 from polymg.multigrid import (
     Level,
-    VCycleConfig,
     build_hierarchy,
     measure_C,
     measure_CN,
@@ -225,10 +225,9 @@ def test_build_peak_memory_is_a_few_fine_operators():
 def test_v_cycle_peak_memory_is_a_few_fine_vectors(smoother, vectors):
     # the hierarchy owns the smoother's r, z, t and the zero-start iterates, so
     # a cycle allocates only its copy of x and the products with its matrices
-    cfg = VCycleConfig(smoother={"w43k1": SmootherConfig.simple(4.0 / 3.0, 1),
-                                 "cheb6": SmootherConfig.cheb4(6),
-                                 "opt6": SmootherConfig.optimized(
-                                     optimal_polynomial(6).iteration_betas)}[smoother])
+    cfg = {"w43k1": SmootherConfig.simple(4.0 / 3.0, 1),
+           "cheb6": SmootherConfig.cheb4(6),
+           "opt6": SmootherConfig.optimized(optimal_polynomial(6).iteration_betas)}[smoother]
     h = build_hierarchy(GridSpec(m=6, aspect=2.0))
     rng = np.random.default_rng(8)
     x, b = rng.standard_normal((2, h.finest.op.shape[0]))
@@ -300,7 +299,7 @@ def test_v_cycle_preserves_solution(hierarchy_m4_a2):
     rng = np.random.default_rng(1)
     x_star = rng.standard_normal(A.shape[0])
     b = A @ x_star
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(2))
+    cfg = SmootherConfig.cheb4(2)
     out = v_cycle(h, cfg, scipy.linalg.solve(A.toarray(), b, assume_a="pos"), b)
     assert np.allclose(out, x_star, atol=1e-8)
 
@@ -310,7 +309,7 @@ def test_v_cycle_reduces_residual(hierarchy_m4_a2):
     A = h.finest.A
     b = np.random.default_rng(2).standard_normal(A.shape[0])
     x = np.zeros_like(b)
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(2))
+    cfg = SmootherConfig.cheb4(2)
     res = np.linalg.norm(b)
     for _ in range(4):
         x = v_cycle(h, cfg, x, b)
@@ -324,8 +323,7 @@ def test_cycle_and_contraction_leave_inputs_unchanged(hierarchy_m4_a2):
     rng = np.random.default_rng(7)
     x, b = rng.standard_normal(h.finest.A.shape[0]), rng.standard_normal(h.finest.A.shape[0])
     x_before, b_before = x.copy(), b.copy()
-    for sm in (SmootherConfig.simple(4.0 / 3.0, 2), SmootherConfig.cheb4(2)):
-        cfg = VCycleConfig(smoother=sm)
+    for cfg in (SmootherConfig.simple(4.0 / 3.0, 2), SmootherConfig.cheb4(2)):
         out = v_cycle(h, cfg, x, b)
         assert out is not x and not np.array_equal(out, x)
         res = measure_contraction(h, cfg, tol=1e-6, max_cycles=5, x0=x)
@@ -334,7 +332,7 @@ def test_cycle_and_contraction_leave_inputs_unchanged(hierarchy_m4_a2):
 
 
 def test_v_cycle_shape_validation(hierarchy_m4_a2):
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
+    cfg = SmootherConfig.cheb4(1)
     with pytest.raises(ValueError, match="finest-level size"):
         v_cycle(hierarchy_m4_a2, cfg, np.zeros(7), np.zeros(7))
 
@@ -345,7 +343,7 @@ def test_zero_smoothing_cycle_is_coarse_projection(two_level_m5_a2):
     assert h.n_levels == 2
     top = h.levels[0]
     pif = _fine_space_projector(top.A, top.P, h.levels[1].A)
-    cfg = VCycleConfig(smoother=SmootherConfig.simple(4.0 / 3.0, 0))  # no smoothing steps
+    cfg = SmootherConfig.simple(4.0 / 3.0, 0)  # no smoothing steps
     e = np.random.default_rng(3).standard_normal(top.A.shape[0])
     out = v_cycle(h, cfg, e, np.zeros_like(e))
     assert np.max(np.abs(out - pif @ e)) < 1e-10 * np.linalg.norm(e)
@@ -353,7 +351,7 @@ def test_zero_smoothing_cycle_is_coarse_projection(two_level_m5_a2):
 
 def test_measured_contraction_matches_operator_norm(hierarchy_m4_a2):
     h = hierarchy_m4_a2
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(2))
+    cfg = SmootherConfig.cheb4(2)
     res = measure_contraction(h, cfg, seed=0, tol=1e-10)
     assert res.converged
     norm = _a_norm(_error_operator(h, cfg), h.finest.A)
@@ -365,7 +363,7 @@ def test_symmetric_cycle_norm_is_half_cycle_squared():
     assert h.n_levels == 2
     top = h.finest
     sm = SmootherConfig.cheb4(1)
-    full = _a_norm(_error_operator(h, VCycleConfig(smoother=sm)), top.A)
+    full = _a_norm(_error_operator(h, sm), top.A)
     # the half cycle: coarse correction, then one smoothing
     zero = np.zeros(top.A.shape[0])
     S = np.array([apply_smoother(top.op, top.smoother, e, zero, sm)
@@ -377,7 +375,7 @@ def test_symmetric_cycle_norm_is_half_cycle_squared():
 def test_v_cycle_error_operator_is_a_self_adjoint(hierarchy_m4_a2):
     h = hierarchy_m4_a2
     A = h.finest.A
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(2))
+    cfg = SmootherConfig.cheb4(2)
     rng = np.random.default_rng(5)
     u, v = rng.standard_normal(A.shape[0]), rng.standard_normal(A.shape[0])
     zero = np.zeros_like(u)
@@ -390,7 +388,7 @@ def test_v_cycle_error_operator_is_a_self_adjoint(hierarchy_m4_a2):
                                  {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0}])
 def test_measure_contraction_rejects_bad_arguments(hierarchy_m4_a2, bad):
     # max_cycles=0 used to return factor 0.0; a nan or negative tol ran to the cap
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
+    cfg = SmootherConfig.cheb4(1)
     with pytest.raises(ValueError, match=next(iter(bad))):
         measure_contraction(hierarchy_m4_a2, cfg, **bad)
 
@@ -405,16 +403,27 @@ def test_measure_contraction_rejects_bad_arguments(hierarchy_m4_a2, bad):
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_measure_contraction_rejects_a_bad_start(hierarchy_m4_a2, x0, match):
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
+    cfg = SmootherConfig.cheb4(1)
     with pytest.raises(ValueError, match=match):
         measure_contraction(hierarchy_m4_a2, cfg, x0=x0)
 
 
 def test_measure_contraction_deterministic(hierarchy_m4_a2):
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
+    cfg = SmootherConfig.cheb4(1)
     first = measure_contraction(hierarchy_m4_a2, cfg, seed=11)
     again = measure_contraction(hierarchy_m4_a2, cfg, seed=11)
     assert first.factor == again.factor
+
+
+def test_bench_call_form_passes_the_smoother_through(hierarchy_m4_a2):
+    # the benchmark still wraps its smoother as VCycleConfig(smoother=...)
+    h, sm = hierarchy_m4_a2, SmootherConfig.cheb4(2)
+    wrapped = polymg.multigrid.VCycleConfig(smoother=sm)
+    assert wrapped is sm
+    x, b = np.random.default_rng(4).standard_normal((2, h.finest.op.shape[0]))
+    assert np.array_equal(v_cycle(h, wrapped, x, b), v_cycle(h, sm, x, b))
+    got, want = (measure_contraction(h, s, seed=2, tol=1e-6) for s in (wrapped, sm))
+    assert (got.factor, got.n_cycles) == (want.factor, want.n_cycles)
 
 
 def test_chained_starts_give_the_dense_factor():
@@ -424,7 +433,7 @@ def test_chained_starts_give_the_dense_factor():
     h = build_hierarchy(GridSpec(m=4, aspect=1.0))
     x0 = None
     for k in range(1, 7):
-        cfg = VCycleConfig(smoother=COLUMNS["w32"].smoother(k))
+        cfg = COLUMNS["w32"].smoother(k)
         res = measure_contraction(h, cfg, x0=x0)
         x0 = res.vector
         assert res.converged, k
@@ -564,7 +573,7 @@ def test_CN_bracket_and_bound_chain(two_level_m5_a2):
         CN = measure_CN(top.A, top.smoother, top.P, Ac, p)
         gamma = gamma_mu(p)
         assert 1.0 <= CN <= 1.0 + gamma * C + 1e-9
-        cfg = VCycleConfig(smoother=SmootherConfig.cheb4(k))
+        cfg = SmootherConfig.cheb4(k)
         measured = measure_contraction(h, cfg, seed=0, tol=1e-9).factor
         assert measured <= 1.0 - 1.0 / CN + 1e-6
         assert 1.0 - 1.0 / CN <= C / (C + 1.0 / gamma) + 1e-9
@@ -576,7 +585,7 @@ def test_CN_reference_chain_values(two_level_m5_a2):
     top = h.levels[0]
     Ac = h.levels[1].A
     CN = measure_CN(top.A, top.smoother, top.P, Ac, PolynomialSpec.fourth_kind(1))
-    cfg = VCycleConfig(smoother=SmootherConfig.cheb4(1))
+    cfg = SmootherConfig.cheb4(1)
     res = measure_contraction(h, cfg, seed=0, tol=1e-9)
     assert res.converged
     # the dense ||E||_A of this problem, which equals 1 - 1/C_N

@@ -16,7 +16,7 @@ import pytest
 
 import polymg.multigrid
 from polymg import GridSpec, build_hierarchy
-from polymg.multigrid import VCycleConfig, measure_contraction
+from polymg.multigrid import measure_contraction
 from polymg.optpoly import optimal_polynomial
 from polymg.smoothers import SmootherConfig, apply_smoother
 
@@ -46,11 +46,11 @@ def _reference_v_cycle_level(h, cfg, x, b, level):
     lvl = h.levels[level]
     if lvl.P is None:
         return h.coarse_solver.solve(b)
-    _reference_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+    _reference_smoother(lvl.op, lvl.smoother, x, b, cfg)
     r = b - lvl.op @ x
     ec = _reference_v_cycle_level(h, cfg, np.zeros(lvl.R.shape[0]), lvl.R @ r, level + 1)
     x += lvl.P @ ec
-    return _reference_smoother(lvl.op, lvl.smoother, x, b, cfg.smoother)
+    return _reference_smoother(lvl.op, lvl.smoother, x, b, cfg)
 
 
 SMOOTHERS = {
@@ -84,7 +84,7 @@ def test_smoother_matches_full_work_recurrence(hierarchy_m5_a2, name):
 @pytest.mark.parametrize("name", sorted(SMOOTHERS))
 def test_v_cycle_matches_full_work_cycle(hierarchy_m5_a2, name):
     h = hierarchy_m5_a2
-    cfg = VCycleConfig(smoother=SMOOTHERS[name])
+    cfg = SMOOTHERS[name]
     rng = np.random.default_rng(21)
     n = h.finest.A.shape[0]
     x, b = rng.standard_normal(n), rng.standard_normal(n)
@@ -98,7 +98,7 @@ def test_v_cycle_matches_full_work_cycle(hierarchy_m5_a2, name):
 
 @pytest.mark.parametrize("name", sorted(SMOOTHERS))
 def test_contraction_estimate_matches_full_work_cycle(hierarchy_m5_a2, name, monkeypatch):
-    cfg = VCycleConfig(smoother=SMOOTHERS[name])
+    cfg = SMOOTHERS[name]
     res = measure_contraction(hierarchy_m5_a2, cfg, seed=3, tol=1e-6, max_cycles=300)
     monkeypatch.setattr(polymg.multigrid, "_v_cycle_level", _reference_v_cycle_level)
     expected = measure_contraction(hierarchy_m5_a2, cfg, seed=3, tol=1e-6, max_cycles=300)
