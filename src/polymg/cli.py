@@ -168,7 +168,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.c_mode == "analytic":
         C = 2.0 * args.aspect ** 2
     else:
-        C = _measured_C(hier.finest.grid)
+        C = _two_grid_sup(hier.finest.grid, hier.finest.smoother)
     print(f"[run] using C = {C:.6f} ({args.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
@@ -243,14 +243,9 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def _measured_C(g: GridSpec) -> float:
-    """The exact two-level ``C`` of ``g`` and its coarsening, from the grid's sine modes."""
-    B = jacobi_smoother(g)
-    return _two_grid_sup(g, B.rho_BA / B.inverse_diagonal[0])
-
-
 def _cmd_measure_c(args: argparse.Namespace) -> int:
-    print(f"C = {_measured_C(GridSpec(m=args.m, aspect=args.aspect)):.12g}")
+    g = GridSpec(m=args.m, aspect=args.aspect)
+    print(f"C = {_two_grid_sup(g, jacobi_smoother(g)):.12g}")
     return 0
 
 

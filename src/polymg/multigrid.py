@@ -21,7 +21,8 @@ Smoothing quality enters the bounds through two measurable constants:
 The sine modes diagonalise every level and the Jacobi smoother, and the
 bilinear prolongation couples four fine modes per coarse mode, so both are
 exact eigenvalues of 4 x 4 blocks (rigorous Fourier analysis: Trottenberg,
-Oosterlee & Schueller, *Multigrid*, 2001, ch. 4); see :func:`measure_C`.
+Oosterlee & Schueller, *Multigrid*, 2001, ch. 4), which ``_two_grid_sup``
+computes for :func:`measure_C`, :func:`measure_CN` and the command line.
 """
 
 from __future__ import annotations
@@ -105,11 +106,7 @@ class Hierarchy:
 
 
 def VCycleConfig(smoother: SmootherConfig) -> SmootherConfig:
-    """Return ``smoother``: the V-cycle takes its :class:`~polymg.smoothers.SmootherConfig` itself.
-
-    Kept only because ``bench/workloads.py`` calls ``VCycleConfig(smoother=...)``;
-    ROADMAP item 1 deletes it with the next change to the bench.
-    """
+    """Return ``smoother``, kept only for ``bench/workloads.py``'s call form (ROADMAP item 1)."""
     return smoother
 
 
@@ -261,33 +258,51 @@ def _two_level_grid(A, B: DiagonalSmoother, P, A_c) -> GridSpec:
     return g
 
 
-def _two_grid_sup(g: GridSpec, nu) -> float:
-    """``sup_{u in range(pi_f)} ||u||^2_M / ||u||^2_A`` for ``M`` diagonal in the sine modes.
+_SLAB = 32  # coarse x-modes per slab of 4 x 4 blocks: at m = 10, 32 * 511 blocks (2.1 MB)
 
-    ``nu`` is ``M``'s eigenvalue, a constant or one per fine mode ``(i, j)``
-    at ``[i - 1, j - 1]``, and ``lam`` is ``A``'s.  The supremum is
-    ``lambda_max(F^T Q F)``, ``Q = A^{-1} - P A_c^{-1} P^T``, ``F F^T = M``
-    (Falgout, Vassilevski & Zikatanov, NLAA 12, 2005).  In the orthonormal
-    sine bases ``P`` maps coarse mode ``I`` to fine modes ``I`` and
+
+def _two_grid_sup(g: GridSpec, B: DiagonalSmoother, p: PolynomialSpec | None = None) -> float:
+    """Exact two-level ``C`` of ``g`` and its coarsening, or ``C_N`` for the polynomial ``p``.
+
+    Both are ``sup_{u in range(pi_f)} ||u||^2_M / ||u||^2_A`` for ``M`` of
+    weight ``nu`` at a sine mode where ``A`` has ``lam`` (:func:`~polymg.fem.sine_symbol`):
+    ``M = B_hat^{-1}``, ``B_hat`` the Jacobi ``B`` scaled so ``rho(B_hat A) = 1``,
+    or ``M = N^{-1} = A (I - p(B_hat A)^2)^{-1}``, ``nu = lam / (1 - p(x)^2)``
+    at the mode's eigenvalue ``x`` of ``B_hat A``; ``|p| < 1`` on (0, 1] is
+    checked on that exact spectrum and at 1, so rounding in ``rho(BA)``
+    cannot decide it.  The sup is ``lambda_max(F^T Q F)``, ``F F^T = M``,
+    ``Q = A^{-1} - P A_c^{-1} P^T`` (Falgout, Vassilevski & Zikatanov, NLAA
+    12, 2005).  ``P`` maps coarse sine mode ``I`` to fine modes ``I`` and
     ``n_f + 1 - I`` with weights ``sqrt(2) cos^2(theta_I/2)`` and
-    ``-sqrt(2) sin^2(theta_I/2)`` per direction, ``theta_I = I pi/(n_f + 1)``.
-    So ``F^T Q F`` is one 4 x 4 block ``diag(nu/lam) - v v^T / lam_c`` per
-    coarse mode, plus ``nu/lam`` at the fine modes with the middle index
-    ``n_c + 1``, which have no coarse part.
+    ``-sqrt(2) sin^2(theta_I/2)`` per direction, ``theta_I = I pi/(n_f + 1)``,
+    so ``F^T Q F`` is a 4 x 4 block ``diag(nu/lam) - v v^T / lam_c`` per coarse
+    mode, solved in slabs of ``_SLAB`` coarse x-modes, plus ``nu/lam`` at the
+    fine modes with the middle index ``n_c + 1``, which have no coarse part.
     """
     n, nc = g.n_side, g.coarsen().n_side
     lam = sine_symbol(g, np.arange(1, n + 1))
-    nu = np.broadcast_to(nu, lam.shape)
-    r = nu / lam
+    if p is None:
+        nu = np.broadcast_to(B.rho_BA / B.inverse_diagonal[0], lam.shape)  # B_hat^{-1}
+    else:
+        pv = p.evaluate(lam * (B.inverse_diagonal[0] / B.rho_BA))
+        if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
+            raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
+        nu = lam / (1.0 - pv * pv)
     I = np.arange(1, nc + 1)
     half = I * np.pi / (2 * (n + 1))
     w = np.sqrt(2.0) * np.array([np.cos(half) ** 2, -np.sin(half) ** 2])
     fine = np.array([I - 1, n - I])  # 0-based fine modes I and n + 1 - I
-    ix, iy = fine[:, None, :, None], fine[None, :, None, :]  # [sx, sy, Ix, Iy]
-    v = (np.sqrt(nu[ix, iy]) * w[:, None, :, None] * w[None, :, None, :]).reshape(4, -1).T
-    blocks = v[:, :, None] * v[:, None, :] / -sine_symbol(g.coarsen(), I).reshape(-1, 1, 1)
-    blocks[:, range(4), range(4)] += r[ix, iy].reshape(4, -1).T
-    return float(max(np.linalg.eigvalsh(blocks)[:, -1].max(), r[nc].max(), r[:, nc].max()))
+    lam_c = sine_symbol(g.coarsen(), I)
+    sup = max((nu[nc] / lam[nc]).max(), (nu[:, nc] / lam[:, nc]).max())
+    for s in range(0, nc, _SLAB):
+        slab = slice(s, s + _SLAB)
+        ix, iy = fine[:, None, slab, None], fine[None, :, None, :]  # [sx, sy, Ix, Iy]
+        nu_s = nu[ix, iy]
+        v = (np.sqrt(nu_s) * w[:, None, slab, None] * w[None, :, None, :]).reshape(4, -1).T
+        blocks = v[:, :, None] * v[:, None, :] / -lam_c[slab].reshape(-1, 1, 1)
+        blocks[:, range(4), range(4)] += (nu_s / lam[ix, iy]).reshape(4, -1).T
+        sup = max(sup, np.linalg.eigvalsh(blocks)[:, -1].max())
+    return float(sup)
 
 
 def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
@@ -297,30 +312,19 @@ def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
     must be one model grid's assembled Q1 operator (a DIA band, or CSR as
     ``Level.A`` gives), its Jacobi smoother, bilinear prolongation and
     coarse operator (diagonals and smoother within 1e-12 relative of the
-    grid's), else ``ValueError``; ``C`` is then a 4 x 4 block
-    eigenvalue of the sine modes, with no iteration.  ``C >= 1`` and rises
-    towards ``2 aspect^2`` with ``m``.  The signature becomes
-    ``measure_C(grid)`` with the next change to the bench, which calls this
-    form.
+    grid's), else ``ValueError``; the grid read back from them and ``B`` go
+    to ``_two_grid_sup``.  ``C >= 1`` and rises towards ``2 aspect^2`` with
+    ``m``.  With the next change to the bench, which calls this form, the
+    signatures become ``measure_C(grid)`` and ``measure_CN(grid, p)``.
     """
-    g = _two_level_grid(A, B, P, A_c)
-    return _two_grid_sup(g, B.rho_BA / B.inverse_diagonal[0])  # B_hat^{-1}, a constant
+    return _two_grid_sup(_two_level_grid(A, B, P, A_c), B)
 
 
 def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec) -> float:
     """Exact ``C_N`` for the smoother polynomial ``p`` (two-level).
 
-    As :func:`measure_C` with the norm of ``N^{-1} = A (I - p(BA)^2)^{-1}``:
-    its weight at a mode with eigenvalue ``lam`` of ``A`` and ``x`` of the
-    normalized ``BA`` is ``lam / (1 - p(x)^2)``.  Requires ``|p| < 1`` on
-    (0, 1], checked on that exact spectrum and at the endpoint 1, so
-    rounding in ``rho(BA)`` cannot decide it.  The cycle bound
+    As :func:`measure_C` with the norm of ``N^{-1} = A (I - p(BA)^2)^{-1}``,
+    and ``ValueError`` unless ``|p| < 1`` on (0, 1].  The cycle bound
     ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.
-    The signature becomes ``measure_CN(grid, p)`` with the next bench change.
     """
-    g = _two_level_grid(A, B, P, A_c)
-    lam = sine_symbol(g, np.arange(1, g.n_side + 1))
-    pv = p.evaluate(lam * (B.inverse_diagonal[0] / B.rho_BA))
-    if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
-        raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
-    return _two_grid_sup(g, lam / (1.0 - pv * pv))
+    return _two_grid_sup(_two_level_grid(A, B, P, A_c), B, p)

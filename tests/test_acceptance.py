@@ -40,6 +40,7 @@ from polymg.bounds import (
     sharp_f_factor,
 )
 from polymg.cli import COLUMNS, emit_gamma_table
+from polymg.multigrid import _two_grid_sup
 from polymg.optpoly import optimal_roots
 from polymg.smoothers import DiagonalSmoother, apply_smoother
 
@@ -351,14 +352,13 @@ def test_printed_bounds_above_exact_counterparts(scorecard):
             violations.append((name, exact, bound))
 
     for aspect in ASPECTS:
-        hier = build_hierarchy(GridSpec(m=8, aspect=aspect))
-        A = [level.A for level in hier.levels]
-        pairs = [(A[i], level.smoother, level.P, A[i + 1])
-                 for i, level in enumerate(hier.levels[:-1])]
-        C_values = (measure_C(*pairs[0]), 2.0 * aspect * aspect)
+        fine_levels = build_hierarchy(GridSpec(m=8, aspect=aspect)).levels[:-1]
+        C_values = (_two_grid_sup(fine_levels[0].grid, fine_levels[0].smoother),
+                    2.0 * aspect * aspect)
 
         def U(p):
-            return 1.0 - 1.0 / max(measure_CN(*pair, p) for pair in pairs)
+            return 1.0 - 1.0 / max(_two_grid_sup(level.grid, level.smoother, p)
+                                   for level in fine_levels)
 
         for k in degrees:
             u_cheb = U(PolynomialSpec.fourth_kind(k))
@@ -378,7 +378,7 @@ def test_printed_bounds_above_exact_counterparts(scorecard):
     for aspect in (1.0, 2.0, 8.0):
         hier = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
         top, A_c = hier.levels[0], hier.levels[1].A
-        C = measure_C(top.A, top.smoother, top.P, A_c)
+        C = _two_grid_sup(top.grid, top.smoother)
         for k in degrees:
             bound = bound_cheb_two_level(C, k)
             check("cheb_2l", _two_grid_factor(top, A_c, PolynomialSpec.fourth_kind(k)),

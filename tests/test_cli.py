@@ -280,6 +280,7 @@ def _rejected_run_setting(tmp_path, *args):
     """stderr of ``polymg run --m 4 args``, checked to be a usage error that wrote nothing."""
     res = run_cli("run", "--m", "4", *args, cwd=tmp_path)
     assert res.returncode == 2
+    assert "usage" in res.stderr.lower()
     assert list(tmp_path.iterdir()) == []
     return res.stderr
 

@@ -16,6 +16,7 @@ from polymg.fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolong
 from polymg.linalg import as_csr, lanczos_max
 from polymg.multigrid import (
     Level,
+    _two_grid_sup,
     build_hierarchy,
     measure_C,
     measure_CN,
@@ -441,26 +442,6 @@ def test_chained_starts_give_the_dense_factor():
                                            rel=1e-5), k
 
 
-@pytest.mark.parametrize("aspect", sorted(C_M4))
-def test_measured_C_reference_values(aspect):
-    h = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
-    top = h.levels[0]
-    C = measure_C(top.A, top.smoother, top.P, h.levels[1].A)
-    assert C == pytest.approx(C_M4[aspect], abs=2e-3)
-    assert C >= 1.0
-    # approaches 2 * aspect^2 from below on refined grids
-    assert C < 2.0 * aspect ** 2
-
-
-def test_measured_C_grows_with_anisotropy():
-    values = []
-    for aspect in (1.0, 2.0, 4.0):
-        h = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
-        top = h.levels[0]
-        values.append(measure_C(top.A, top.smoother, top.P, h.levels[1].A))
-    assert values[0] < values[1] < values[2]
-
-
 def test_measure_C_rejects_operands_of_no_two_level_pair(hierarchy_m4_a2):
     top, coarse, third = hierarchy_m4_a2.levels[:3]
     A, Ac = assemble_poisson_q1(top.grid), assemble_poisson_q1(coarse.grid)
@@ -527,21 +508,70 @@ def test_measure_C_accepts_a_grid_whose_recovered_aspect_rounds(aspect, C):
     assert measure_C(*_two_level(5, aspect)) == pytest.approx(C, rel=1e-11)
 
 
-@pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
-def test_exact_C_rises_with_m_below_its_limit(aspect):
-    values = [measure_C(*_two_level(m, aspect)) for m in range(3, 10)]
-    assert all(a < b for a, b in zip(values, values[1:])), values
-    assert values[-1] < 2.0 * aspect ** 2
-    if aspect == 8.0:
-        assert values[5] == pytest.approx(127.5852997, rel=1e-9)  # m = 8
+def _grid_constant(m, aspect, p=None):
+    """``C`` of the grid and its coarsening, or ``C_N`` for ``p``, with no operand assembled."""
+    g = GridSpec(m=m, aspect=aspect)
+    return _two_grid_sup(g, jacobi_smoother(g), p)
+
+
+def test_exact_C_rises_with_m_and_aspect_below_its_limit():
+    aspects = np.array([1.0, 2.0, 4.0, 8.0])
+    C = np.array([[_grid_constant(m, a) for a in aspects] for m in range(3, 10)])
+    assert np.all(np.diff(C, axis=0) > 0.0), C  # rises with m
+    assert np.all(np.diff(C, axis=1) > 0.0), C  # and with the aspect
+    assert np.all((C >= 1.0) & (C < 2.0 * aspects ** 2)), C  # approaches 2 aspect^2 from below
+    for a, c in zip(aspects, C[1]):  # m = 4
+        if a in C_M4:
+            assert c == pytest.approx(C_M4[a], abs=2e-3), a
+    assert C[5, 3] == pytest.approx(127.5852997, rel=1e-9)  # m = 8, aspect 8
+
+
+def test_operand_form_matches_the_grid_routine():
+    # _two_level_grid reads every aspect but 1 back an ulp low (2 -> 1.9999999999999998,
+    # 8 -> 7.999999999999999), which moves these results by up to 1.3e-15 relative
+    p = PolynomialSpec.fourth_kind(3)
+    for m in range(3, 10):
+        for aspect in (1.0, 1.9, 2.0, 3.3, 8.0):
+            ops = _two_level(m, aspect)
+            got = (measure_C(*ops), measure_CN(*ops, p))
+            want = (_grid_constant(m, aspect), _grid_constant(m, aspect, p))
+            if aspect == 1.0:
+                assert got == want, m
+            else:
+                assert got == pytest.approx(want, rel=1e-14), (m, aspect)
+
+
+def test_slabs_of_blocks_give_the_same_constants(monkeypatch):
+    # at m = 6 the 31 coarse x-modes fit in one default slab, or take 31 slabs of one
+    p = PolynomialSpec.fourth_kind(3)
+    assert polymg.multigrid._SLAB >= 31
+    whole = (_grid_constant(6, 2.0), _grid_constant(6, 2.0, p))
+    monkeypatch.setattr(polymg.multigrid, "_SLAB", 1)
+    assert (_grid_constant(6, 2.0), _grid_constant(6, 2.0, p)) == whole
+
+
+@pytest.mark.parametrize("degree, vectors", [(None, 3.5), (3, 6.5)])
+def test_two_grid_sup_peak_memory_is_a_few_fine_vectors(degree, vectors):
+    # the symbol takes one fine vector and C_N's weight and the product form of p
+    # k + 2 more; the 4 x 4 blocks of all coarse modes at once took 11.2 for C
+    g = GridSpec(m=9, aspect=2.0)
+    B = jacobi_smoother(g)
+    p = None if degree is None else PolynomialSpec.fourth_kind(degree)
+    _grid_constant(3, 2.0, p)  # warm-up: first-call caches are not traced
+    tracemalloc.start()
+    try:
+        _two_grid_sup(g, B, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= vectors * g.n_interior * 8
 
 
 def test_exact_CN_bracket_at_m8():
-    pair = _two_level(8, 2.0)
-    C = measure_C(*pair)
+    C = _grid_constant(8, 2.0)
     for k in (1, 2, 3):
         p = PolynomialSpec.fourth_kind(k)
-        assert 1.0 <= measure_CN(*pair, p) <= 1.0 + gamma_mu(p) * C
+        assert 1.0 <= _grid_constant(8, 2.0, p) <= 1.0 + gamma_mu(p) * C
 
 
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
