@@ -284,7 +284,9 @@ def _two_grid_sup(g: GridSpec, B: DiagonalSmoother, p: PolynomialSpec | None = N
     if p is None:
         nu = np.broadcast_to(B.rho_BA / B.inverse_diagonal[0], lam.shape)  # B_hat^{-1}
     else:
-        pv = p.evaluate(lam * (B.inverse_diagonal[0] / B.rho_BA))
+        # one fine x-row at a time: the product form holds k values per mode it evaluates
+        scale = B.inverse_diagonal[0] / B.rho_BA
+        pv = np.array([p.evaluate(row * scale) for row in lam])
         if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
             raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
         nu = lam / (1.0 - pv * pv)

@@ -65,6 +65,28 @@ def test_omega_max_properties():
     assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
 
+def test_omega_max_remainder_follows_its_expansion():
+    # omega = 2 - delta in (omega - 1)^{2k} (1 + 2 omega k) = 1, expanded in 1/k with
+    # L = log 4k, gives exact - asymptotic = T2 - T3 + T4 - T5 + ..., where
+    #   T2 = (L^2 + L - 1) / (8 k^2),             T3 = (4 L^3 + 15 L^2 - 9) / (192 k^3),
+    #   T4 = (2 L^4 + 18 L^3 + 27 L^2 - 12 L - 11) / (768 k^4),
+    #   T5 = (8 L^5 + 135 L^4 + 530 L^3 + 360 L^2 - 370 L - 125) / (30720 k^5).
+    # For k >= 10 the terms are positive and shrink, so the alternating rest after T3
+    # lies in [0, T4].  omega_max_exact bisects to a width of 1e-14, which bounds its
+    # error and the rounding of the values subtracted here.
+    allowed = 1e-14
+    for k in (10, 50, 100, 200, 1000, 10000):
+        L = math.log(4.0 * k)
+        t2 = (L * L + L - 1.0) / (8.0 * k ** 2)
+        t3 = (4.0 * L ** 3 + 15.0 * L * L - 9.0) / (192.0 * k ** 3)
+        t4 = (2.0 * L ** 4 + 18.0 * L ** 3 + 27.0 * L * L - 12.0 * L - 11.0) / (768.0 * k ** 4)
+        t5 = (8.0 * L ** 5 + 135.0 * L ** 4 + 530.0 * L ** 3 + 360.0 * L * L
+              - 370.0 * L - 125.0) / (30720.0 * k ** 5)
+        assert t2 > t3 > t4 > t5 > 0.0, k
+        rest = omega_max_exact(k) - omega_max_asymptotic(k) - (t2 - t3)
+        assert -allowed <= rest <= t4 + allowed, (k, rest, t4)
+
+
 def test_cheb_and_two_level_arithmetic():
     assert bound_cheb(2.0, 3) == pytest.approx(2.0 / 18.0, abs=1e-15)
     assert bound_cheb_two_level(2.0, 3) == pytest.approx(2.0 / 49.0, abs=1e-15)

@@ -248,27 +248,20 @@ def test_run_rejects_measured_C_without_a_coarse_level(tmp_path):
     ("opt-poly", "--k", "201"),
     ("bounds", "--C", "2"),  # missing required --k
     (),
-    ("run", "--m", "12"),  # an m = 12 build would need about 5.5 GB
     ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
-    ("measure-c", "--m", "12"),  # as for run, rejected before any assembly
-    ("run", "--m", "4", "--tol", "nan"),  # each would run every cell to the cycle cap
-    ("run", "--m", "4", "--tol", "-1"),
-    ("run", "--m", "4", "--tol", "0"),
+    ("measure-c", "--m", "12"),  # above cli._MAX_M, rejected before any assembly
     ("bounds", "--C", "inf", "--k", "1"),  # would write nan bounds
     ("bounds", "--C", "nan", "--k", "1"),
     # each non-finite or below-one aspect is rejected before any assembly
     *((cmd, "--m", "3", "--aspect", bad, *rest)
-      for cmd, rest in (("run", ()), ("assemble", ("--out", "never-written.mtx")),
-                        ("measure-c", ()))
+      for cmd, rest in (("assemble", ("--out", "never-written.mtx")), ("measure-c", ()))
       for bad in ("nan", "inf", "0.5")),
-    ("run", "--seed", "-1"),  # default_rng rejects it, so every cell would read nan
     ("run", "--full-scale", "--m", "6"),  # --full-scale sets m=10, so --m would be ignored
     ("run", "--m", "8", "--full-scale"),  # 8 was the default of --m
     ("measure-c", "--m", "2"),  # m = 2 has no coarse level
     ("bounds", "--C", "2", "--k", "1", "--omega", "2.5"),  # the simple bound needs 0 < omega < 2
     ("bounds", "--C", "2", "--k", "1", "--omega", "nan"),
-    ("run", "--k", "3..1"),  # reversed, so empty
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -291,25 +284,27 @@ def test_empty_degree_range_is_named(tmp_path, k):
     assert f"argument --k: empty degree range {k!r}" in _rejected_run_setting(tmp_path, "--k", k)
 
 
+# a tol outside (0, 1) would run every cell to the cycle cap
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0, 1.0])
-def test_experiment_config_rejects_bad_tol(tmp_path, tol):
+def test_run_rejects_bad_tol(tmp_path, tol):
     assert "argument --tol: tol must lie in (0, 1)" in _rejected_run_setting(
         tmp_path, "--tol", str(tol))
 
 
 @pytest.mark.parametrize("aspect", [math.nan, math.inf, 0.5])
-def test_experiment_config_rejects_bad_aspect(tmp_path, aspect):
+def test_run_rejects_bad_aspect(tmp_path, aspect):
     assert "argument --aspect: aspect must be finite and >= 1" in _rejected_run_setting(
         tmp_path, "--aspect", str(aspect))
 
 
-def test_experiment_config_rejects_a_negative_seed(tmp_path):
+# default_rng rejects it, so every cell would read nan
+def test_run_rejects_a_negative_seed(tmp_path):
     assert "argument --seed: seed must be >= 0" in _rejected_run_setting(
         tmp_path, "--seed", "-1")
 
 
 @pytest.mark.parametrize("m", [1, 12])
-def test_experiment_config_rejects_m_out_of_range(tmp_path, m):
+def test_run_rejects_m_out_of_range(tmp_path, m):
     # the later --m wins, as argparse keeps the last value of a repeated option
     assert f"argument --m: invalid choice: {m}" in _rejected_run_setting(
         tmp_path, "--m", str(m))

@@ -550,10 +550,11 @@ def test_slabs_of_blocks_give_the_same_constants(monkeypatch):
     assert (_grid_constant(6, 2.0), _grid_constant(6, 2.0, p)) == whole
 
 
-@pytest.mark.parametrize("degree, vectors", [(None, 3.5), (3, 6.5)])
+@pytest.mark.parametrize("degree, vectors", [(None, 3.5), (3, 6.5), (50, 6.5), (200, 6.5)])
 def test_two_grid_sup_peak_memory_is_a_few_fine_vectors(degree, vectors):
-    # the symbol takes one fine vector and C_N's weight and the product form of p
-    # k + 2 more; the 4 x 4 blocks of all coarse modes at once took 11.2 for C
+    # the symbol takes one fine vector and C_N's values of p and weight a few more,
+    # whatever the degree: p is evaluated one x-row at a time (on all modes at once,
+    # k = 200 took 203); the 4 x 4 blocks of all coarse modes at once took 11.2 for C
     g = GridSpec(m=9, aspect=2.0)
     B = jacobi_smoother(g)
     p = None if degree is None else PolynomialSpec.fourth_kind(degree)

@@ -84,6 +84,20 @@ def test_opt_realizes_beta_polynomial(k):
     assert np.max(np.abs(out - expected)) < 1e-10 * np.linalg.norm(x0 - x_star)
 
 
+@pytest.mark.parametrize("k", [6, 50, 100, 200])
+def test_iteration_realizes_its_polynomial_at_large_degree(k):
+    # on diag(lam) with B = I and rho = 1, k steps from x = 1 with b = 0 leave p(lam)
+    lam = np.arange(1, 2401) / 2400.0
+    A = as_csr(sp.diags_array(lam))
+    B = DiagonalSmoother(inverse_diagonal=np.ones(lam.size), rho_BA=1.0)
+    x, b = np.ones(lam.size), np.zeros(lam.size)
+    cheb = _cheb4(A, B, x, b, k)
+    assert np.max(np.abs(cheb - PolynomialSpec.fourth_kind(k).evaluate(lam))) <= 1e-13
+    spec = optimal_polynomial(k)
+    opt = _opt(A, B, x, b, spec.iteration_betas)
+    assert np.max(np.abs(opt - spec.evaluate(lam))) <= 1e-13
+
+
 def test_fixed_point_is_preserved():
     A, B, _, _, _ = _setup(18, seed=5)
     rng = np.random.default_rng(9)
