@@ -13,15 +13,9 @@ from .bounds import (
     bound_opt_conjecture,
     bound_simple,
 )
-from .fem import GridSpec, assemble_poisson_q1
+from .fem import GridSpec, assemble_poisson_q1, two_level_C
 from .linalg import load_matrix_market, save_matrix_market
-from .multigrid import (
-    build_hierarchy,
-    measure_C,
-    measure_CN,
-    measure_contraction,
-    v_cycle,
-)
+from .multigrid import build_hierarchy, measure_contraction, v_cycle
 from .optpoly import optimal_polynomial
 from .poly import PolynomialSpec, gamma_mu
 from .smoothers import SmootherConfig
@@ -35,8 +29,7 @@ __all__ = [
     "SmootherConfig",
     "v_cycle",
     "measure_contraction",
-    "measure_C",
-    "measure_CN",
+    "two_level_C",
     "PolynomialSpec",
     "optimal_polynomial",
     "gamma_mu",

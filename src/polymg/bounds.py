@@ -195,8 +195,10 @@ def sharp_f_factor(C: float, k: int) -> float:
 
     With ``n = 2k+1``: below the switch point ``C < n^2/7.97 + 0.512`` the
     factor is ``(1 + 65/(15 n^2 - 33)) (1 - 40 C/(10 n^2 - n + 19))``,
-    above it ``((1 + 2C)/(32 C^2 - 10)) (n^2 + 1.79 + n^{-2})``.  Satisfies
-    ``0 <= f <= (2/3)/beta`` and ``f -> 1`` as ``k -> infinity``.
+    above it ``((1 + 2C)/(32 C^2 - 10)) (n^2 + 1.79 + n^{-2})``, evaluated as
+    ``(0.5 + C)/(16 C^2 - 5)``: the same float wherever ``32 C^2`` is finite,
+    and no ``inf/inf`` above that.  Satisfies ``0 <= f <= (2/3)/beta`` and
+    ``f -> 1`` as ``k -> infinity``.
     """
     _check_c(C)
     _check_degree(k)
@@ -205,7 +207,7 @@ def sharp_f_factor(C: float, k: int) -> float:
         return (1.0 + 65.0 / (15.0 * n * n - 33.0)) * (
             1.0 - 40.0 * C / (10.0 * n * n - n + 19.0)
         )
-    return (1.0 + 2.0 * C) / (32.0 * C * C - 10.0) * (n * n + 1.79 + 1.0 / (n * n))
+    return (0.5 + C) / (16.0 * C * C - 5.0) * (n * n + 1.79 + 1.0 / (n * n))
 
 
 def bound_cheb_sharp(C: float, k: int) -> float:

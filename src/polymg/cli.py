@@ -26,9 +26,9 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bounds as bnd
-from .fem import GridSpec, assemble_poisson_q1, jacobi_smoother
+from .fem import GridSpec, assemble_poisson_q1, two_level_C
 from .linalg import as_csr, save_matrix_market
-from .multigrid import _two_grid_sup, build_hierarchy, measure_contraction
+from .multigrid import build_hierarchy, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
 from .smoothers import SmootherConfig
@@ -160,15 +160,22 @@ def _cmd_run(args: argparse.Namespace) -> int:
     and Ritz residual.
     """
     m = 8 if args.m is None else args.m
-    if args.c_mode == "measured" and m < 3:
-        raise ValueError("measured C needs a coarse level: m >= 3")
+    grid = GridSpec(m=m, aspect=args.aspect)
+    if args.c_mode == "measured":
+        if m < 3:
+            raise ValueError("measured C needs a coarse level: m >= 3")
+        C = two_level_C(grid)
+    else:
+        try:
+            C = 2.0 * args.aspect ** 2
+        except OverflowError:  # aspect ** 2 raises past the float range
+            C = math.inf
+        if C == math.inf:
+            raise ValueError(f"analytic C = 2 aspect^2 is not finite at aspect {args.aspect:g}; "
+                             "use --c-mode measured")
     names = [name for name in COLUMNS if not args.smoother or name in args.smoother]
     print(f"[run] building hierarchy m={m} aspect={args.aspect:g}", file=sys.stderr)
-    hier = build_hierarchy(GridSpec(m=m, aspect=args.aspect))
-    if args.c_mode == "analytic":
-        C = 2.0 * args.aspect ** 2
-    else:
-        C = _two_grid_sup(hier.finest.grid, hier.finest.smoother)
+    hier = build_hierarchy(grid)
     print(f"[run] using C = {C:.6f} ({args.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
@@ -244,8 +251,7 @@ def _cmd_gamma_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_measure_c(args: argparse.Namespace) -> int:
-    g = GridSpec(m=args.m, aspect=args.aspect)
-    print(f"C = {_two_grid_sup(g, jacobi_smoother(g)):.12g}")
+    print(f"C = {two_level_C(GridSpec(m=args.m, aspect=args.aspect)):.12g}")
     return 0
 
 

@@ -7,13 +7,20 @@ point-Jacobi smoothing progressively weaker: the smoothing constant grows
 like ``2 * aspect^2``.
 
 The operator is one constant 9-point stencil cut off at the Dirichlet edge.
-:func:`assemble_poisson_q1` writes it out as a 9-point DIA band, for export,
-for the two-level constants and as a test oracle; the multigrid levels apply
-it from its four distinct entries with :class:`Q1Operator` and store no band.
-The grid alone also fixes a level's other constants: :func:`jacobi_smoother`
-reads the diagonal off the stencil centre and ``rho(BA)`` off the sine-mode
-symbol, :func:`build_prolongation` writes the restriction (its transpose
-view prolongs), and :class:`SineSolver` solves with the operator in its sine modes.
+:func:`assemble_poisson_q1` writes it out as a 9-point DIA band, for export
+and as a test oracle; the multigrid levels apply it from its four distinct
+entries with :class:`Q1Operator` and store no band.  The grid alone also
+fixes a level's other constants: :func:`jacobi_smoother` reads the diagonal
+off the stencil centre and ``rho(BA)`` off the sine-mode symbol,
+:func:`build_prolongation` writes the restriction (its transpose view
+prolongs), and :class:`SineSolver` solves with the operator in its sine modes.
+
+The sine modes diagonalise every level and the Jacobi smoother, and the
+bilinear prolongation couples four fine modes per coarse mode, so the
+two-level constants ``C`` and ``C_N`` of the V-cycle bound
+``||E||_A^2 <= 1 - 1/C_N`` are exact eigenvalues of 4 x 4 blocks (rigorous
+Fourier analysis: Trottenberg, Oosterlee & Schueller, *Multigrid*, 2001,
+ch. 4), which :func:`two_level_C` computes from the grid alone.
 """
 
 from __future__ import annotations
@@ -25,9 +32,10 @@ import numbers
 import numpy as np
 import scipy.sparse as sp
 
+from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother
 
-__all__ = ["GridSpec", "assemble_poisson_q1"]
+__all__ = ["GridSpec", "assemble_poisson_q1", "two_level_C"]
 
 
 @dataclass(frozen=True)
@@ -88,8 +96,7 @@ def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     zeros where a neighbour leaves the grid.  Interior rows of the aspect-1
     operator carry the stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
     The multigrid levels apply the same entries without a band
-    (:class:`Q1Operator`); this explicit matrix is for export, for the
-    two-level constants and as a test oracle.
+    (:class:`Q1Operator`); this explicit matrix is for export and as a test oracle.
     """
     n = grid.n_side
     d = np.array([-1, 0, 1])
@@ -234,3 +241,113 @@ def jacobi_smoother(grid: GridSpec) -> DiagonalSmoother:
     lam_max = float(sine_symbol(grid, [1, grid.n_side]).max())
     return DiagonalSmoother(inverse_diagonal=np.broadcast_to(1.0 / a, (grid.n_interior,)),
                             rho_BA=lam_max / a)
+
+
+_SLAB = 32  # coarse x-modes per slab of 4 x 4 blocks: at m = 10, 32 * 511 blocks (2.1 MB)
+
+
+def two_level_C(grid: GridSpec, p: PolynomialSpec | None = None) -> float:
+    """Exact two-level ``C`` of ``grid`` and its coarsening, or ``C_N`` for the polynomial ``p``.
+
+    Both are ``sup_{u in range(pi_f)} ||u||^2_M / ||u||^2_A`` for ``M`` of
+    weight ``nu`` at a sine mode where ``A`` has ``lam`` (:func:`sine_symbol`):
+    ``M = B_hat^{-1}``, ``B_hat`` the grid's :func:`jacobi_smoother` scaled so
+    ``rho(B_hat A) = 1``, or ``M = N^{-1} = A (I - p(B_hat A)^2)^{-1}``,
+    ``nu = lam / (1 - p(x)^2)`` at the mode's eigenvalue ``x`` of ``B_hat A``;
+    ``|p| < 1`` on (0, 1] is checked on that exact spectrum and at 1, so
+    rounding in ``rho(BA)`` cannot decide it (else ``ValueError``).  ``C >= 1``
+    rises towards ``2 aspect^2`` with ``m``, and the cycle bound
+    ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.  The sup
+    is ``lambda_max(F^T Q F)``, ``F F^T = M``, ``Q = A^{-1} - P A_c^{-1} P^T``
+    (Falgout, Vassilevski & Zikatanov, NLAA 12, 2005).  ``P`` maps coarse sine
+    mode ``I`` to fine modes ``I`` and ``n_f + 1 - I`` with weights
+    ``sqrt(2) cos^2(theta_I/2)`` and ``-sqrt(2) sin^2(theta_I/2)`` per
+    direction, ``theta_I = I pi/(n_f + 1)``, so ``F^T Q F`` is a 4 x 4 block
+    ``diag(nu/lam) - v v^T / lam_c`` per coarse mode, solved in slabs of
+    ``_SLAB`` coarse x-modes, plus ``nu/lam`` at the fine modes with the
+    middle index ``n_c + 1``, which have no coarse part.
+    """
+    if grid.m < 3:
+        raise ValueError(f"m = {grid.m} has no coarse level: two-level constants need m >= 3")
+    B = jacobi_smoother(grid)
+    n, nc = grid.n_side, grid.coarsen().n_side
+    lam = sine_symbol(grid, np.arange(1, n + 1))
+    if p is None:
+        nu = np.broadcast_to(B.rho_BA / B.inverse_diagonal[0], lam.shape)  # B_hat^{-1}
+    else:
+        # one fine x-row at a time: the product form holds k values per mode it evaluates
+        scale = B.inverse_diagonal[0] / B.rho_BA
+        pv = np.array([p.evaluate(row * scale) for row in lam])
+        if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
+            raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
+        nu = lam / (1.0 - pv * pv)
+    I = np.arange(1, nc + 1)
+    half = I * np.pi / (2 * (n + 1))
+    w = np.sqrt(2.0) * np.array([np.cos(half) ** 2, -np.sin(half) ** 2])
+    fine = np.array([I - 1, n - I])  # 0-based fine modes I and n + 1 - I
+    lam_c = sine_symbol(grid.coarsen(), I)
+    sup = max((nu[nc] / lam[nc]).max(), (nu[:, nc] / lam[:, nc]).max())
+    for s in range(0, nc, _SLAB):
+        slab = slice(s, s + _SLAB)
+        ix, iy = fine[:, None, slab, None], fine[None, :, None, :]  # [sx, sy, Ix, Iy]
+        nu_s = nu[ix, iy]
+        v = (np.sqrt(nu_s) * w[:, None, slab, None] * w[None, :, None, :]).reshape(4, -1).T
+        blocks = v[:, :, None] * v[:, None, :] / -lam_c[slab].reshape(-1, 1, 1)
+        blocks[:, range(4), range(4)] += (nu_s / lam[ix, iy]).reshape(4, -1).T
+        sup = max(sup, np.linalg.eigvalsh(blocks)[:, -1].max())
+    return float(sup)
+
+
+def _two_level_grid(A, B: DiagonalSmoother, P, A_c) -> GridSpec:
+    """The grid of which ``(A, B, P, A_c)`` is the two-level pair, else ``ValueError``.
+
+    ``m`` comes from ``A``'s size and the aspect from ``A[0, n_side] +
+    2 A[0, 1] = -aspect``.  ``A_c`` must have the coarsened grid's shape,
+    ``A`` and ``A_c`` a diagonal within 1e-12 relative of their grids'
+    stencil centres, ``B`` a constant diagonal within 1e-12 relative of the
+    grid's :func:`jacobi_smoother` in ``inverse_diagonal`` and ``rho_BA``,
+    and ``P`` the grid's bilinear prolongation.
+    """
+    n = A.shape[0]
+    n_side = math.isqrt(n)
+    m = n_side.bit_length()
+    if A.shape != (n, n) or n_side * n_side != n or n_side != 2 ** m - 1 or m < 3:
+        raise ValueError(f"operator of shape {A.shape} is not a Q1 grid with m >= 3")
+    # rounding can put aspect 1 just below 1; the diagonal check rejects anything further off
+    g = GridSpec(m=m, aspect=max(1.0, -(A.diagonal(n_side)[0] + 2.0 * A.diagonal(1)[0])))
+    cg = g.coarsen()
+    if A_c.shape != (cg.n_interior, cg.n_interior):
+        raise ValueError(f"coarse operator shape {A_c.shape} does not match the coarse grid's "
+                         f"{cg.n_interior} unknowns")
+    for op, grid in ((A, g), (A_c, cg)):
+        a = _stencil(grid)[1, 1]
+        if not np.all(np.abs(op.diagonal() - a) <= 1e-12 * a):  # also rejects nan
+            raise ValueError("operator diagonal does not match the Q1 operator of the grid")
+    inv = B.inverse_diagonal
+    if inv.shape != (n,) or np.any(inv != inv[0]):
+        raise ValueError("smoother must be a constant diagonal of the operator's size")
+    # ref comes from the rounded aspect above, so it may differ in its last bits
+    ref = jacobi_smoother(g)
+    if not all(abs(got - want) <= 1e-12 * want for got, want in
+               ((inv[0], ref.inverse_diagonal[0]), (B.rho_BA, ref.rho_BA))):
+        raise ValueError("smoother is not the Jacobi smoother of the operator")
+    P_ref, _ = build_prolongation(g)
+    if P.shape != P_ref.shape or (sp.csr_array(P) != P_ref).nnz:
+        raise ValueError("P is not the bilinear prolongation of the grid")
+    return g
+
+
+def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
+    """:func:`two_level_C` of the grid whose assembled two-level pair the operands are.
+
+    The operands are a grid's Q1 operator (a DIA band, or CSR as ``Level.A``
+    gives), its Jacobi smoother, bilinear prolongation and coarse operator,
+    checked by ``_two_level_grid`` (else ``ValueError``).  The aspect read
+    back from ``A`` may be an ulp low, which moves ``C`` within 1e-14.
+    """
+    return two_level_C(_two_level_grid(A, B, P, A_c))
+
+
+def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec) -> float:
+    """:func:`two_level_C` for ``p`` (``C_N``) of the grid of the operands, as :func:`measure_C`."""
+    return two_level_C(_two_level_grid(A, B, P, A_c), p)

@@ -11,18 +11,8 @@ propagator is A-self-adjoint and positive semidefinite, and its A-norm
 contraction factor equals ``||E||_A^2`` for the half-cycle operator ``E``
 the spectral bounds address.
 
-Smoothing quality enters the bounds through two measurable constants:
-
-* ``C``: the largest ratio ``||u||^2_{B^{-1}} / ||u||^2_A`` over the
-  A-orthogonal complement of the coarse space (B scaled so rho(BA) = 1);
-* ``C_N``: the same ratio with ``N^{-1} = A (I - p(BA)^2)^{-1}``, which
-  converts directly into the cycle bound ``||E||_A^2 <= 1 - 1/C_N``.
-
-The sine modes diagonalise every level and the Jacobi smoother, and the
-bilinear prolongation couples four fine modes per coarse mode, so both are
-exact eigenvalues of 4 x 4 blocks (rigorous Fourier analysis: Trottenberg,
-Oosterlee & Schueller, *Multigrid*, 2001, ch. 4), which ``_two_grid_sup``
-computes for :func:`measure_C`, :func:`measure_CN` and the command line.
+The exact two-level constants ``C`` and ``C_N`` of the cycle's bound come
+from the grid alone, by :func:`~polymg.fem.two_level_C`.
 """
 
 from __future__ import annotations
@@ -34,10 +24,11 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .fem import (GridSpec, Q1Operator, SineSolver, _stencil, assemble_poisson_q1,
-                  build_prolongation, jacobi_smoother, sine_symbol)
+from .fem import (GridSpec, Q1Operator, SineSolver, assemble_poisson_q1, build_prolongation,
+                  jacobi_smoother)
+# bench/workloads.py calls polymg.multigrid.measure_C and measure_CN; ROADMAP item 1 deletes them
+from .fem import measure_C, measure_CN
 from .linalg import as_csr, lanczos_max
-from .poly import PolynomialSpec
 from .smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 __all__ = [
@@ -46,8 +37,6 @@ __all__ = [
     "build_hierarchy",
     "v_cycle",
     "measure_contraction",
-    "measure_C",
-    "measure_CN",
 ]
 
 
@@ -217,116 +206,3 @@ def measure_contraction(h: Hierarchy, smoother: SmootherConfig, seed: int = 0,
     zero = np.zeros(n)
     res = lanczos_max(lambda v: v_cycle(h, smoother, v, zero), A, e, tol=tol, max_iter=max_cycles)
     return ContractionResult(res.value, res.converged, res.iterations, res.residual, e)
-
-
-def _two_level_grid(A, B: DiagonalSmoother, P, A_c) -> GridSpec:
-    """The grid of which ``(A, B, P, A_c)`` is the two-level pair, else ``ValueError``.
-
-    ``m`` comes from ``A``'s size and the aspect from ``A[0, n_side] +
-    2 A[0, 1] = -aspect``.  ``A_c`` must have the coarsened grid's shape,
-    ``A`` and ``A_c`` a diagonal within 1e-12 relative of their grids'
-    stencil centres, ``B`` a constant diagonal within 1e-12 relative of the
-    grid's :func:`~polymg.fem.jacobi_smoother` in ``inverse_diagonal`` and
-    ``rho_BA``, and ``P`` the grid's bilinear prolongation.
-    """
-    n = A.shape[0]
-    n_side = math.isqrt(n)
-    m = n_side.bit_length()
-    if A.shape != (n, n) or n_side * n_side != n or n_side != 2 ** m - 1 or m < 3:
-        raise ValueError(f"operator of shape {A.shape} is not a Q1 grid with m >= 3")
-    # rounding can put aspect 1 just below 1; the diagonal check rejects anything further off
-    g = GridSpec(m=m, aspect=max(1.0, -(A.diagonal(n_side)[0] + 2.0 * A.diagonal(1)[0])))
-    cg = g.coarsen()
-    if A_c.shape != (cg.n_interior, cg.n_interior):
-        raise ValueError(f"coarse operator shape {A_c.shape} does not match the coarse grid's "
-                         f"{cg.n_interior} unknowns")
-    for op, grid in ((A, g), (A_c, cg)):
-        a = _stencil(grid)[1, 1]
-        if not np.all(np.abs(op.diagonal() - a) <= 1e-12 * a):  # also rejects nan
-            raise ValueError("operator diagonal does not match the Q1 operator of the grid")
-    inv = B.inverse_diagonal
-    if inv.shape != (n,) or np.any(inv != inv[0]):
-        raise ValueError("smoother must be a constant diagonal of the operator's size")
-    # ref comes from the rounded aspect above, so it may differ in its last bits
-    ref = jacobi_smoother(g)
-    if not all(abs(got - want) <= 1e-12 * want for got, want in
-               ((inv[0], ref.inverse_diagonal[0]), (B.rho_BA, ref.rho_BA))):
-        raise ValueError("smoother is not the Jacobi smoother of the operator")
-    P_ref, _ = build_prolongation(g)
-    if P.shape != P_ref.shape or (sp.csr_array(P) != P_ref).nnz:
-        raise ValueError("P is not the bilinear prolongation of the grid")
-    return g
-
-
-_SLAB = 32  # coarse x-modes per slab of 4 x 4 blocks: at m = 10, 32 * 511 blocks (2.1 MB)
-
-
-def _two_grid_sup(g: GridSpec, B: DiagonalSmoother, p: PolynomialSpec | None = None) -> float:
-    """Exact two-level ``C`` of ``g`` and its coarsening, or ``C_N`` for the polynomial ``p``.
-
-    Both are ``sup_{u in range(pi_f)} ||u||^2_M / ||u||^2_A`` for ``M`` of
-    weight ``nu`` at a sine mode where ``A`` has ``lam`` (:func:`~polymg.fem.sine_symbol`):
-    ``M = B_hat^{-1}``, ``B_hat`` the Jacobi ``B`` scaled so ``rho(B_hat A) = 1``,
-    or ``M = N^{-1} = A (I - p(B_hat A)^2)^{-1}``, ``nu = lam / (1 - p(x)^2)``
-    at the mode's eigenvalue ``x`` of ``B_hat A``; ``|p| < 1`` on (0, 1] is
-    checked on that exact spectrum and at 1, so rounding in ``rho(BA)``
-    cannot decide it.  The sup is ``lambda_max(F^T Q F)``, ``F F^T = M``,
-    ``Q = A^{-1} - P A_c^{-1} P^T`` (Falgout, Vassilevski & Zikatanov, NLAA
-    12, 2005).  ``P`` maps coarse sine mode ``I`` to fine modes ``I`` and
-    ``n_f + 1 - I`` with weights ``sqrt(2) cos^2(theta_I/2)`` and
-    ``-sqrt(2) sin^2(theta_I/2)`` per direction, ``theta_I = I pi/(n_f + 1)``,
-    so ``F^T Q F`` is a 4 x 4 block ``diag(nu/lam) - v v^T / lam_c`` per coarse
-    mode, solved in slabs of ``_SLAB`` coarse x-modes, plus ``nu/lam`` at the
-    fine modes with the middle index ``n_c + 1``, which have no coarse part.
-    """
-    n, nc = g.n_side, g.coarsen().n_side
-    lam = sine_symbol(g, np.arange(1, n + 1))
-    if p is None:
-        nu = np.broadcast_to(B.rho_BA / B.inverse_diagonal[0], lam.shape)  # B_hat^{-1}
-    else:
-        # one fine x-row at a time: the product form holds k values per mode it evaluates
-        scale = B.inverse_diagonal[0] / B.rho_BA
-        pv = np.array([p.evaluate(row * scale) for row in lam])
-        if np.max(np.abs(pv)) >= 1.0 or abs(p.evaluate(1.0)) >= 1.0:
-            raise ValueError("polynomial is not a contraction on (0, 1]; N is singular")
-        nu = lam / (1.0 - pv * pv)
-    I = np.arange(1, nc + 1)
-    half = I * np.pi / (2 * (n + 1))
-    w = np.sqrt(2.0) * np.array([np.cos(half) ** 2, -np.sin(half) ** 2])
-    fine = np.array([I - 1, n - I])  # 0-based fine modes I and n + 1 - I
-    lam_c = sine_symbol(g.coarsen(), I)
-    sup = max((nu[nc] / lam[nc]).max(), (nu[:, nc] / lam[:, nc]).max())
-    for s in range(0, nc, _SLAB):
-        slab = slice(s, s + _SLAB)
-        ix, iy = fine[:, None, slab, None], fine[None, :, None, :]  # [sx, sy, Ix, Iy]
-        nu_s = nu[ix, iy]
-        v = (np.sqrt(nu_s) * w[:, None, slab, None] * w[None, :, None, :]).reshape(4, -1).T
-        blocks = v[:, :, None] * v[:, None, :] / -lam_c[slab].reshape(-1, 1, 1)
-        blocks[:, range(4), range(4)] += (nu_s / lam[ix, iy]).reshape(4, -1).T
-        sup = max(sup, np.linalg.eigvalsh(blocks)[:, -1].max())
-    return float(sup)
-
-
-def measure_C(A, B: DiagonalSmoother, P, A_c) -> float:
-    """Exact ``C = sup_{u in range(pi_f)} ||u||^2_{B^{-1}} / ||u||^2_A`` (two-level).
-
-    ``B`` is normalized internally so that ``rho(BA) = 1``.  The operands
-    must be one model grid's assembled Q1 operator (a DIA band, or CSR as
-    ``Level.A`` gives), its Jacobi smoother, bilinear prolongation and
-    coarse operator (diagonals and smoother within 1e-12 relative of the
-    grid's), else ``ValueError``; the grid read back from them and ``B`` go
-    to ``_two_grid_sup``.  ``C >= 1`` and rises towards ``2 aspect^2`` with
-    ``m``.  With the next change to the bench, which calls this form, the
-    signatures become ``measure_C(grid)`` and ``measure_CN(grid, p)``.
-    """
-    return _two_grid_sup(_two_level_grid(A, B, P, A_c), B)
-
-
-def measure_CN(A, B: DiagonalSmoother, P, A_c, p: PolynomialSpec) -> float:
-    """Exact ``C_N`` for the smoother polynomial ``p`` (two-level).
-
-    As :func:`measure_C` with the norm of ``N^{-1} = A (I - p(BA)^2)^{-1}``,
-    and ``ValueError`` unless ``|p| < 1`` on (0, 1].  The cycle bound
-    ``||E||_A^2 <= 1 - 1/C_N`` is sharp over errors in the fine space.
-    """
-    return _two_grid_sup(_two_level_grid(A, B, P, A_c), B, p)

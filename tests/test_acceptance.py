@@ -20,10 +20,9 @@ from polymg import (
     SmootherConfig,
     build_hierarchy,
     gamma_mu,
-    measure_C,
-    measure_CN,
     measure_contraction,
     optimal_polynomial,
+    two_level_C,
 )
 from polymg.bounds import (
     beta_constant,
@@ -42,7 +41,6 @@ from polymg.bounds import (
     sharp_f_factor,
 )
 from polymg.cli import COLUMNS, emit_gamma_table
-from polymg.multigrid import _two_grid_sup
 from polymg.optpoly import optimal_roots
 from polymg.smoothers import DiagonalSmoother, apply_smoother
 
@@ -249,16 +247,18 @@ def test_measured_contraction_below_bounds(contraction_sweep, scorecard):
 
 
 def test_two_level_chain_inequality(scorecard):
-    slacks = {}
+    # measured <= 1 - 1/C_N within the estimate's tolerance; the two analytic links
+    # (McCormick below the generic bound, C_N <= 1 + gamma C) hold to rounding
+    slacks, C_N_min = {}, math.inf
     for aspect in (1.0, 2.0):
-        hier = build_hierarchy(GridSpec(m=5, aspect=aspect), min_interior=15)
-        top = hier.levels[0]
-        P, A_c = top.P, hier.levels[1].A
-        C = measure_C(top.A, top.smoother, P, A_c)
+        grid = GridSpec(m=5, aspect=aspect)
+        hier = build_hierarchy(grid, min_interior=15)
+        C = two_level_C(grid)
         for k in (1, 2, 3):
             p = PolynomialSpec.fourth_kind(k)
             gamma = gamma_mu(p)
-            C_N = measure_CN(top.A, top.smoother, P, A_c, p)
+            C_N = two_level_C(grid, p)
+            C_N_min = min(C_N_min, C_N)
             measured = measure_contraction(hier, SmootherConfig.cheb4(k)).factor
             mccormick = 1.0 - 1.0 / C_N
             generic = C / (C + 1.0 / gamma)
@@ -266,8 +266,9 @@ def test_two_level_chain_inequality(scorecard):
                                  C_N - (1.0 + gamma * C))
     worst_slack = max(max(links) for links in slacks.values())
     with scorecard(f"08 two-level chain inequality (worst slack {worst_slack:.2e})"):
-        for (aspect, k), links in slacks.items():
-            assert all(d <= 1e-6 for d in links), (aspect, k, links)
+        assert C_N_min >= 1.0
+        for key, links in slacks.items():
+            assert links[0] <= 1e-6 and max(links[1:]) <= 1e-9, (key, links)
 
 
 def test_figure_trends(contraction_sweep, scorecard):
@@ -347,13 +348,11 @@ def test_printed_bounds_above_exact_counterparts(scorecard):
             violations.append((name, exact, bound))
 
     for aspect in ASPECTS:
-        fine_levels = build_hierarchy(GridSpec(m=8, aspect=aspect)).levels[:-1]
-        C_values = (_two_grid_sup(fine_levels[0].grid, fine_levels[0].smoother),
-                    2.0 * aspect * aspect)
+        fine_grids = [GridSpec(m=m, aspect=aspect) for m in range(8, 2, -1)]  # smoothed at m=8
+        C_values = (two_level_C(fine_grids[0]), 2.0 * aspect * aspect)
 
         def U(p):
-            return 1.0 - 1.0 / max(_two_grid_sup(level.grid, level.smoother, p)
-                                   for level in fine_levels)
+            return 1.0 - 1.0 / max(two_level_C(grid, p) for grid in fine_grids)
 
         for k in degrees:
             u_cheb = U(PolynomialSpec.fourth_kind(k))
@@ -373,7 +372,7 @@ def test_printed_bounds_above_exact_counterparts(scorecard):
     for aspect in (1.0, 2.0, 8.0):
         hier = build_hierarchy(GridSpec(m=4, aspect=aspect), min_interior=7)
         top, A_c = hier.levels[0], hier.levels[1].A
-        C = _two_grid_sup(top.grid, top.smoother)
+        C = two_level_C(top.grid)
         for k in degrees:
             bound = bound_cheb_two_level(C, k)
             check("cheb_2l", _two_grid_factor(top, A_c, PolynomialSpec.fourth_kind(k)),

@@ -155,6 +155,13 @@ def test_bound_cheb_sharp_example_and_dominance():
             assert bound_cheb_sharp(float(C), k) <= bound_cheb(float(C), k)
 
 
+def test_bound_cheb_sharp_is_finite_up_to_the_float_range():
+    # the large-C factor (1 + 2C)/(32 C^2 - 10) was inf/inf, so nan, from C ~ 9e307
+    for C in (1e153, 1e300, 1.7e308):
+        for k in (1, 6, 200):
+            assert 0.0 < bound_cheb_sharp(C, k) <= 1.0, (C, k)
+
+
 def test_sharp_g_factor():
     assert sharp_g_factor(1.0) == 1.0
     # g and its lower bound agree to O(1/C^2) relative, so the check is relative

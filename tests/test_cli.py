@@ -183,12 +183,10 @@ def test_run_single_column(tmp_path):
 
 
 def test_measure_c_close_to_analytic():
+    # the exact two-level C at m = 5, 1.5% below its limit 2 aspect^2 = 8
     res = run_cli("measure-c", "--m", "5", "--aspect", "2")
     assert res.returncode == 0, res.stderr
-    assert res.stdout.startswith("C = ")
-    value = float(res.stdout.split("=")[1])
-    assert math.isfinite(value)
-    assert abs(value - 8.0) / 8.0 <= 0.25
+    assert res.stdout == "C = 7.88099392077\n"
 
 
 def _raise(exc):
@@ -239,6 +237,25 @@ def test_run_rejects_measured_C_without_a_coarse_level(tmp_path):
     assert res.returncode == 1
     assert res.stderr == "error: measured C needs a coarse level: m >= 3\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("aspect", ["1e200", "1e154"])
+def test_run_rejects_an_analytic_C_that_overflows(tmp_path, aspect):
+    # 2 aspect^2 is checked before the build: 1e200 raised OverflowError, and 1e154
+    # failed in the bounds after every cell was measured and the factor file written
+    res = run_cli("run", "--m", "3", "--aspect", aspect, "--k", "1", "--smoother", "cheb",
+                  cwd=tmp_path)
+    assert res.returncode == 1
+    assert res.stderr == (f"error: analytic C = 2 aspect^2 is not finite at aspect "
+                          f"{float(aspect):g}; use --c-mode measured\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_measures_C_where_the_analytic_C_overflows(tmp_path):
+    res = run_cli("run", "--m", "3", "--aspect", "1e200", "--k", "1", "--smoother", "cheb",
+                  "--c-mode", "measured", cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert "[run] using C = 68.646888 (measured)" in res.stderr
 
 
 @pytest.mark.parametrize("args", [
@@ -348,16 +365,15 @@ def test_only_the_contraction_estimate_loads_scipy_linalg():
         import contextlib, io, sys
         import numpy as np
         import polymg.cli
-        from polymg import (GridSpec, SmootherConfig, build_hierarchy, measure_C,
-                            measure_contraction, optimal_polynomial, v_cycle)
+        from polymg import (GridSpec, SmootherConfig, build_hierarchy, measure_contraction,
+                            optimal_polynomial, two_level_C, v_cycle)
         h = build_hierarchy(GridSpec(m=5, aspect=2.0))
         cfg = SmootherConfig.cheb4(2)
         x = b = np.ones(h.finest.op.shape[0])
         for _ in range(3):
             x = v_cycle(h, cfg, x, b)
         optimal_polynomial(6)
-        fine, coarse = h.levels[:2]
-        measure_C(fine.A, fine.smoother, fine.P, coarse.A)
+        two_level_C(h.finest.grid)
         with contextlib.redirect_stdout(io.StringIO()):
             assert polymg.cli.main(["bounds", "--C", "2,8", "--k", "1..6"]) == 0
         print("scipy.linalg" in sys.modules)

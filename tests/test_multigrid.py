@@ -9,20 +9,12 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-import polymg.multigrid
+import polymg
 from polymg.cli import COLUMNS
 from polymg.fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolongation,
-                        jacobi_smoother, sine_symbol)
+                        jacobi_smoother, measure_C, measure_CN, sine_symbol, two_level_C)
 from polymg.linalg import as_csr, lanczos_max
-from polymg.multigrid import (
-    Level,
-    _two_grid_sup,
-    build_hierarchy,
-    measure_C,
-    measure_CN,
-    measure_contraction,
-    v_cycle,
-)
+from polymg.multigrid import Level, build_hierarchy, measure_contraction, v_cycle
 from polymg.optpoly import optimal_polynomial
 from polymg.poly import PolynomialSpec, gamma_mu
 from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
@@ -508,15 +500,9 @@ def test_measure_C_accepts_a_grid_whose_recovered_aspect_rounds(aspect, C):
     assert measure_C(*_two_level(5, aspect)) == pytest.approx(C, rel=1e-11)
 
 
-def _grid_constant(m, aspect, p=None):
-    """``C`` of the grid and its coarsening, or ``C_N`` for ``p``, with no operand assembled."""
-    g = GridSpec(m=m, aspect=aspect)
-    return _two_grid_sup(g, jacobi_smoother(g), p)
-
-
 def test_exact_C_rises_with_m_and_aspect_below_its_limit():
     aspects = np.array([1.0, 2.0, 4.0, 8.0])
-    C = np.array([[_grid_constant(m, a) for a in aspects] for m in range(3, 10)])
+    C = np.array([[two_level_C(GridSpec(m=m, aspect=a)) for a in aspects] for m in range(3, 10)])
     assert np.all(np.diff(C, axis=0) > 0.0), C  # rises with m
     assert np.all(np.diff(C, axis=1) > 0.0), C  # and with the aspect
     assert np.all((C >= 1.0) & (C < 2.0 * aspects ** 2)), C  # approaches 2 aspect^2 from below
@@ -528,13 +514,14 @@ def test_exact_C_rises_with_m_and_aspect_below_its_limit():
 
 def test_operand_form_matches_the_grid_routine():
     # _two_level_grid reads every aspect but 1 back an ulp low (2 -> 1.9999999999999998,
-    # 8 -> 7.999999999999999), which moves these results by up to 1.3e-15 relative
+    # 8 -> 7.999999999999999), which moves these results by up to 1.8e-15 relative
     p = PolynomialSpec.fourth_kind(3)
     for m in range(3, 10):
         for aspect in (1.0, 1.9, 2.0, 3.3, 8.0):
             ops = _two_level(m, aspect)
             got = (measure_C(*ops), measure_CN(*ops, p))
-            want = (_grid_constant(m, aspect), _grid_constant(m, aspect, p))
+            g = GridSpec(m=m, aspect=aspect)
+            want = (two_level_C(g), two_level_C(g, p))
             if aspect == 1.0:
                 assert got == want, m
             else:
@@ -543,25 +530,24 @@ def test_operand_form_matches_the_grid_routine():
 
 def test_slabs_of_blocks_give_the_same_constants(monkeypatch):
     # at m = 6 the 31 coarse x-modes fit in one default slab, or take 31 slabs of one
-    p = PolynomialSpec.fourth_kind(3)
-    assert polymg.multigrid._SLAB >= 31
-    whole = (_grid_constant(6, 2.0), _grid_constant(6, 2.0, p))
-    monkeypatch.setattr(polymg.multigrid, "_SLAB", 1)
-    assert (_grid_constant(6, 2.0), _grid_constant(6, 2.0, p)) == whole
+    p, g = PolynomialSpec.fourth_kind(3), GridSpec(m=6, aspect=2.0)
+    assert polymg.fem._SLAB >= 31
+    whole = (two_level_C(g), two_level_C(g, p))
+    monkeypatch.setattr(polymg.fem, "_SLAB", 1)
+    assert (two_level_C(g), two_level_C(g, p)) == whole
 
 
 @pytest.mark.parametrize("degree, vectors", [(None, 3.5), (3, 6.5), (50, 6.5), (200, 6.5)])
-def test_two_grid_sup_peak_memory_is_a_few_fine_vectors(degree, vectors):
+def test_two_level_C_peak_memory_is_a_few_fine_vectors(degree, vectors):
     # the symbol takes one fine vector and C_N's values of p and weight a few more,
     # whatever the degree: p is evaluated one x-row at a time (on all modes at once,
     # k = 200 took 203); the 4 x 4 blocks of all coarse modes at once took 11.2 for C
     g = GridSpec(m=9, aspect=2.0)
-    B = jacobi_smoother(g)
     p = None if degree is None else PolynomialSpec.fourth_kind(degree)
-    _grid_constant(3, 2.0, p)  # warm-up: first-call caches are not traced
+    two_level_C(GridSpec(m=3, aspect=2.0), p)  # warm-up: first-call caches are not traced
     tracemalloc.start()
     try:
-        _two_grid_sup(g, B, p)
+        two_level_C(g, p)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -569,53 +555,35 @@ def test_two_grid_sup_peak_memory_is_a_few_fine_vectors(degree, vectors):
 
 
 def test_exact_CN_bracket_at_m8():
-    C = _grid_constant(8, 2.0)
+    g = GridSpec(m=8, aspect=2.0)
+    C = two_level_C(g)
     for k in (1, 2, 3):
         p = PolynomialSpec.fourth_kind(k)
-        assert 1.0 <= _grid_constant(8, 2.0, p) <= 1.0 + gamma_mu(p) * C
+        assert 1.0 <= two_level_C(g, p) <= 1.0 + gamma_mu(p) * C
 
 
 @pytest.mark.parametrize("aspect", [1.0, 2.0, 8.0])
 def test_measured_constants_match_dense_oracle(aspect):
     for m in (3, 4):
-        h = build_hierarchy(GridSpec(m=m, aspect=aspect), min_interior=2 ** (m - 1) - 1)
-        top = h.levels[0]
-        A, B, P, Ac = top.A, top.smoother, top.P, h.levels[1].A
+        g = GridSpec(m=m, aspect=aspect)
+        A, Ac, B = assemble_poisson_q1(g), assemble_poisson_q1(g.coarsen()), jacobi_smoother(g)
+        P = build_prolongation(g)[0]
         b_hat_inv = B.rho_BA / B.inverse_diagonal
-        assert measure_C(A, B, P, Ac) == pytest.approx(
-            _dense_sup(A, P, Ac, np.diag(b_hat_inv)), rel=1e-9)
+        assert two_level_C(g) == pytest.approx(_dense_sup(A, P, Ac, np.diag(b_hat_inv)), rel=1e-9)
         # N^{-1} = A (I - p(BA)^2)^{-1} through the spectrum of B_hat^(1/2) A B_hat^(1/2)
         s = np.sqrt(1.0 / b_hat_inv)
         lam, Q = np.linalg.eigh(s[:, None] * A.toarray() * s[None, :])
         for k in (1, 2, 3):
             pv = PolynomialSpec.fourth_kind(k).evaluate(lam)
             n_inv = ((Q * (lam / (1.0 - pv * pv))) @ Q.T) / s[:, None] / s[None, :]
-            assert measure_CN(A, B, P, Ac, PolynomialSpec.fourth_kind(k)) == pytest.approx(
+            assert two_level_C(g, PolynomialSpec.fourth_kind(k)) == pytest.approx(
                 _dense_sup(A, P, Ac, n_inv), rel=1e-9), (m, k)
-
-
-def test_CN_bracket_and_bound_chain(two_level_m5_a2):
-    h = two_level_m5_a2
-    top = h.levels[0]
-    Ac = h.levels[1].A
-    C = measure_C(top.A, top.smoother, top.P, Ac)
-    for k in (1, 2, 3):
-        p = PolynomialSpec.fourth_kind(k)
-        CN = measure_CN(top.A, top.smoother, top.P, Ac, p)
-        gamma = gamma_mu(p)
-        assert 1.0 <= CN <= 1.0 + gamma * C + 1e-9
-        cfg = SmootherConfig.cheb4(k)
-        measured = measure_contraction(h, cfg, seed=0, tol=1e-9).factor
-        assert measured <= 1.0 - 1.0 / CN + 1e-6
-        assert 1.0 - 1.0 / CN <= C / (C + 1.0 / gamma) + 1e-9
 
 
 def test_CN_reference_chain_values(two_level_m5_a2):
     # frozen k=1 chain on the aspect-2, m=5 two-level problem
     h = two_level_m5_a2
-    top = h.levels[0]
-    Ac = h.levels[1].A
-    CN = measure_CN(top.A, top.smoother, top.P, Ac, PolynomialSpec.fourth_kind(1))
+    CN = two_level_C(h.finest.grid, PolynomialSpec.fourth_kind(1))
     cfg = SmootherConfig.cheb4(1)
     res = measure_contraction(h, cfg, seed=0, tol=1e-9)
     assert res.converged
@@ -624,9 +592,12 @@ def test_CN_reference_chain_values(two_level_m5_a2):
     assert 1.0 - 1.0 / CN == pytest.approx(0.690256, abs=1e-3)
 
 
-def test_measure_CN_rejects_non_contraction(two_level_m5_a2):
-    h = two_level_m5_a2
-    top = h.levels[0]
+def test_measure_CN_rejects_non_contraction():
     bad = PolynomialSpec(np.array([0.5]))
     with pytest.raises(ValueError, match="not a contraction"):
-        measure_CN(top.A, top.smoother, top.P, h.levels[1].A, bad)
+        two_level_C(GridSpec(m=5, aspect=2.0), bad)
+
+
+def test_two_level_C_names_the_missing_coarse_level():
+    with pytest.raises(ValueError, match="m = 2 has no coarse level"):
+        two_level_C(GridSpec(m=2))
