@@ -11,9 +11,10 @@ the smoother polynomial's ``gamma`` functional or a lower estimate of
 * fourth-kind Chebyshev: ``C / (C + (4/3) k (k+1))``;
 * optimal polynomial (conjectured): ``C / (C + (4/pi^2)(2k+1)^2 - 2/3)``.
 
-The two-level fourth-kind Chebyshev bound ``C / (2k+1)^2`` has no such
-form: it bounds the two-grid factor ``||(I - Pi) p_k(B A)||_A^2`` of the
-fourth-kind polynomial ``p_k`` and the A-orthogonal coarse projection ``Pi``.
+The two-level fourth-kind Chebyshev bound ``min(1, C / (2k+1)^2)`` has no
+such form: it bounds the two-grid factor ``||(I - Pi) p_k(B A)||_A^2`` of the
+fourth-kind polynomial ``p_k`` and the A-orthogonal coarse projection ``Pi``,
+which 1 bounds too, as ``|p_k| <= 1`` on the spectrum.
 
 The sharp refinement replaces ``C`` by ``C' = C - beta f(C, k)`` in the
 Chebyshev bound, where ``beta = 1 - (1/3) / inf_{4 < phi <= 3 pi/2}
@@ -116,10 +117,10 @@ def bound_cheb(C: float, k: int) -> float:
 
 
 def bound_cheb_two_level(C: float, k: int) -> float:
-    """Two-level fourth-kind Chebyshev bound ``C / (2k+1)^2``."""
+    """Two-level fourth-kind Chebyshev bound ``C / (2k+1)^2``, capped at the trivial bound 1."""
     _check_c(C)
     _check_degree(k)
-    return C / (2 * k + 1) ** 2
+    return min(1.0, C / (2 * k + 1) ** 2)
 
 
 def bound_opt_conjecture(C: float, k: int) -> float:

@@ -32,14 +32,14 @@ _NEWTON_MAX_ITER = 100  # iteration cap of both Newton solves
 
 
 def _g_and_slope(x, roots):
-    """``g(x)`` and ``-g'(x)`` from one array: ``p`` from ``q = x - r``, then ``q = 1/(x - r)``.
+    """``g(x)``, ``-g'(x)`` at 1-D ``x``: ``p`` from roots-major ``d = x - r``, then ``q = 1/d.T``.
 
-    ``g = (1 - p^2)/2 + x sum_i q_i`` and ``-g' = p^2 sum_i q_i + sum_i r_i q_i^2``;
-    both sums are BLAS gemv, whose last bits depend on the BLAS thread count.
+    ``g = (1 - p^2)/2 + x sum_i q_i`` and ``-g' = p^2 sum_i q_i + sum_i r_i q_i^2``; both
+    sums are gemv on points-major ``q``, whose last bits depend on the BLAS thread count.
     """
-    q = x[..., None] - roots
-    p2 = _signed_p(q, roots) ** 2
-    np.reciprocal(q, out=q)
+    d = x - roots[:, None]
+    p2 = _signed_p(d, roots) ** 2
+    q = np.reciprocal(d.T, order="C")
     s = q @ np.ones(len(roots))
     np.square(q, out=q)
     return 0.5 * (1.0 - p2) + x * s, p2 * s + q @ roots
@@ -141,7 +141,7 @@ def optimal_roots(k: int) -> EquioscillationState:
         x_int = find_extrema(r, x_int)
         xs = np.concatenate([x_int, [1.0]])
         f0 = (2.0 * np.sum(1.0 / r)) ** -0.5
-        diff = xs[:, None] - r
+        diff = xs - r[:, None]  # roots-major: diff[j, i] = x_i - r_j
         p_xs = _signed_p(diff, r)
         w = xs / (1.0 - p_xs ** 2)
         f_abs = np.sqrt(w) * np.abs(p_xs)
@@ -155,9 +155,11 @@ def optimal_roots(k: int) -> EquioscillationState:
             return EquioscillationState(k, r, x_int, f0, res, outer)
         if stall >= 2:
             raise RuntimeError(f"equioscillation Newton stalled at residual {res:.3e} for k={k}")
-        # J_ij = f(0)^3 / r_j^2 + w(x_i) |f(x_i)| / (r_j (x_i - r_j))
-        J = f0 ** 3 / r ** 2 + (w * f_abs)[:, None] / (r * diff)
-        r = r + np.linalg.solve(J, -F)
+        # J_ij = f(0)^3 / r_j^2 + w(x_i) |f(x_i)| / (r_j (x_i - r_j)), built as J^T in diff
+        np.multiply(r[:, None], diff, out=diff)
+        np.divide(w * f_abs, diff, out=diff)
+        np.add(f0 ** 3 / r[:, None] ** 2, diff, out=diff)
+        r = r + np.linalg.solve(diff.T, -F)
         if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0) or r[-1] >= 1.0:
             raise RuntimeError(f"Newton step left the feasible root region for k={k}")
     raise RuntimeError(f"equioscillation Newton did not converge in {_NEWTON_MAX_ITER} iterations")

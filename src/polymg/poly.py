@@ -34,17 +34,18 @@ _GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
 
 
 def _signed_p(diff, roots):
-    """``(-1)^k p(x) = prod_i (x - r_i) / prod_i r_i`` from ``diff = x - r``.
+    """``(-1)^k p(x) = prod_i (x - r_i) / prod_i r_i`` from ``diff[i] = x - r_i``.
 
-    Each factor ``x - r_i`` is exact near a root, where ``1 - x/r_i`` is not.
+    Each factor ``x - r_i`` is exact near a root, where ``1 - x/r_i`` is not.  The roots
+    lie on axis 0: numpy multiplies whole rows in root order, as vector ops, to the same bits.
     """
-    return np.prod(diff, axis=-1) / np.prod(roots)
+    return np.prod(diff, axis=0) / np.prod(roots)
 
 
 def _product_form(lam, roots):
-    """``p(lam) = prod_i (r_i - lam) / prod_i r_i`` at scalar or array ``lam``."""
+    """``p(lam) = prod_i (r_i - lam) / prod_i r_i`` at any ``lam``, with the roots on axis 0."""
     lam = np.asarray(lam, dtype=float)
-    return _signed_p(roots - lam[..., None], roots)
+    return _signed_p(roots.reshape((-1,) + (1,) * lam.ndim) - lam, roots)
 
 
 def cheb_w(n: int, x):
@@ -144,7 +145,7 @@ class PolynomialSpec:
         return out if out.ndim else float(out)
 
     def one_minus(self, lam):
-        """``1 - p(lam)``, without the cancellation of ``1 - evaluate(lam)`` near 0."""
+        """``1 - p(lam)`` without cancellation near 0; roots on the last axis, for pairwise sums."""
         lam = np.asarray(lam, dtype=float)
         # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no
         # cancellation; degree 0 (no roots, p = 1) takes that branch everywhere

@@ -215,13 +215,10 @@ def test_bounds_monotone_and_in_unit_interval():
         for C in (1.0, 2.0, 30.0):
             vals = np.array([fn(C, k) for k in range(1, 12)])
             assert np.all(np.diff(vals) <= 1e-15)  # nonincreasing in k
-    # the two-level bound is linear in C and only informative below (2k+1)^2
+    # the two-level bound is linear in C up to (2k+1)^2 and the trivial bound 1 above it
     for k in (1, 2, 4, 8):
         vals = np.array([bound_cheb_two_level(float(C), k) for C in cs])
-        assert np.all(np.diff(vals) >= -1e-15)
-        assert np.all(vals > 0.0)
-        informative = cs <= (2 * k + 1) ** 2
-        assert np.all(vals[informative] <= 1.0)
+        assert np.array_equal(vals, np.minimum(1.0, cs / (2 * k + 1) ** 2))
 
 
 def test_simple_tradeoff_prefers_fewer_steps():

@@ -114,6 +114,13 @@ def test_bounds_table(tmp_path):
     assert out.read_text() == res.stdout
 
 
+def test_bounds_table_caps_the_two_level_column_at_1():
+    # C / (2k+1)^2 would print a 300-digit number here
+    res = run_cli("bounds", "--C", "1.7e308", "--k", "1")
+    assert res.returncode == 0
+    assert res.stdout.strip().split("\n")[1].split("\t")[6] == "1.0000000000"
+
+
 def test_assemble_matrix_market(tmp_path):
     out = tmp_path / "poisson.mtx"
     res = run_cli("assemble", "--m", "3", "--aspect", "2", "--out", str(out))

@@ -148,7 +148,7 @@ def test_stall_returns_the_best_iterate(k, monkeypatch):
     residuals = []
     for roots, extrema in seen:
         xs = np.append(extrema, 1.0)
-        p = _signed_p(xs[:, None] - roots, roots)
+        p = _signed_p(xs - roots[:, None], roots)
         f0 = (2.0 * np.sum(1.0 / roots)) ** -0.5
         residuals.append(np.max(np.abs(f0 - np.sqrt(xs / (1.0 - p * p)) * np.abs(p))))
     best = int(np.argmin(residuals))
@@ -180,6 +180,22 @@ def test_g_slope_matches_central_difference(k):
         g_hi, _ = optpoly._g_and_slope(x + step, roots)
         g_lo, _ = optpoly._g_and_slope(x - step, roots)
         assert np.allclose(neg_slope, (g_lo - g_hi) / (2.0 * step), rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("k", [2, 50, 200])
+def test_g_and_slope_keeps_the_points_major_bits(k, optimal_states):
+    # the points-major body that the roots-major one replaced, written out:
+    # the same products in root order and the same gemv operands give the same bits
+    state = optimal_states[k - 1]
+    x, roots = state.extrema, state.roots
+    q = x[:, None] - roots
+    p2 = (np.prod(q, axis=-1) / np.prod(roots)) ** 2
+    np.reciprocal(q, out=q)
+    s = q @ np.ones(k)
+    np.square(q, out=q)
+    g, neg_slope = optpoly._g_and_slope(x, roots)
+    assert np.array_equal(g, 0.5 * (1.0 - p2) + x * s)
+    assert np.array_equal(neg_slope, p2 * s + q @ roots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -218,7 +234,7 @@ def test_signed_p_matches_exact_product(k, optimal_states):
     roots = [Fraction(r) for r in state.roots]
     exact = np.array([float((math.prod(Fraction(x) - r for r in roots) / math.prod(roots)) ** 2)
                       for x in xs])
-    p2 = _signed_p(xs[:, None] - state.roots, state.roots) ** 2
+    p2 = _signed_p(xs - state.roots[:, None], state.roots) ** 2
     assert np.max(np.abs(p2 / exact - 1.0)) <= 1e-13
     assert np.max(np.abs(_product_form(xs, state.roots) ** 2 / exact - 1.0)) <= 1e-13
 

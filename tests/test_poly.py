@@ -1,5 +1,8 @@
 """Fourth-kind Chebyshev identities and the gamma functional."""
 
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import fourth_kind_sum
 from polymg.optpoly import optimal_polynomial
-from polymg.poly import PolynomialSpec, cheb_w, gamma_mu
+from polymg.poly import PolynomialSpec, _product_form, cheb_w, gamma_mu
 
 
 def _damped(omega, k):
@@ -144,6 +147,21 @@ def test_simple_polynomial_evaluates():
     spec = _damped(1.5, 3)
     assert np.allclose(spec.evaluate(lam), (1.0 - 1.5 * lam) ** 3, atol=1e-14)
     assert _damped(1.0, 0).evaluate(0.7) == 1.0
+
+
+@pytest.mark.parametrize("k", [1, 50, 200])
+def test_product_form_multiplies_in_root_order(k, optimal_states):
+    # pins the order of the product: r_0 - lam, r_1 - lam, ... left to right
+    roots = optimal_states[k - 1].roots
+    lam = np.linspace(0.0, 1.0, 35).reshape(5, 7)
+
+    def in_order(x):
+        return functools.reduce(operator.mul, (r - x for r in roots)) / np.prod(roots)
+
+    for x in (lam[2, 3], lam[1], lam):
+        assert np.array_equal(_product_form(x, roots), in_order(x))
+    # equal floats in rows and at once
+    assert np.array_equal(_product_form(lam, roots), [_product_form(row, roots) for row in lam])
 
 
 @settings(max_examples=60, deadline=None)
