@@ -125,10 +125,10 @@ def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
     Columns: k, optimal 1/gamma, the estimate (4/pi^2)(2k+1)^2 - 2/3, their
     difference, and the next correction term (pi^2/60)(2k+1)^{-2}.  The
     ``diff`` column is a difference of two numbers near ``gamma_inv``, so its
-    absolute error is about ``gamma_inv * 1e-15``.  For k above about 60
-    that reaches its last printed digits, which are then rounding noise:
-    a change of the root solver within its tolerance moved k=61 from
-    1.087300e-05 to 1.087302e-05.
+    absolute error is a few times ``gamma_inv * 1e-15``.  For k above about
+    45 that reaches its last printed digits, which are then rounding noise:
+    changes of the root solver within its tolerance moved k=61 from
+    1.087300e-05 to 1.087302e-05, and k=200 from 1.022978e-06 to 1.023007e-06.
     """
     rows = []
     for k in k_values:
@@ -176,7 +176,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     names = [name for name in COLUMNS if not args.smoother or name in args.smoother]
     print(f"[run] building hierarchy m={m} aspect={args.aspect:g}", file=sys.stderr)
     hier = build_hierarchy(grid)
-    print(f"[run] using C = {C:.6f} ({args.c_mode})", file=sys.stderr)
+    c_text = f"{C:.6f}" if C < 1e9 else f"{C:.6e}"  # {:f} spells a C near 1e308 in 309 digits
+    print(f"[run] using C = {c_text} ({args.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
     measured = {}  # SmootherConfig -> result, so each distinct cycle is measured once

@@ -11,7 +11,9 @@ extrema, themselves located by a safeguarded inner Newton on
 ``g = (1 - p^2)/2 + lam p'/p``, whose zeros are the extrema of ``f``.
 Newton starts from the asymptotic law of the optimal roots,
 ``arcsin(sqrt(r_i)) ~ (i pi/(2k+1)) sqrt(1 - 1/(4 i^2))``, whose sum
-gives the leading term ``1/gamma ~ (4/pi^2)(2k+1)^2``.
+gives the leading term ``1/gamma ~ (4/pi^2)(2k+1)^2``, plus a measured
+``O((2k+1)^-2)`` correction that brings the start within 1e-8 relative
+of the roots at k=200.
 :class:`~polymg.poly.PolynomialSpec` of the roots computes the expansion
 and iteration betas that realize the polynomial.
 """
@@ -92,14 +94,26 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
 
 
 def _asymptotic_start(i, k):
-    """``sin^2(theta sqrt(1 - 1/(4 i^2)))`` with ``theta = i pi/(2k+1)``.
+    """``sin^2(theta (sqrt(1 - 1/(4 i^2)) + g/(2k+1)^2))`` with ``theta = i pi/(2k+1)``.
 
-    At integer ``i`` this is the optimal roots' asymptotic law (the angle
-    is also ``sqrt(theta_i^2 - (theta_1/2)^2)``); at ``i + 1/2`` it places
-    the interior extrema between those roots.
+    At integer ``i`` this is the optimal roots' asymptotic law; at ``i + 1/2``
+    it places the interior extrema between those roots.  The leading angle
+    ``theta sqrt(1 - 1/(4 i^2))`` is also ``sqrt(theta_i^2 - (theta_1/2)^2)``.
+    The correction, with ``t = 2 theta/pi``, is
+    ``g = (pi^2/24)(1 - 2/(15 i^2)) + (1/2 - pi^2/24 - b) t^2 + b t^4``,
+    ``b = 0.024``; its coefficients are measured, not derived.  The ratio
+    ``(arcsin(sqrt(r_i)) - theta sqrt(1 - 1/(4 i^2))) (2k+1)^2 / theta`` of
+    the converged roots reads 0.356 at i=1 and tends to 0.4112 ~ pi^2/24 at
+    small t, to 3 digits at k = 50, 100 and 200, and rises to 0.4994 at
+    i=k=200; ``b`` is its least-squares t^4 term at k=200.  The start is
+    then within 1.4e-7 relative of the roots at k=50 and 8.4e-9 at k=200.
     """
-    theta = i * np.pi / (2 * k + 1)
-    return np.sin(theta * np.sqrt(1.0 - 0.25 / (i * i))) ** 2
+    n = 2 * k + 1
+    theta = i * np.pi / n
+    t2 = (2.0 * i / n) ** 2
+    c, b = np.pi ** 2 / 24, 0.024
+    g = c * (1.0 - 2.0 / (15.0 * i * i)) + (0.5 - c - b) * t2 + b * t2 * t2
+    return np.sin(theta * (np.sqrt(1.0 - 0.25 / (i * i)) + g / (n * n))) ** 2
 
 
 @dataclass(frozen=True)
@@ -126,9 +140,10 @@ def optimal_roots(k: int) -> EquioscillationState:
     started from the previous iterate).  Initial roots and extrema come
     from the roots' asymptotic law (:func:`_asymptotic_start` at ``i`` and
     ``i + 1/2``), which converges for every ``k`` in the supported range,
-    in 4 to 7 steps.  Stagnation at the double-precision floor
-    (residual below 1e-11 that stops improving) is accepted: the iterate
-    of least residual is returned, with ``iterations`` counting every step.
+    in 2 to 4 steps (587 over k = 1..200).  Stagnation at the
+    double-precision floor (residual below 1e-11 that stops improving) is
+    accepted: the iterate of least residual is returned, with ``iterations``
+    counting every step.
     """
     _check_degree(k)
     if k > _MAX_DEGREE:

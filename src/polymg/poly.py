@@ -48,20 +48,6 @@ def _product_form(lam, roots):
     return _signed_p(roots.reshape((-1,) + (1,) * lam.ndim) - lam, roots)
 
 
-def cheb_w(n: int, x):
-    """Fourth-kind Chebyshev polynomial ``W_n`` evaluated by recurrence.
-
-    Uses ``W_0 = 1``, ``W_1 = 2x + 1``, ``W_n = 2x W_{n-1} - W_{n-2}``,
-    which is stable on ``[-1, 1]``.  ``x`` may be a scalar or array.
-    """
-    _check_degree(n, lowest=0)
-    x = np.asarray(x, dtype=float)
-    w_prev, w = -np.ones_like(x), np.ones_like(x)  # W_{-1} = -1 gives W_1 = 2x + 1
-    for _ in range(n):
-        w_prev, w = w, 2.0 * x * w - w_prev
-    return w if w.ndim else float(w)
-
-
 def _check_degree(k, lowest: int = 1) -> None:
     """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= lowest``."""
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < lowest:

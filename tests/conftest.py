@@ -1,7 +1,8 @@
 """Shared fixtures: model-problem hierarchies reused across test modules.
 
-Also the reference sums of fourth-kind expansions, which the library keeps
-only as betas: ``PolynomialSpec`` evaluates its polynomial from its roots.
+Also the fourth-kind Chebyshev polynomials ``W_n`` by their recurrence and
+the reference sums of fourth-kind expansions, which the library keeps only
+as betas: ``PolynomialSpec`` evaluates its polynomial from its roots.
 """
 
 import numpy as np
@@ -9,7 +10,21 @@ import pytest
 
 from polymg import GridSpec, build_hierarchy
 from polymg.optpoly import optimal_roots
-from polymg.poly import cheb_w
+from polymg.poly import _check_degree
+
+
+def cheb_w(n: int, x):
+    """Fourth-kind Chebyshev polynomial ``W_n`` evaluated by recurrence.
+
+    Uses ``W_0 = 1``, ``W_1 = 2x + 1``, ``W_n = 2x W_{n-1} - W_{n-2}``,
+    which is stable on ``[-1, 1]``.  ``x`` may be a scalar or array.
+    """
+    _check_degree(n, lowest=0)
+    x = np.asarray(x, dtype=float)
+    w_prev, w = -np.ones_like(x), np.ones_like(x)  # W_{-1} = -1 gives W_1 = 2x + 1
+    for _ in range(n):
+        w_prev, w = w, 2.0 * x * w - w_prev
+    return w if w.ndim else float(w)
 
 
 def fourth_kind_sum(alphas, lam):

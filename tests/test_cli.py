@@ -265,6 +265,16 @@ def test_run_measures_C_where_the_analytic_C_overflows(tmp_path):
     assert "[run] using C = 68.646888 (measured)" in res.stderr
 
 
+def test_run_prints_a_huge_C_in_exponent_form(tmp_path):
+    # the analytic C = 2 aspect^2 = 1.62e308 is finite; in fixed point it has 309 digits
+    res = run_cli("run", "--m", "3", "--aspect", "9e153", "--k", "1", "--smoother", "w43",
+                  cwd=tmp_path)
+    assert res.returncode == 0, res.stderr
+    line = next(ln for ln in res.stderr.splitlines() if ln.startswith("[run] using C"))
+    assert line == "[run] using C = 1.620000e+308 (analytic)"
+    assert max(len(ln) for ln in res.stderr.splitlines()) <= 100
+
+
 @pytest.mark.parametrize("args", [
     ("run", "--bogus",),
     ("run", "--smoother", "foo"),

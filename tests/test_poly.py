@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import fourth_kind_sum
+from conftest import cheb_w, fourth_kind_sum
 from polymg.optpoly import optimal_polynomial
-from polymg.poly import PolynomialSpec, _product_form, cheb_w, gamma_mu
+from polymg.poly import PolynomialSpec, _product_form, gamma_mu
 
 
 def _damped(omega, k):

@@ -7,10 +7,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import beta_polynomial
+from conftest import beta_polynomial, cheb_w
 from polymg.linalg import as_csr
 from polymg.optpoly import optimal_polynomial
-from polymg.poly import PolynomialSpec, cheb_w
+from polymg.poly import PolynomialSpec
 from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 
