@@ -12,9 +12,12 @@ measure-c    print the exact two-level approximation constant C of one grid
 The `run` subcommand writes a tab-separated table with header
 ``k w43 w32 cheb opt`` (contraction factors for damped Jacobi at
 omega = 4/3 and 3/2, fourth-kind Chebyshev, and the optimal polynomial)
-plus a companion ``*-bounds`` file with the matching bound curves.
+plus a companion ``*-bounds`` file with the matching bound curves and a
+``*-diag`` file that says how each factor was measured.
 Identical configuration, seed and BLAS thread count give byte-identical
-files (the Newton step of ``optimal_roots`` uses ``np.linalg.solve``).
+files: the last bits of the optimal roots depend on the thread count
+through two BLAS calls, the k x k by k x 2 product of each Newton step
+of ``optimal_roots`` and the gemv sums of the extremum search's ``g``.
 """
 
 from __future__ import annotations
@@ -119,16 +122,24 @@ def _write_table(out: Path | None, header: Sequence[str], rows: Sequence[Sequenc
     return text
 
 
+def _digits_fixed_by(value: float, spread: float) -> str:
+    """``value`` in ``e`` notation with the most decimals, up to 6, that ``value +- spread`` share."""
+    digits = next((d for d in range(6, 0, -1)
+                   if f"{value - spread:.{d}e}" == f"{value + spread:.{d}e}"), 0)
+    return f"{value:.{digits}e}"
+
+
 def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
     """Tabulate 1/gamma for the optimal polynomial against its estimate.
 
     Columns: k, optimal 1/gamma, the estimate (4/pi^2)(2k+1)^2 - 2/3, their
     difference, and the next correction term (pi^2/60)(2k+1)^{-2}.  The
     ``diff`` column is a difference of two numbers near ``gamma_inv``, so its
-    absolute error is a few times ``gamma_inv * 1e-15``.  For k above about
-    45 that reaches its last printed digits, which are then rounding noise:
-    changes of the root solver within its tolerance moved k=61 from
-    1.087300e-05 to 1.087302e-05, and k=200 from 1.022978e-06 to 1.023007e-06.
+    absolute error is a few times ``gamma_inv * 1e-15``: changes of the root
+    solver within its tolerance moved it by up to ``6e-16 gamma_inv`` (k=152).
+    It is printed only to the digits that the spread
+    ``diff +- 8e-15 gamma_inv`` leaves fixed, at most 7 significant digits:
+    7 for k <= 18 except k=6, 5 at k=61, 3 at k=100 and k=200.
     """
     rows = []
     for k in k_values:
@@ -136,7 +147,8 @@ def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
         est = bnd.opt_gamma_inv_estimate(k)
         n = 2 * k + 1
         nxt = math.pi ** 2 / (60.0 * n * n)
-        rows.append([str(k), f"{gi:.6f}", f"{est:.6f}", f"{gi - est:.6e}", f"{nxt:.6e}"])
+        rows.append([str(k), f"{gi:.6f}", f"{est:.6f}", _digits_fixed_by(gi - est, 8e-15 * gi),
+                     f"{nxt:.6e}"])
     return _write_table(out, ["k", "gamma_inv", "estimate", "diff", "next_term"], rows)
 
 
@@ -148,10 +160,14 @@ def _cmd_assemble(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    """Measure contraction factors per (smoother, degree); write two files.
+    """Measure contraction factors per (smoother, degree); write three files.
 
     The main file holds measured factors, the companion `-bounds` file the
-    matching analytic curves.  A cell whose measurement raises a numerical
+    matching analytic curves, and the `-diag` file one row per cell with
+    columns ``column k steps converged residual``: the Lanczos steps, 1 if
+    the estimate met ``--tol`` and 0 if it stopped at the cycle cap, and its
+    Ritz residual (``nan`` steps and residual for a failed cell).  A cell
+    whose measurement raises a numerical
     error (``ValueError``, including ``LinAlgError``, ``RuntimeError`` or
     ``ArithmeticError``) is written as NaN after a stderr warning; any
     other exception, such as a ``TypeError``, propagates.  Each factor is
@@ -180,6 +196,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"[run] using C = {c_text} ({args.c_mode})", file=sys.stderr)
 
     columns: dict[str, list[float]] = {}
+    diag_rows = []
     measured = {}  # SmootherConfig -> result, so each distinct cycle is measured once
     for name in names:
         values: list[float] = []
@@ -190,6 +207,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     measured[sm] = measure_contraction(hier, sm, seed=args.seed, tol=args.tol)
                 res = measured[sm]
                 values.append(res.factor)
+                diag_rows.append([name, str(k), str(res.n_cycles), str(int(res.converged)),
+                                  f"{res.residual:.6e}"])
                 note = "" if res.converged else " (cycle cap)"
                 print(
                     f"[run] {name} k={k}: {res.factor:.6f} after {res.n_cycles} steps, "
@@ -199,6 +218,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             except (ValueError, RuntimeError, ArithmeticError) as exc:
                 print(f"[run] warning: {name} k={k} failed: {exc}", file=sys.stderr)
                 values.append(math.nan)
+                diag_rows.append([name, str(k), "nan", "0", "nan"])
         columns[name] = values
 
     out = args.out or Path(f"contraction-m{m}-a{args.aspect:g}.tsv")
@@ -208,8 +228,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     curves = out.with_name(out.stem + "-bounds" + out.suffix)
     bound_rows = [[str(k)] + [_fmt(COLUMNS[name].bound(C, k)) for name in names] for k in args.k]
     _write_table(curves, header, bound_rows)
+    diag = out.with_name(out.stem + "-diag" + out.suffix)
+    _write_table(diag, ["column", "k", "steps", "converged", "residual"], diag_rows)
     print(out)
     print(curves)
+    print(diag)
     return 0
 
 

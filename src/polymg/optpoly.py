@@ -9,6 +9,9 @@ consecutive roots and at ``lam = 1``.  A Newton iteration on the root
 vector enforces those k equalities; each evaluation needs the interior
 extrema, themselves located by a safeguarded inner Newton on
 ``g = (1 - p^2)/2 + lam p'/p``, whose zeros are the extrema of ``f``.
+The Newton Jacobian is a Cauchy matrix in the extrema and the roots,
+scaled on both sides, plus a rank-one term, so each step is solved in
+closed form in O(k^2), with no dense factorisation.
 Newton starts from the asymptotic law of the optimal roots,
 ``arcsin(sqrt(r_i)) ~ (i pi/(2k+1)) sqrt(1 - 1/(4 i^2))``, whose sum
 gives the leading term ``1/gamma ~ (4/pi^2)(2k+1)^2``, plus a measured
@@ -116,6 +119,37 @@ def _asymptotic_start(i, k):
     return np.sin(theta * (np.sqrt(1.0 - 0.25 / (i * i)) + g / (n * n))) ** 2
 
 
+def _newton_step(r, xs, diff, F, a, f0):
+    """The Newton step ``d`` of the roots, ``J d = -F``, in O(k^2); overwrites ``diff``.
+
+    ``J_ij = f0^3/r_j^2 + a_i/(r_j (x_i - r_j))`` is ``1 u^T + D_a C D_{1/r}``
+    with the Cauchy matrix ``C_ij = 1/(x_i - r_j)`` and ``u = f0^3/r^2``.
+    ``C`` has the closed-form inverse ``C^-1_ji = -beta_j alpha_i/(x_i - r_j)``
+    (Schechter, *MTAC* 13, 1959), with
+    ``alpha_i = prod_l (x_i - r_l) / prod_{l != i} (x_i - x_l)`` and
+    ``beta_j = prod_l (r_j - x_l) / prod_{l != j} (r_j - r_l)``, each taken
+    termwise over ratios, which the interlacing of roots and extrema keeps
+    of order 1, so that nothing under- or overflows (the products of the
+    differences alone reach 1e-300 at k=500).  ``D_{1/r}^-1 C^-1 D_a^-1``
+    is applied to ``-F`` and ``1`` as one k x k by k x 2 product on
+    ``1/diff`` (roots-major, ``diff[j, i] = x_i - r_j``); Sherman-Morrison
+    then adds the rank-one term ``1 u^T``.
+    """
+    k = len(r)
+    work = xs - xs[:, None]  # work[l, i] = x_i - x_l, set to 1 at l = i
+    np.fill_diagonal(work, 1.0)
+    alpha = np.prod(np.divide(diff, work, out=work), axis=0)
+    # (r_j - x_l)/(r_j - r_l) = diff[j, l]/(r_l - r_j); at l = j, r_j - x_j = diff[j, j]/-1
+    np.subtract(r[:, None], r, out=work)
+    np.fill_diagonal(work, -1.0)
+    beta = np.prod(np.divide(diff.T, work, out=work), axis=0)
+    np.reciprocal(diff, out=diff)
+    rhs = np.stack([-F, np.ones(k)], axis=1) * (alpha / a)[:, None]
+    z = (diff @ rhs) * (-beta * r)[:, None]  # (D_a C D_{1/r})^-1 applied to -F and 1
+    uz = (f0 ** 3 / r ** 2) @ z
+    return z[:, 0] - z[:, 1] * (uz[0] / (1.0 + uz[1]))
+
+
 @dataclass(frozen=True)
 class EquioscillationState:
     """Converged equioscillation data for the optimal degree-k polynomial."""
@@ -136,8 +170,12 @@ def optimal_roots(k: int) -> EquioscillationState:
     """Solve the equioscillation system for the optimal degree-k roots.
 
     Newton's method on the k residuals ``F_i = f(0) - |f(x_i)|`` (with
-    ``x_k = 1`` fixed and interior extrema re-solved every step, warm
-    started from the previous iterate).  Initial roots and extrema come
+    ``x_k = 1`` fixed and interior extrema re-solved every step), each step
+    solved from the Jacobian's Cauchy structure by :func:`_newton_step`.
+    The extremum search of the next step is warm started from the previous
+    extrema, each moved by the mean step of its two neighbouring roots
+    (1042 evaluations of ``g`` over k = 1..200; 1129 without the move).
+    Initial roots and extrema come
     from the roots' asymptotic law (:func:`_asymptotic_start` at ``i`` and
     ``i + 1/2``), which converges for every ``k`` in the supported range,
     in 2 to 4 steps (587 over k = 1..200).  Stagnation at the
@@ -170,11 +208,9 @@ def optimal_roots(k: int) -> EquioscillationState:
             return EquioscillationState(k, r, x_int, f0, res, outer)
         if stall >= 2:
             raise RuntimeError(f"equioscillation Newton stalled at residual {res:.3e} for k={k}")
-        # J_ij = f(0)^3 / r_j^2 + w(x_i) |f(x_i)| / (r_j (x_i - r_j)), built as J^T in diff
-        np.multiply(r[:, None], diff, out=diff)
-        np.divide(w * f_abs, diff, out=diff)
-        np.add(f0 ** 3 / r[:, None] ** 2, diff, out=diff)
-        r = r + np.linalg.solve(diff.T, -F)
+        step = _newton_step(r, xs, diff, F, w * f_abs, f0)
+        r = r + step
+        x_int = x_int + 0.5 * (step[:-1] + step[1:])  # each extremum moves with its two roots
         if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0) or r[-1] >= 1.0:
             raise RuntimeError(f"Newton step left the feasible root region for k={k}")
     raise RuntimeError(f"equioscillation Newton did not converge in {_NEWTON_MAX_ITER} iterations")

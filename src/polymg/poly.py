@@ -96,16 +96,20 @@ class PolynomialSpec:
         ``<= 2k - 1``) at the roots ``lam_i = sin^2(t_i)``, ``t_i = i pi/(2k+1)``,
         of ``W_k(1 - 2 lam)``; ``W_j(cos 2t) = sin((2j+1) t) / sin t`` folds
         weight and basis into ``alpha_j = (4/(2k+1)) sum_i sin((2j+1) t_i)
-        sin(t_i) p(lam_i)``.  The rule returns 0 for ``alpha_k``, the leading
-        monomial coefficient ``1 / (4^k prod_i r_i)``, formed as
-        ``2^(-2k) / prod_i r_i`` so that ``4^k`` cannot overflow.
+        sin(t_i) p(lam_i)``.  That sum over ``i`` is a sine transform: minus
+        the imaginary part, at the odd frequencies ``2j+1``, of one real FFT
+        of length ``2(2k+1)`` of ``sin(t_i) p(lam_i)`` placed at ``i = 1..k``.
+        The rule returns 0 for ``alpha_k``, the leading monomial coefficient
+        ``1 / (4^k prod_i r_i)``, formed as ``2^(-2k) / prod_i r_i`` so that
+        ``4^k`` cannot overflow.
         """
         k = self.degree
         n = 2 * k + 1
-        sines = np.sin(np.arange(2 * n) * (np.pi / n))  # sin(m pi / n), period 2n in m
-        i = np.arange(1, k + 1)
-        weighted = sines[i] * _product_form(sines[i] ** 2, self.roots)
-        return np.append(sines[np.outer(2 * i - 1, i) % (2 * n)] @ weighted * (4.0 / n),
+        sines = np.sin(np.arange(1, k + 1) * (np.pi / n))  # sin(t_i)
+        weighted = np.zeros(2 * n)
+        weighted[1:k + 1] = sines * _product_form(sines ** 2, self.roots)
+        spectrum = np.fft.rfft(weighted)  # spectrum[m] = sum_i weighted[i] exp(-1j m t_i)
+        return np.append(spectrum.imag[1:2 * k:2] * (-4.0 / n),
                          np.ldexp(1.0 / np.prod(self.roots), -2 * k))
 
     @property

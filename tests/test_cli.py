@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_gamma_table_k_row_values(tmp_path):
         assert float(rows[k][3]) == pytest.approx(float(rows[k][4]), rel=0.1)
 
 
+def test_gamma_table_rows_keep_their_text_under_rounding_noise(monkeypatch):
+    # diff keeps only the digits that diff +- 8e-15 gamma_inv share, so moving
+    # gamma_inv by 4e-15 relative, as a root-solver change within tolerance
+    # can, leaves each row as it is; printed to 7 digits, each diff would move
+    ks, scales = (61, 100, 200), (1.0 - 4e-15, 1.0, 1.0 + 4e-15)
+    exact = {k: polymg.cli.optimal_roots(k).gamma_inv for k in ks}
+    for k in ks:
+        est = polymg.bounds.opt_gamma_inv_estimate(k)
+        assert len({f"{exact[k] * s - est:.6e}" for s in scales}) == 3
+    tables = []
+    for scale in scales:
+        monkeypatch.setattr(polymg.cli, "optimal_roots",
+                            lambda k, s=scale: SimpleNamespace(gamma_inv=exact[k] * s))
+        tables.append(polymg.cli.emit_gamma_table(ks))
+    assert tables[0] == tables[1] == tables[2]
+    diffs = [line.split("\t")[3] for line in tables[1].splitlines()[1:]]
+    assert diffs == ["1.0873e-05", "4.07e-06", "1.02e-06"]
+
+
 def test_bounds_table(tmp_path):
     res = run_cli("bounds", "--C", "2", "--k", "1..3")
     assert res.returncode == 0
@@ -173,10 +193,11 @@ def test_run_deterministic_and_below_bounds(tmp_path):
     assert float(rows[0][1]) == pytest.approx(float(rows[0][3]), abs=1e-6)
     assert float(rows[0][2]) == pytest.approx(float(rows[0][4]), abs=1e-6)
 
-    snapshot = (points.read_bytes(), curves.read_bytes())
+    diag = tmp_path / "contraction-m3-a2-diag.tsv"
+    snapshot = (points.read_bytes(), curves.read_bytes(), diag.read_bytes())
     second = run_process(*args, cwd=tmp_path)
     assert second.returncode == 0
-    assert (points.read_bytes(), curves.read_bytes()) == snapshot
+    assert (points.read_bytes(), curves.read_bytes(), diag.read_bytes()) == snapshot
 
 
 def test_run_single_column(tmp_path):
@@ -210,6 +231,22 @@ def test_run_writes_nan_for_a_numerical_failure(tmp_path, monkeypatch):
     _, rows = _read_tsv(out)
     assert rows == [["1", "nan"]]
     assert "cheb k=1 failed: no contraction" in res.stderr
+    assert _read_tsv(tmp_path / "c-diag.tsv")[1] == [["cheb", "1", "nan", "0", "nan"]]
+
+
+def test_run_marks_a_capped_cell_in_its_diag_file(tmp_path):
+    # opt k=3 at m=6 stops at the 500-step cap; the factor and bound files keep their columns
+    out = tmp_path / "c.tsv"
+    res = run_cli("run", "--m", "6", "--aspect", "2", "--k", "3", "--smoother", "opt",
+                  "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert "(cycle cap)" in res.stderr
+    assert _read_tsv(out)[0] == _read_tsv(tmp_path / "c-bounds.tsv")[0] == ["k", "opt"]
+    header, rows = _read_tsv(tmp_path / "c-diag.tsv")
+    assert header == ["column", "k", "steps", "converged", "residual"]
+    assert [row[:4] for row in rows] == [["opt", "3", "500", "0"]]
+    assert float(rows[0][4]) > 0.0
+    assert str(tmp_path / "c-diag.tsv") in res.stdout.splitlines()
 
 
 def test_run_measures_each_distinct_cycle_once(tmp_path, monkeypatch):

@@ -186,6 +186,24 @@ def test_expansion_of_roots_matches_gauss_rule_recurrence(optimal_states):
         assert _beta_error(state.roots) <= 1e-12, state.degree
 
 
+def _gathered_sine_alphas(roots):
+    """``alpha_0..alpha_{k-1}`` as the gathered k x k sine matrix times the weighted values."""
+    k = len(roots)
+    n = 2 * k + 1
+    sines = np.sin(np.arange(2 * n) * (np.pi / n))  # sin(m pi / n), period 2n in m
+    i = np.arange(1, k + 1)
+    weighted = sines[i] * _product_form(sines[i] ** 2, roots)
+    return sines[np.outer(2 * i - 1, i) % (2 * n)] @ weighted * (4.0 / n)
+
+
+def test_fft_expansion_matches_the_gathered_sine_sum(optimal_states):
+    # one real FFT of length 2(2k+1) against the sum it replaces; measured: 2.0e-15
+    for state in optimal_states:
+        reference = _gathered_sine_alphas(state.roots)
+        alphas = PolynomialSpec(state.roots).cheb4_coeffs[:-1]
+        assert np.max(np.abs(alphas - reference)) <= 1e-14 * np.max(np.abs(reference)), state.degree
+
+
 def test_derivative_at_zero_representations_agree():
     # (1 - p(lam)) / lam tends to -p'(0) = sum_i 1/r_i = (2/3) k (k+1); one_minus keeps
     # it accurate at tiny lam, and the roots sin^2(i pi/(2k+1)) are accurate to the last bits
