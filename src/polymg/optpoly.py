@@ -34,6 +34,7 @@ __all__ = ["EquioscillationState", "optimal_roots", "optimal_polynomial"]
 _MAX_DEGREE = 200  # initial guesses are validated for 1 <= k <= 200
 _NEWTON_TOL = 1e-14  # equioscillation residual, and step size of the extremum search
 _NEWTON_MAX_ITER = 100  # iteration cap of both Newton solves
+_TINY = np.finfo(float).tiny  # the least normal float
 
 
 def _g_and_slope(x, roots):
@@ -53,16 +54,12 @@ def _g_and_slope(x, roots):
 def find_extrema(roots, guesses=None) -> np.ndarray:
     """Locate the k-1 extrema of ``f`` strictly between consecutive roots.
 
-    Runs a bracket-safeguarded Newton iteration on ``g`` simultaneously for
-    all gaps; ``g`` decreases from ``+inf`` to ``-inf`` across each gap, so
-    the sign of ``g`` updates the brackets and any step leaving its bracket
-    falls back to bisection.  A gap whose Newton step is within
-    ``_NEWTON_TOL`` (relative to ``max(1, |x|)``) has converged: the step is
-    taken as it is and never replaced by a bisection, even when it lands on
-    the bracket end that its own iterate just set, as in ``rtsafe`` (Press
-    et al., *Numerical Recipes*, section 9.4).  The search returns once
-    every gap's step is that small.  Roots must be finite, positive and
-    strictly increasing, and their product a normal float (``g`` divides by it).
+    Checks its input, then runs the search that :func:`optimal_roots` calls
+    directly on its own iterates, :func:`_search`.  Roots must be finite,
+    positive and strictly increasing, and their product a normal float
+    (``g`` divides by it); the k-1 guesses, when given, must be finite.
+    The search starts from the gap midpoints, or from the guesses, each
+    clipped to the inner 99.8% of its gap.
     """
     roots = np.asarray(roots, dtype=float)
     _check_roots(roots)
@@ -71,16 +68,32 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
         return np.empty(0)
     if np.any(np.diff(roots) <= 0.0):
         raise ValueError("roots must be strictly increasing")
-    lo = roots[:-1].copy()
-    hi = roots[1:].copy()
     if guesses is None:
-        x = 0.5 * (lo + hi)
-    else:
-        x = np.asarray(guesses, dtype=float).copy()
-        if x.shape != (k - 1,) or not np.all(np.isfinite(x)):
-            raise ValueError("need k-1 finite extremum guesses")
-        margin = 1e-3 * (hi - lo)
-        x = np.clip(x, lo + margin, hi - margin)
+        return _search(roots, 0.5 * (roots[:-1] + roots[1:]))
+    x = np.asarray(guesses, dtype=float)
+    if x.shape != (k - 1,) or not np.all(np.isfinite(x)):
+        raise ValueError("need k-1 finite extremum guesses")
+    return _search(roots, x)
+
+
+def _search(roots, x):
+    """The extrema of ``f`` from checked, increasing ``roots`` and one start point per gap.
+
+    Runs a bracket-safeguarded Newton iteration on ``g`` simultaneously for
+    all gaps; ``g`` decreases from ``+inf`` to ``-inf`` across each gap, so
+    the sign of ``g`` updates the brackets and any step leaving its bracket
+    falls back to bisection.  A gap whose Newton step is within
+    ``_NEWTON_TOL`` (relative to ``max(1, |x|)``) has converged: the step is
+    taken as it is and never replaced by a bisection, even when it lands on
+    the bracket end that its own iterate just set, as in ``rtsafe`` (Press
+    et al., *Numerical Recipes*, section 9.4).  The search returns once
+    every gap's step is that small.  No input is checked here.
+    """
+    if len(roots) < 2:
+        return np.empty(0)
+    lo, hi = roots[:-1], roots[1:]
+    margin = 1e-3 * (hi - lo)
+    x = np.minimum(np.maximum(x, lo + margin), hi - margin)
     for _ in range(_NEWTON_MAX_ITER):
         gx, neg_slope = _g_and_slope(x, roots)
         pos = gx > 0.0
@@ -89,7 +102,7 @@ def find_extrema(roots, guesses=None) -> np.ndarray:
         step = gx / neg_slope
         converged = np.abs(step) <= _NEWTON_TOL * np.maximum(1.0, np.abs(x))
         x_new = x + step
-        if np.all(converged):
+        if converged.all():
             return x_new
         outside = ~converged & ((x_new <= lo) | (x_new >= hi))
         x = np.where(outside, 0.5 * (lo + hi), x_new)
@@ -137,14 +150,17 @@ def _newton_step(r, xs, diff, F, a, f0):
     """
     k = len(r)
     work = xs - xs[:, None]  # work[l, i] = x_i - x_l, set to 1 at l = i
-    np.fill_diagonal(work, 1.0)
-    alpha = np.prod(np.divide(diff, work, out=work), axis=0)
+    work.flat[::k + 1] = 1.0
+    alpha = np.divide(diff, work, out=work).prod(axis=0)
     # (r_j - x_l)/(r_j - r_l) = diff[j, l]/(r_l - r_j); at l = j, r_j - x_j = diff[j, j]/-1
     np.subtract(r[:, None], r, out=work)
-    np.fill_diagonal(work, -1.0)
-    beta = np.prod(np.divide(diff.T, work, out=work), axis=0)
+    work.flat[::k + 1] = -1.0
+    beta = np.divide(diff.T, work, out=work).prod(axis=0)
     np.reciprocal(diff, out=diff)
-    rhs = np.stack([-F, np.ones(k)], axis=1) * (alpha / a)[:, None]
+    rhs = np.empty((k, 2))
+    np.negative(F, out=rhs[:, 0])
+    rhs[:, 1] = 1.0
+    rhs *= (alpha / a)[:, None]
     z = (diff @ rhs) * (-beta * r)[:, None]  # (D_a C D_{1/r})^-1 applied to -F and 1
     uz = (f0 ** 3 / r ** 2) @ z
     return z[:, 0] - z[:, 1] * (uz[0] / (1.0 + uz[1]))
@@ -172,6 +188,10 @@ def optimal_roots(k: int) -> EquioscillationState:
     Newton's method on the k residuals ``F_i = f(0) - |f(x_i)|`` (with
     ``x_k = 1`` fixed and interior extrema re-solved every step), each step
     solved from the Jacobian's Cauchy structure by :func:`_newton_step`.
+    Each iterate is checked once, here: roots increasing in ``(0, 1)``,
+    NaN-free, with a product in the normal range, else ``RuntimeError``;
+    the extrema then come from :func:`_search`, the loop that
+    :func:`find_extrema` runs after checking its input again.
     The extremum search of the next step is warm started from the previous
     extrema, each moved by the mean step of its two neighbouring roots
     (1042 evaluations of ``g`` over k = 1..200; 1129 without the move).
@@ -188,18 +208,24 @@ def optimal_roots(k: int) -> EquioscillationState:
         raise ValueError(f"degree must be in [1, {_MAX_DEGREE}]")
     r = _asymptotic_start(np.arange(1, k + 1), k)
     x_int = _asymptotic_start(np.arange(1, k) + 0.5, k)
+    xs = np.ones(k)  # the interior extrema, then x_k = 1
     best = None  # (residual, roots, extrema, f0) of the least-residual iterate so far
     stall = 0
     for outer in range(1, _NEWTON_MAX_ITER + 1):
-        x_int = find_extrema(r, x_int)
-        xs = np.concatenate([x_int, [1.0]])
-        f0 = (2.0 * np.sum(1.0 / r)) ** -0.5
+        # roots increasing in (0, 1), where a NaN fails every comparison, whose
+        # product, the divisor of p, is a normal float
+        prod_r = r.prod() if r[0] > 0.0 and r[-1] < 1.0 and (r[:-1] < r[1:]).all() else 0.0
+        if prod_r < _TINY:
+            raise RuntimeError(f"Newton step left the feasible root region for k={k}")
+        x_int = _search(r, x_int)
+        xs[:-1] = x_int
+        f0 = (2.0 * (1.0 / r).sum()) ** -0.5
         diff = xs - r[:, None]  # roots-major: diff[j, i] = x_i - r_j
-        p_xs = _signed_p(diff, r)
+        p_xs = diff.prod(axis=0) / prod_r  # _signed_p(diff, r) on this step's product
         w = xs / (1.0 - p_xs ** 2)
         f_abs = np.sqrt(w) * np.abs(p_xs)
         F = f0 - f_abs
-        res = float(np.max(np.abs(F)))
+        res = float(np.abs(F).max())
         stall = stall + 1 if best is not None and res >= 0.5 * best[0] else 0
         if best is None or res < best[0]:
             best = res, r, x_int, float(f0)
@@ -211,8 +237,6 @@ def optimal_roots(k: int) -> EquioscillationState:
         step = _newton_step(r, xs, diff, F, w * f_abs, f0)
         r = r + step
         x_int = x_int + 0.5 * (step[:-1] + step[1:])  # each extremum moves with its two roots
-        if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0) or r[-1] >= 1.0:
-            raise RuntimeError(f"Newton step left the feasible root region for k={k}")
     raise RuntimeError(f"equioscillation Newton did not converge in {_NEWTON_MAX_ITER} iterations")
 
 

@@ -39,7 +39,7 @@ def _signed_p(diff, roots):
     Each factor ``x - r_i`` is exact near a root, where ``1 - x/r_i`` is not.  The roots
     lie on axis 0: numpy multiplies whole rows in root order, as vector ops, to the same bits.
     """
-    return np.prod(diff, axis=0) / np.prod(roots)
+    return diff.prod(axis=0) / roots.prod()
 
 
 def _product_form(lam, roots):
@@ -50,6 +50,8 @@ def _product_form(lam, roots):
 
 def _check_degree(k, lowest: int = 1) -> None:
     """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= lowest``."""
+    if type(k) is int and k >= lowest:  # the common case, without the ABC check below
+        return
     if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < lowest:
         raise ValueError(f"polynomial degree k must be an integer >= {lowest}, got {k!r}")
 

@@ -146,15 +146,15 @@ def test_stall_returns_the_best_iterate(k, monkeypatch):
     # at these degrees Newton stalls at the rounding floor; the iterate of
     # least residual is returned, the last one included (with one or two
     # BLAS threads it is the last at 175 and 184, an earlier one at 167, 168, 174 and 187)
-    search = optpoly.find_extrema
+    search = optpoly._search
     seen = []
 
-    def spy(roots, guesses=None):
-        extrema = search(roots, guesses)
+    def spy(roots, x):
+        extrema = search(roots, x)
         seen.append((roots, extrema))
         return extrema
 
-    monkeypatch.setattr(optpoly, "find_extrema", spy)
+    monkeypatch.setattr(optpoly, "_search", spy)
     state = optimal_roots(k)
     residuals = [np.max(np.abs(_newton_system(roots, extrema)[2])) for roots, extrema in seen]
     best = int(np.argmin(residuals))
@@ -166,6 +166,82 @@ def test_stall_returns_the_best_iterate(k, monkeypatch):
     assert state.residual == min(residuals) == residuals[best]
     assert np.array_equal(state.roots, seen[best][0])
     assert np.array_equal(state.extrema, seen[best][1])
+
+
+def _reference_newton_step(r, xs, diff, F, a, f0):
+    """``optpoly._newton_step`` as it was before its lean rewrite, verbatim."""
+    k = len(r)
+    work = xs - xs[:, None]
+    np.fill_diagonal(work, 1.0)
+    alpha = np.prod(np.divide(diff, work, out=work), axis=0)
+    np.subtract(r[:, None], r, out=work)
+    np.fill_diagonal(work, -1.0)
+    beta = np.prod(np.divide(diff.T, work, out=work), axis=0)
+    np.reciprocal(diff, out=diff)
+    rhs = np.stack([-F, np.ones(k)], axis=1) * (alpha / a)[:, None]
+    z = (diff @ rhs) * (-beta * r)[:, None]
+    uz = (f0 ** 3 / r ** 2) @ z
+    return z[:, 0] - z[:, 1] * (uz[0] / (1.0 + uz[1]))
+
+
+def _reference_optimal_roots(k):
+    """``optimal_roots``' outer loop as it was before its lean rewrite, verbatim,
+    on the public, input-checking ``find_extrema``."""
+    r = optpoly._asymptotic_start(np.arange(1, k + 1), k)
+    x_int = optpoly._asymptotic_start(np.arange(1, k) + 0.5, k)
+    best = None
+    stall = 0
+    for outer in range(1, optpoly._NEWTON_MAX_ITER + 1):
+        x_int = find_extrema(r, x_int)
+        xs = np.concatenate([x_int, [1.0]])
+        f0 = (2.0 * np.sum(1.0 / r)) ** -0.5
+        diff = xs - r[:, None]
+        p_xs = _signed_p(diff, r)
+        w = xs / (1.0 - p_xs ** 2)
+        f_abs = np.sqrt(w) * np.abs(p_xs)
+        F = f0 - f_abs
+        res = float(np.max(np.abs(F)))
+        stall = stall + 1 if best is not None and res >= 0.5 * best[0] else 0
+        if best is None or res < best[0]:
+            best = res, r, x_int, float(f0)
+        if res < optpoly._NEWTON_TOL or (stall >= 2 and best[0] <= 1e-11):
+            res, r, x_int, f0 = best
+            return optpoly.EquioscillationState(k, r, x_int, f0, res, outer)
+        if stall >= 2:
+            raise RuntimeError(f"equioscillation Newton stalled at residual {res:.3e} for k={k}")
+        step = _reference_newton_step(r, xs, diff, F, w * f_abs, f0)
+        r = r + step
+        x_int = x_int + 0.5 * (step[:-1] + step[1:])
+        if np.any(r <= 0.0) or np.any(np.diff(r) <= 0.0) or r[-1] >= 1.0:
+            raise RuntimeError(f"Newton step left the feasible root region for k={k}")
+    raise RuntimeError("equioscillation Newton did not converge")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 6, 50, 167, 175, 200])
+def test_optimal_roots_keeps_the_bits_of_the_checked_loop(k):
+    # the lean loop checks each iterate once and searches without find_extrema's
+    # checks; 167 and 175 stall, returning an earlier and the last iterate
+    state, oracle = optimal_roots(k), _reference_optimal_roots(k)
+    assert np.array_equal(state.roots, oracle.roots)
+    assert np.array_equal(state.extrema, oracle.extrema)
+    assert (state.degree, state.f0, state.residual, state.iterations) == (
+        oracle.degree, oracle.f0, oracle.residual, oracle.iterations)
+
+
+def test_nan_newton_step_leaves_the_feasible_region(monkeypatch):
+    # a NaN root passes r <= 0, diff(r) <= 0 and r[-1] >= 1 alike; the guard must not
+    monkeypatch.setattr(optpoly, "_newton_step", lambda r, *args: np.full(len(r), np.nan))
+    for k in (1, 6):
+        with pytest.raises(RuntimeError, match="left the feasible root region"):
+            optimal_roots(k)
+
+
+def test_optimal_roots_does_not_recheck_its_iterates(monkeypatch):
+    # the loop checks its own iterates; find_extrema's _check_roots is for outside input
+    calls = []
+    monkeypatch.setattr(optpoly, "_check_roots", lambda r: calls.append(1))
+    assert optimal_roots(50).residual <= 1e-11
+    assert calls == []
 
 
 def test_roots_follow_their_asymptotic_law():
