@@ -14,7 +14,6 @@ from .bounds import (
     bound_simple,
 )
 from .fem import GridSpec, assemble_poisson_q1, two_level_C
-from .linalg import load_matrix_market, save_matrix_market
 from .multigrid import build_hierarchy, measure_contraction, v_cycle
 from .optpoly import optimal_polynomial
 from .poly import PolynomialSpec, gamma_mu
@@ -38,7 +37,5 @@ __all__ = [
     "bound_cheb_sharp",
     "bound_cheb_two_level",
     "bound_opt_conjecture",
-    "save_matrix_market",
-    "load_matrix_market",
     "__version__",
 ]

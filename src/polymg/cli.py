@@ -2,7 +2,6 @@
 
 Subcommands
 -----------
-assemble     write the Q1 Poisson matrix in Matrix Market format
 run          measure V-cycle contraction factors per degree, with bound curves
 bounds       tabulate the closed-form bound variants over (C, k)
 opt-poly     print optimal polynomial roots and iteration betas for one degree
@@ -29,8 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bounds as bnd
-from .fem import GridSpec, assemble_poisson_q1, two_level_C
-from .linalg import as_csr, save_matrix_market
+from .fem import GridSpec, two_level_C
 from .multigrid import build_hierarchy, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
@@ -152,13 +150,6 @@ def emit_gamma_table(k_values: Sequence[int], out: Path | None = None) -> str:
     return _write_table(out, ["k", "gamma_inv", "estimate", "diff", "next_term"], rows)
 
 
-def _cmd_assemble(args: argparse.Namespace) -> int:
-    A = as_csr(assemble_poisson_q1(GridSpec(m=args.m, aspect=args.aspect)))
-    save_matrix_market(args.out, A)
-    print(f"wrote {args.out} (n={A.shape[0]}, nnz={A.nnz})")
-    return 0
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     """Measure contraction factors per (smoother, degree); write three files.
 
@@ -173,9 +164,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     other exception, such as a ``TypeError``, propagates.  Each factor is
     a Lanczos upper estimate, not a certificate (see
     :func:`~polymg.multigrid.measure_contraction`); stderr gives its steps
-    and Ritz residual.
+    and Ritz residual.  An output directory that does not exist is a
+    ``ValueError`` before the hierarchy is built.
     """
     m = 8 if args.m is None else args.m
+    out = args.out or Path(f"contraction-m{m}-a{args.aspect:g}.tsv")
+    if not out.parent.is_dir():
+        raise ValueError(f"output directory {str(out.parent)!r} does not exist")
     grid = GridSpec(m=m, aspect=args.aspect)
     if args.c_mode == "measured":
         if m < 3:
@@ -221,7 +216,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 diag_rows.append([name, str(k), "nan", "0", "nan"])
         columns[name] = values
 
-    out = args.out or Path(f"contraction-m{m}-a{args.aspect:g}.tsv")
     header = ["k", *names]
     rows = [[str(k)] + [_fmt(columns[name][i]) for name in names] for i, k in enumerate(args.k)]
     _write_table(out, header, rows)
@@ -285,14 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Polynomial multigrid smoother experiments and bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("assemble", help="write the Q1 Poisson matrix in Matrix Market format")
-    p.add_argument("--m", type=int, choices=range(2, _MAX_M + 1), default=5, metavar="M",
-                   help="refinement level (2^m cells per side)")
-    p.add_argument("--aspect", type=_parse_aspect, default=1.0,
-                   help="domain aspect ratio, finite and >= 1")
-    p.add_argument("--out", type=Path, required=True, help="output .mtx path")
-    p.set_defaults(func=_cmd_assemble)
 
     p = sub.add_parser("run", help="measure V-cycle contraction factors with bound curves")
     # default None, not 8: argparse lets a conflicting option through when

@@ -7,11 +7,11 @@ point-Jacobi smoothing progressively weaker: the smoothing constant grows
 like ``2 * aspect^2``.
 
 The operator is one constant 9-point stencil cut off at the Dirichlet edge.
-:func:`assemble_poisson_q1` writes it out as a 9-point DIA band, for export
-and as a test oracle; the multigrid levels apply it from its four distinct
-entries with :class:`Q1Operator` and store no band.  The grid alone also
-fixes a level's other constants: :func:`jacobi_smoother` reads the diagonal
-off the stencil centre and ``rho(BA)`` off the sine-mode symbol,
+:func:`assemble_poisson_q1` writes it out as a 9-point DIA band, for
+``Level.A`` and as a test oracle; the multigrid levels apply it from its
+four distinct entries with :class:`Q1Operator` and store no band.  The grid
+alone also fixes a level's other constants: :func:`jacobi_smoother` reads
+the diagonal off the stencil centre and ``rho(BA)`` off the sine-mode symbol,
 :func:`build_prolongation` writes the restriction (its transpose view
 prolongs), and :class:`SineSolver` solves with the operator in its sine modes.
 
@@ -96,7 +96,8 @@ def assemble_poisson_q1(grid: GridSpec) -> sp.dia_array:
     zeros where a neighbour leaves the grid.  Interior rows of the aspect-1
     operator carry the stencil ``(1/3) [[-1,-1,-1], [-1, 8,-1], [-1,-1,-1]]``.
     The multigrid levels apply the same entries without a band
-    (:class:`Q1Operator`); this explicit matrix is for export and as a test oracle.
+    (:class:`Q1Operator`); this explicit matrix is for ``Level.A`` and as a test
+    oracle.
     """
     n = grid.n_side
     d = np.array([-1, 0, 1])

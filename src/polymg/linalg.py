@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-__all__ = ["save_matrix_market", "load_matrix_market"]
+__all__: list[str] = []
 
 
 def as_csr(A) -> sp.csr_array:
@@ -96,28 +96,3 @@ def lanczos_max(
         beta.append(b)
         q_prev, q, Mq = q, w / b, Mw / b
 
-
-def save_matrix_market(path, A) -> None:
-    """Export a symmetric sparse matrix in Matrix Market coordinate format.
-
-    Writes 1-based indices with a
-    ``%%MatrixMarket matrix coordinate real symmetric`` header (lower
-    triangle stored).  Raises ``ValueError`` unless
-    ``max|A - A^T| <= 1e-12 max(1, max|A|)``.
-    """
-    import scipy.io  # imported at use: it adds about 1.5 MB of RSS
-
-    A = as_csr(A)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("symmetry requires a square matrix")
-    err = abs(A - A.T).max()
-    if not err <= 1e-12 * max(1.0, float(abs(A).max())):
-        raise ValueError(f"matrix is not symmetric: max|A - A^T| = {err:.3e}")
-    scipy.io.mmwrite(str(path), sp.coo_matrix(A), field="real", symmetry="symmetric")
-
-
-def load_matrix_market(path) -> sp.csr_array:
-    """Import a Matrix Market file written by :func:`save_matrix_market`."""
-    import scipy.io  # imported at use: it adds about 1.5 MB of RSS
-
-    return as_csr(scipy.io.mmread(str(path)))

@@ -18,6 +18,7 @@ from the grid alone, by :func:`~polymg.fem.two_level_C`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -187,14 +188,15 @@ def measure_contraction(h: Hierarchy, smoother: SmootherConfig, seed: int = 0,
     cycle's error propagator ``v_cycle(h, smoother, ., 0)``, which is
     A-self-adjoint and positive semidefinite, in the A-inner product from a
     seeded normal start or from ``x0`` (left unchanged).  Raises
-    ``ValueError`` unless ``0 < tol < 1``, ``max_cycles >= 1`` and ``x0``
-    (if given) is a finite vector of the finest-level size with a nonzero,
-    finite A-norm.
+    ``ValueError`` unless ``0 < tol < 1``, ``max_cycles`` is an integer
+    ``>= 1`` (not a bool) and ``x0`` (if given) is a finite vector of the
+    finest-level size with a nonzero, finite A-norm.
     """
     if not 0.0 < tol < 1.0:  # also rejects nan
         raise ValueError("tol must lie in (0, 1)")
-    if max_cycles < 1:
-        raise ValueError("max_cycles must be at least 1")
+    if (isinstance(max_cycles, bool) or not isinstance(max_cycles, numbers.Integral)
+            or max_cycles < 1):
+        raise ValueError("max_cycles must be an integer >= 1")
     A = h.finest.op
     n = A.shape[0]
     rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ stderr of a usage error, byte-identical output of two fresh processes, the
 modules an import loads) start a subprocess.
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -15,12 +16,11 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 import polymg
 import polymg.cli
-from polymg import GridSpec, assemble_poisson_q1, load_matrix_market
+from polymg import GridSpec
 
 # The directory holding the imported polymg package (``src/`` or the install
 # root). Putting it first on the child's PYTHONPATH makes the subprocess run
@@ -139,28 +139,6 @@ def test_bounds_table_caps_the_two_level_column_at_1():
     res = run_cli("bounds", "--C", "1.7e308", "--k", "1")
     assert res.returncode == 0
     assert res.stdout.strip().split("\n")[1].split("\t")[6] == "1.0000000000"
-
-
-def test_assemble_matrix_market(tmp_path):
-    out = tmp_path / "poisson.mtx"
-    res = run_cli("assemble", "--m", "3", "--aspect", "2", "--out", str(out))
-    assert res.returncode == 0
-    assert "n=49" in res.stdout
-    lines = out.read_text().strip().split("\n")
-    assert lines[0].startswith("%%MatrixMarket matrix coordinate real symmetric")
-    entries = [line.split() for line in lines[1:] if not line.startswith("%")]
-    data = np.array([[float(a), float(b)] for a, b, _ in entries[1:]])
-    assert data.min() >= 1  # 1-based indices
-    A = load_matrix_market(out)
-    ref = assemble_poisson_q1(GridSpec(m=3, aspect=2.0))
-    assert abs(A - ref).max() < 1e-14
-
-
-def test_assemble_reports_the_csr_nonzero_count(tmp_path):
-    # (3 n_side - 2)^2 stored entries; the band itself stores 1933 slots at m = 4
-    res = run_cli("assemble", "--m", "4", "--aspect", "2", "--out", str(tmp_path / "a.mtx"))
-    assert res.returncode == 0, res.stderr
-    assert "(n=225, nnz=1849)" in res.stdout
 
 
 def test_bounds_rejects_a_bad_omega_without_a_traceback():
@@ -295,6 +273,15 @@ def test_run_rejects_an_analytic_C_that_overflows(tmp_path, aspect):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_run_rejects_a_missing_output_directory(tmp_path):
+    # checked before the build: the whole sweep used to run before the write failed
+    out = tmp_path / "missing" / "c.tsv"
+    res = run_cli("run", "--m", "3", "--k", "1", "--smoother", "w43", "--out", str(out))
+    assert res.returncode == 1
+    assert res.stderr == f"error: output directory {str(out.parent)!r} does not exist\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_run_measures_C_where_the_analytic_C_overflows(tmp_path):
     res = run_cli("run", "--m", "3", "--aspect", "1e200", "--k", "1", "--smoother", "cheb",
                   "--c-mode", "measured", cwd=tmp_path)
@@ -319,20 +306,18 @@ def test_run_prints_a_huge_C_in_exponent_form(tmp_path):
     ("opt-poly", "--k", "201"),
     ("bounds", "--C", "2"),  # missing required --k
     (),
-    ("assemble", "--m", "12", "--out", "never-written.mtx"),
     ("measure-c", "--m", "1"),
     ("measure-c", "--m", "12"),  # above cli._MAX_M, rejected before any assembly
     ("bounds", "--C", "inf", "--k", "1"),  # would write nan bounds
     ("bounds", "--C", "nan", "--k", "1"),
     # each non-finite or below-one aspect is rejected before any assembly
-    *((cmd, "--m", "3", "--aspect", bad, *rest)
-      for cmd, rest in (("assemble", ("--out", "never-written.mtx")), ("measure-c", ()))
-      for bad in ("nan", "inf", "0.5")),
+    *(("measure-c", "--m", "3", "--aspect", bad) for bad in ("nan", "inf", "0.5")),
     ("run", "--full-scale", "--m", "6"),  # --full-scale sets m=10, so --m would be ignored
     ("run", "--m", "8", "--full-scale"),  # 8 was the default of --m
     ("measure-c", "--m", "2"),  # m = 2 has no coarse level
     ("bounds", "--C", "2", "--k", "1", "--omega", "2.5"),  # the simple bound needs 0 < omega < 2
     ("bounds", "--C", "2", "--k", "1", "--omega", "nan"),
+    ("assemble", "--m", "3", "--out", "never-written.mtx"),  # no such command
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -387,6 +372,15 @@ def test_run_measures_C_on_the_run_grid(tmp_path):
     assert res.returncode == 0, res.stderr
     # the exact two-level C at m = 6, not the m = 5 value 105.900936
     assert "[run] using C = 121.667820 (measured)" in res.stderr
+
+
+def test_docstring_lists_the_parser_subcommands():
+    doc = polymg.cli.__doc__.split("Subcommands\n-----------\n")[1].split("\n\n")[0]
+    listed = [line.split()[0] for line in doc.splitlines()]
+    action = next(a for a in polymg.cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    assert listed == list(action.choices) == [
+        "run", "bounds", "opt-poly", "gamma-table", "measure-c"]
 
 
 def test_cli_exports_only_what_a_user_calls():

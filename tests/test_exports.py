@@ -25,8 +25,7 @@ def test_package_exports_only_what_a_user_calls():
         "GridSpec", "assemble_poisson_q1", "build_hierarchy", "SmootherConfig", "v_cycle",
         "measure_contraction", "two_level_C", "PolynomialSpec",
         "optimal_polynomial", "gamma_mu", "bound_simple", "bound_cheb", "bound_cheb_sharp",
-        "bound_cheb_two_level", "bound_opt_conjecture", "save_matrix_market",
-        "load_matrix_market", "__version__",
+        "bound_cheb_two_level", "bound_opt_conjecture", "__version__",
     ]
 
 
@@ -34,4 +33,4 @@ def test_modules_export_a_pinned_number_of_names():
     # the package's names, cli's three, optimal_roots, the bounds and the result types;
     # helpers such as Level, lanczos_max or apply_smoother stay importable, not exported
     modules = [importlib.import_module(name) for name in MODULES[1:]]
-    assert sum(len(module.__all__) for module in modules) == 37
+    assert sum(len(module.__all__) for module in modules) == 35

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from polymg.linalg import as_csr, lanczos_max, load_matrix_market, save_matrix_market
+from polymg.linalg import as_csr, lanczos_max
 
 
 def _random_spd(n, seed, shift=1.0):
@@ -81,24 +81,3 @@ def test_lanczos_max_deterministic_per_seed():
     assert runs[0] == runs[1]
     assert runs[0].value == pytest.approx(runs[2].value, rel=1e-9)
 
-
-def test_matrix_market_roundtrip(tmp_path):
-    A = _random_sparse_symmetric(25, seed=9)
-    path = tmp_path / "system.mtx"
-    save_matrix_market(path, A)
-    text = path.read_text().splitlines()
-    assert text[0].startswith("%%MatrixMarket matrix coordinate real symmetric")
-    first_entry = next(ln for ln in text[1:] if not ln.startswith("%")).split()
-    n_rows, n_cols, _ = (int(tok) for tok in first_entry)
-    assert (n_rows, n_cols) == A.shape
-    data_rows = [ln.split() for ln in text[2:] if ln and not ln.startswith("%")]
-    idx = np.array([[int(r[0]), int(r[1])] for r in data_rows])
-    assert idx.min() == 1  # 1-based coordinates
-    B = load_matrix_market(path)
-    assert np.max(np.abs((A - B).toarray())) < 1e-14
-
-
-def test_save_matrix_market_rejects_asymmetric(tmp_path):
-    A = as_csr(sp.csr_array(np.array([[1.0, 2.0], [0.0, 1.0]])))
-    with pytest.raises(ValueError, match="not symmetric"):
-        save_matrix_market(tmp_path / "bad.mtx", A)

@@ -378,9 +378,11 @@ def test_v_cycle_error_operator_is_a_self_adjoint(hierarchy_m4_a2):
 
 
 @pytest.mark.parametrize("bad", [{"max_cycles": 0}, {"max_cycles": -3}, {"tol": math.nan},
-                                 {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0}])
+                                 {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0},
+                                 {"max_cycles": 2.5}, {"max_cycles": True}])
 def test_measure_contraction_rejects_bad_arguments(hierarchy_m4_a2, bad):
-    # max_cycles=0 used to return factor 0.0; a nan or negative tol ran to the cap
+    # max_cycles=0 used to return factor 0.0; a nan or negative tol ran to the cap;
+    # 2.5 raised a TypeError deep in the estimator, and True ran as 1
     cfg = SmootherConfig.cheb4(1)
     with pytest.raises(ValueError, match=next(iter(bad))):
         measure_contraction(hierarchy_m4_a2, cfg, **bad)
