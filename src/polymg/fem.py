@@ -54,6 +54,8 @@ class GridSpec:
             raise ValueError("aspect ratio must be >= 1")
         if not math.isfinite(self.aspect):
             raise ValueError("aspect ratio must be finite")
+        if self.aspect > 1e307:  # two_level_C's blocks overflow above it, then the build
+            raise ValueError("aspect ratio must be at most 1e307")
 
     @property
     def n_side(self) -> int:

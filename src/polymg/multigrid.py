@@ -120,7 +120,7 @@ def build_hierarchy(grid: GridSpec, min_interior: int = 3) -> Hierarchy:
     levels: list[Level] = []
     scratch = np.empty(2 * grid.n_interior)
     g = grid
-    while g.n_side > min_interior and g.m > 2:
+    while g.n_side > min_interior:
         op = Q1Operator(g, scratch)
         P, R = build_prolongation(g)
         levels.append(Level(grid=g, op=op, smoother=jacobi_smoother(g), P=P, R=R))

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import PolynomialSpec, _check_degree, _check_roots, _signed_p
+from .poly import PolynomialSpec, _check_degree, _signed_p
 
 __all__ = ["EquioscillationState", "optimal_roots", "optimal_polynomial"]
 
@@ -51,35 +51,11 @@ def _g_and_slope(x, roots):
     return 0.5 * (1.0 - p2) + x * s, p2 * s + q @ roots
 
 
-def find_extrema(roots, guesses=None) -> np.ndarray:
-    """Locate the k-1 extrema of ``f`` strictly between consecutive roots.
-
-    Checks its input, then runs the search that :func:`optimal_roots` calls
-    directly on its own iterates, :func:`_search`.  Roots must be finite,
-    positive and strictly increasing, and their product a normal float
-    (``g`` divides by it); the k-1 guesses, when given, must be finite.
-    The search starts from the gap midpoints, or from the guesses, each
-    clipped to the inner 99.8% of its gap.
-    """
-    roots = np.asarray(roots, dtype=float)
-    _check_roots(roots)
-    k = len(roots)
-    if k < 2:
-        return np.empty(0)
-    if np.any(np.diff(roots) <= 0.0):
-        raise ValueError("roots must be strictly increasing")
-    if guesses is None:
-        return _search(roots, 0.5 * (roots[:-1] + roots[1:]))
-    x = np.asarray(guesses, dtype=float)
-    if x.shape != (k - 1,) or not np.all(np.isfinite(x)):
-        raise ValueError("need k-1 finite extremum guesses")
-    return _search(roots, x)
-
-
 def _search(roots, x):
     """The extrema of ``f`` from checked, increasing ``roots`` and one start point per gap.
 
-    Runs a bracket-safeguarded Newton iteration on ``g`` simultaneously for
+    Clips each start to the inner 99.8% of its gap, then runs a
+    bracket-safeguarded Newton iteration on ``g`` simultaneously for
     all gaps; ``g`` decreases from ``+inf`` to ``-inf`` across each gap, so
     the sign of ``g`` updates the brackets and any step leaving its bracket
     falls back to bisection.  A gap whose Newton step is within
@@ -190,8 +166,7 @@ def optimal_roots(k: int) -> EquioscillationState:
     solved from the Jacobian's Cauchy structure by :func:`_newton_step`.
     Each iterate is checked once, here: roots increasing in ``(0, 1)``,
     NaN-free, with a product in the normal range, else ``RuntimeError``;
-    the extrema then come from :func:`_search`, the loop that
-    :func:`find_extrema` runs after checking its input again.
+    the extrema then come from :func:`_search`.
     The extremum search of the next step is warm started from the previous
     extrema, each moved by the mean step of its two neighbouring roots
     (1042 evaluations of ``g`` over k = 1..200; 1129 without the move).

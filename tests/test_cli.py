@@ -195,6 +195,14 @@ def test_measure_c_close_to_analytic():
     assert res.stdout == "C = 7.88099392077\n"
 
 
+def test_measure_c_rejects_an_aspect_whose_constants_overflow():
+    # 1.2e307 passed, warned of an overflow in two_level_C and still printed a C
+    res = run_cli("measure-c", "--m", "4", "--aspect", "1.2e307")
+    assert res.returncode == 1
+    assert res.stderr == "error: aspect ratio must be at most 1e307\n"
+    assert res.stdout == ""
+
+
 def _raise(exc):
     def measure(*args, **kwargs):
         raise exc
@@ -299,25 +307,32 @@ def test_run_prints_a_huge_C_in_exponent_form(tmp_path):
     assert max(len(ln) for ln in res.stderr.splitlines()) <= 100
 
 
+# explicit ids, spelled as pytest once numbered the rows, so deleting a row renames no other
 @pytest.mark.parametrize("args", [
-    ("run", "--bogus",),
-    ("run", "--smoother", "foo"),
-    ("run", "--k", "0..3"),
-    ("opt-poly", "--k", "201"),
-    ("bounds", "--C", "2"),  # missing required --k
-    (),
-    ("measure-c", "--m", "1"),
-    ("measure-c", "--m", "12"),  # above cli._MAX_M, rejected before any assembly
-    ("bounds", "--C", "inf", "--k", "1"),  # would write nan bounds
-    ("bounds", "--C", "nan", "--k", "1"),
+    pytest.param(("run", "--bogus"), id="args0"),
+    pytest.param(("run", "--smoother", "foo"), id="args1"),
+    pytest.param(("run", "--k", "0..3"), id="args2"),
+    pytest.param(("opt-poly", "--k", "201"), id="args3"),
+    pytest.param(("bounds", "--C", "2"), id="args4"),  # missing required --k
+    pytest.param((), id="args5"),
+    pytest.param(("measure-c", "--m", "1"), id="args6"),
+    # above cli._MAX_M, rejected before any assembly
+    pytest.param(("measure-c", "--m", "12"), id="args7"),
+    pytest.param(("bounds", "--C", "inf", "--k", "1"), id="args8"),  # would write nan bounds
+    pytest.param(("bounds", "--C", "nan", "--k", "1"), id="args9"),
     # each non-finite or below-one aspect is rejected before any assembly
-    *(("measure-c", "--m", "3", "--aspect", bad) for bad in ("nan", "inf", "0.5")),
-    ("run", "--full-scale", "--m", "6"),  # --full-scale sets m=10, so --m would be ignored
-    ("run", "--m", "8", "--full-scale"),  # 8 was the default of --m
-    ("measure-c", "--m", "2"),  # m = 2 has no coarse level
-    ("bounds", "--C", "2", "--k", "1", "--omega", "2.5"),  # the simple bound needs 0 < omega < 2
-    ("bounds", "--C", "2", "--k", "1", "--omega", "nan"),
-    ("assemble", "--m", "3", "--out", "never-written.mtx"),  # no such command
+    pytest.param(("measure-c", "--m", "3", "--aspect", "nan"), id="args10"),
+    pytest.param(("measure-c", "--m", "3", "--aspect", "inf"), id="args11"),
+    pytest.param(("measure-c", "--m", "3", "--aspect", "0.5"), id="args12"),
+    # --full-scale sets m=10, so --m would be ignored
+    pytest.param(("run", "--full-scale", "--m", "6"), id="args13"),
+    pytest.param(("run", "--m", "8", "--full-scale"), id="args14"),  # 8 was the default of --m
+    pytest.param(("measure-c", "--m", "2"), id="args15"),  # m = 2 has no coarse level
+    # the simple bound needs 0 < omega < 2
+    pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "2.5"), id="args16"),
+    pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "nan"), id="args17"),
+    # no such command
+    pytest.param(("assemble", "--m", "3", "--out", "never-written.mtx"), id="args18"),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)

@@ -43,6 +43,8 @@ def test_grid_spec_validation():
         GridSpec(m=3, aspect=float("inf"))
     with pytest.raises(ValueError):
         GridSpec(m=3, aspect=float("nan"))
+    with pytest.raises(ValueError, match="at most 1e307"):
+        GridSpec(m=3, aspect=1.2e307)  # finite, but its constants overflow
     assert GridSpec(m=np.int64(3)).n_side == 7
     with pytest.raises(ValueError):
         GridSpec(m=3, aspect=0.5)

@@ -377,9 +377,13 @@ def test_v_cycle_error_operator_is_a_self_adjoint(hierarchy_m4_a2):
     assert (A @ Eu) @ v == pytest.approx(u @ (A @ Ev), rel=1e-9)
 
 
-@pytest.mark.parametrize("bad", [{"max_cycles": 0}, {"max_cycles": -3}, {"tol": math.nan},
-                                 {"tol": -1.0}, {"tol": 0.0}, {"tol": 1.0},
-                                 {"max_cycles": 2.5}, {"max_cycles": True}])
+# explicit ids, spelled as pytest once numbered the rows, so deleting a row renames no other
+@pytest.mark.parametrize("bad", [
+    pytest.param({"max_cycles": 0}, id="bad0"), pytest.param({"max_cycles": -3}, id="bad1"),
+    pytest.param({"tol": math.nan}, id="bad2"), pytest.param({"tol": -1.0}, id="bad3"),
+    pytest.param({"tol": 0.0}, id="bad4"), pytest.param({"tol": 1.0}, id="bad5"),
+    pytest.param({"max_cycles": 2.5}, id="bad6"), pytest.param({"max_cycles": True}, id="bad7"),
+])
 def test_measure_contraction_rejects_bad_arguments(hierarchy_m4_a2, bad):
     # max_cycles=0 used to return factor 0.0; a nan or negative tol ran to the cap;
     # 2.5 raised a TypeError deep in the estimator, and True ran as 1
@@ -388,13 +392,15 @@ def test_measure_contraction_rejects_bad_arguments(hierarchy_m4_a2, bad):
         measure_contraction(hierarchy_m4_a2, cfg, **bad)
 
 
+# explicit ids, spelled as pytest once named the rows, so deleting a row renames no other
 @pytest.mark.parametrize("x0, match", [
-    (np.zeros(225), "nonzero"),  # used to return factor 0.0, flagged converged
-    (np.full(225, np.nan), "finite"),
-    (np.full(225, np.inf), "finite"),
-    (np.full(225, 1e300), "nonzero, finite A-norm"),
-    (np.ones(7), "finest-level size"),
-    (np.ones((225, 1)), "finest-level size"),
+    # used to return factor 0.0, flagged converged
+    pytest.param(np.zeros(225), "nonzero", id="x00-nonzero"),
+    pytest.param(np.full(225, np.nan), "finite", id="x01-finite"),
+    pytest.param(np.full(225, np.inf), "finite", id="x02-finite"),
+    pytest.param(np.full(225, 1e300), "nonzero, finite A-norm", id="x03-nonzero, finite A-norm"),
+    pytest.param(np.ones(7), "finest-level size", id="x04-finest-level size"),
+    pytest.param(np.ones((225, 1)), "finest-level size", id="x05-finest-level size"),
 ])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_measure_contraction_rejects_a_bad_start(hierarchy_m4_a2, x0, match):

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import beta_polynomial, fourth_kind_sum
-from polymg import optpoly
-from polymg.optpoly import find_extrema, optimal_polynomial, optimal_roots
+from polymg import optpoly, poly
+from polymg.optpoly import optimal_polynomial, optimal_roots
 from polymg.poly import PolynomialSpec, _product_form, _signed_p, gamma_mu
 from polymg.scalar import bisect_root, golden_section_min
 
@@ -77,40 +77,13 @@ def test_extremum_against_grid_search():
     grid = np.linspace(roots[0] + 1e-4, roots[1] - 1e-4, 2000)
     t = int(np.argmin([neg_objective(x) for x in grid]))
     x_star = golden_section_min(neg_objective, grid[t - 1], grid[t + 1], tol=1e-13)
-    found = find_extrema(roots)
+    found = optpoly._search(roots, 0.5 * (roots[:-1] + roots[1:]))
     assert found.shape == (1,)
     assert found[0] == pytest.approx(x_star, abs=1e-8)
 
 
-@pytest.mark.parametrize("roots", [
-    [0.0, 0.5, 0.9],
-    [-0.3, 0.5, 0.9],
-    [0.2, math.nan, 0.9],
-    [0.2, 0.5, math.inf],
-])
-def test_find_extrema_rejects_bad_roots(roots):
-    message = "roots must be positive" if np.all(np.isfinite(roots)) else "roots must be finite"
-    with pytest.raises(ValueError, match=message):
-        find_extrema(roots)
-
-
-@pytest.mark.parametrize("roots", [np.linspace(1e-3, 2e-3, 150), np.linspace(0.5, 600.0, 150)])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_find_extrema_rejects_roots_whose_product_leaves_the_float_range(roots):
-    # g forms p = prod(x - r) / prod(r), which needs prod(r) in the normal range
-    with pytest.raises(ValueError, match="normal float"):
-        find_extrema(roots)
-
-
-def test_find_extrema_rejects_bad_guesses():
-    roots = [0.2, 0.5, 0.9]
-    for guesses in ([0.3], [math.nan, 0.7], [0.3, math.inf]):
-        with pytest.raises(ValueError, match="k-1 finite extremum guesses"):
-            find_extrema(roots, guesses)
-
-
 @pytest.mark.parametrize("k", [5, 50, 200])
-def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
+def test_search_keeps_converged_newton_steps(k, monkeypatch):
     # a gap whose Newton step is below tolerance is done and must not be
     # bisected: from converged extrema one evaluation suffices, from the
     # gap midpoints Newton needs a few
@@ -123,10 +96,10 @@ def test_find_extrema_keeps_converged_newton_steps(k, monkeypatch):
         return fused(x, roots)
 
     monkeypatch.setattr(optpoly, "_g_and_slope", counted)
-    find_extrema(state.roots, state.extrema)
+    optpoly._search(state.roots, state.extrema)
     assert len(calls) <= 3
     calls.clear()
-    find_extrema(state.roots)
+    optpoly._search(state.roots, 0.5 * (state.roots[:-1] + state.roots[1:]))
     assert len(calls) <= 10
 
 
@@ -185,14 +158,14 @@ def _reference_newton_step(r, xs, diff, F, a, f0):
 
 
 def _reference_optimal_roots(k):
-    """``optimal_roots``' outer loop as it was before its lean rewrite, verbatim,
-    on the public, input-checking ``find_extrema``."""
+    """``optimal_roots``' outer loop as it was before its lean rewrite, with its
+    feasibility check after each step, on the same extremum search ``_search``."""
     r = optpoly._asymptotic_start(np.arange(1, k + 1), k)
     x_int = optpoly._asymptotic_start(np.arange(1, k) + 0.5, k)
     best = None
     stall = 0
     for outer in range(1, optpoly._NEWTON_MAX_ITER + 1):
-        x_int = find_extrema(r, x_int)
+        x_int = optpoly._search(r, x_int)
         xs = np.concatenate([x_int, [1.0]])
         f0 = (2.0 * np.sum(1.0 / r)) ** -0.5
         diff = xs - r[:, None]
@@ -219,8 +192,8 @@ def _reference_optimal_roots(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 6, 50, 167, 175, 200])
 def test_optimal_roots_keeps_the_bits_of_the_checked_loop(k):
-    # the lean loop checks each iterate once and searches without find_extrema's
-    # checks; 167 and 175 stall, returning an earlier and the last iterate
+    # the lean loop checks each iterate once, by its own guard;
+    # 167 and 175 stall, returning an earlier and the last iterate
     state, oracle = optimal_roots(k), _reference_optimal_roots(k)
     assert np.array_equal(state.roots, oracle.roots)
     assert np.array_equal(state.extrema, oracle.extrema)
@@ -237,9 +210,9 @@ def test_nan_newton_step_leaves_the_feasible_region(monkeypatch):
 
 
 def test_optimal_roots_does_not_recheck_its_iterates(monkeypatch):
-    # the loop checks its own iterates; find_extrema's _check_roots is for outside input
+    # the loop checks its own iterates; _check_roots is for a PolynomialSpec's outside input
     calls = []
-    monkeypatch.setattr(optpoly, "_check_roots", lambda r: calls.append(1))
+    monkeypatch.setattr(poly, "_check_roots", lambda r: calls.append(1))
     assert optimal_roots(50).residual <= 1e-11
     assert calls == []
 
@@ -278,7 +251,7 @@ def test_newton_step_matches_the_dense_solve(k, start, optimal_states):
         state = optimal_states[k - 1]
         roots = state.roots * (1.0 + 1e-9 * np.cos(np.arange(k)))
         guesses = state.extrema
-    xs, diff, F, a, f0 = _newton_system(roots, find_extrema(roots, guesses))
+    xs, diff, F, a, f0 = _newton_system(roots, optpoly._search(roots, guesses))
     jacobian = f0 ** 3 / roots ** 2 + a[:, None] / (roots * (xs[:, None] - roots))
     dense = np.linalg.solve(jacobian, -F)
     step = optpoly._newton_step(roots, xs, diff, F, a, f0)
@@ -351,7 +324,8 @@ def test_extrema_match_bisection(gaps, top):
             p *= 1.0 - x / r
         return 0.5 * (1.0 - p * p) + x * sum(1.0 / (x - r) for r in roots)
 
-    for a, b, x in zip(roots[:-1], roots[1:], find_extrema(roots)):
+    extrema = optpoly._search(roots, 0.5 * (roots[:-1] + roots[1:]))
+    for a, b, x in zip(roots[:-1], roots[1:], extrema):
         assert a < x < b
         ref = bisect_root(g, np.nextafter(a, b), np.nextafter(b, a), tol=1e-13 * (b - a))
         assert abs(x - ref) <= 1e-12 * (b - a)

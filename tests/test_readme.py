@@ -1,14 +1,35 @@
-"""The Python example in README.md runs as written."""
+"""README.md's examples run as written: the Python one, and each command whose output it shows."""
 
 import re
+import shlex
 from pathlib import Path
 
+import pytest
+
+import polymg.cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
+TEXT = README.read_text()
+# the lines each ``$ polymg ...`` block shows, by its arguments
+SHOWN = dict(re.findall(r"```\n\$ polymg (.*?)\n(.*?)```", TEXT, flags=re.S))
 
 
 def test_readme_python_example_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    blocks = re.findall(r"```python\n(.*?)```", TEXT, flags=re.S)
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     factor, _, bound = capsys.readouterr().out.split()
     assert 0.0 < float(factor) <= float(bound)
+
+
+@pytest.mark.parametrize("args", ["opt-poly --k 2", "gamma-table --k 1..5",
+                                  "bounds --C 2,8 --k 1..3"])
+def test_readme_command_prints_what_it_shows(args, capsys):
+    # a block that ends in "..." shows the first rows only
+    assert polymg.cli.main(shlex.split(args)) == 0
+    expected = SHOWN[args].splitlines()
+    printed = capsys.readouterr().out.splitlines()
+    if expected[-1] == "...":
+        expected = expected[:-1]
+        printed = printed[:len(expected)]
+    assert printed == expected
