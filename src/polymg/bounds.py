@@ -21,7 +21,10 @@ Chebyshev bound, where ``beta = 1 - (1/3) / inf_{4 < phi <= 3 pi/2}
 (csc^2 phi - phi^{-2}) = 0.650914713503148...`` and ``f`` is an explicit
 piecewise rational factor with ``0 <= f <= (2/3)/beta``.  The discount
 ``beta f`` underestimates the exact one proved through the spectrum-split
-constants ``(w, phi*, lambda*, y)``, computed here numerically.
+constants ``(w, phi*, lambda*, y)``.  Those constants, the exact discount,
+the crossover ``C`` and the largest valid Jacobi damping are side results of
+the derivation that no printed curve needs: they live with the tests that
+check them, in ``tests/paper_results.py``.
 """
 
 from __future__ import annotations
@@ -30,15 +33,12 @@ import math
 from functools import lru_cache
 from typing import NamedTuple
 
-from .poly import _check_degree
-from .scalar import bisect_root, golden_section_min
+from .poly import _check_degree, golden_section_min
 
 __all__ = [
     "omega_condition_holds",
     "SimpleBound",
     "bound_simple",
-    "omega_max_asymptotic",
-    "omega_max_exact",
     "bound_cheb",
     "bound_cheb_two_level",
     "sharp_f_factor",
@@ -46,12 +46,6 @@ __all__ = [
     "bound_opt_conjecture",
     "opt_gamma_inv_estimate",
     "beta_constant",
-    "limit_constants",
-    "SharpConstants",
-    "sharp_constants",
-    "sharp_g_factor",
-    "cheb_sharp_exact_discount",
-    "crossover_C",
 ]
 
 
@@ -83,30 +77,6 @@ def bound_simple(C: float, omega: float, k: int) -> SimpleBound:
     _check_c(C)
     valid = omega_condition_holds(omega, k)  # checks omega and k before dividing
     return SimpleBound(C / (C + 2.0 * omega * k), valid)
-
-
-def omega_max_asymptotic(k: int) -> float:
-    """Asymptotic largest valid damping, ``2 - log(4k)/(2k)`` (up to o(1/k)).
-
-    With ``L = log(4k)``, the exact value (:func:`omega_max_exact`) exceeds
-    this one by ``(L**2 + L - 1) / (8 k**2) - (4 L**3 + 15 L**2 - 9) / (192 k**3)``
-    up to ``O(L**4 / k**4)``: 1.8e-2, 1.6e-3 and 5.0e-4 at k = 10, 50 and
-    100. The remainder is o(1/k) but, for moderate k, larger than a fixed
-    ``c/k`` budget such as 0.05/k.
-    """
-    _check_degree(k)
-    return 2.0 - math.log(4.0 * k) / (2.0 * k)
-
-
-def omega_max_exact(k: int) -> float:
-    """Largest omega satisfying the validity condition, by bisection."""
-    _check_degree(k)
-    return bisect_root(
-        lambda om: (1.0 - om) ** (2 * k) * (1.0 + 2.0 * om * k) - 1.0,
-        1.0 + 1e-9,
-        2.0 - 1e-12,
-        tol=1e-14,
-    )
 
 
 def bound_cheb(C: float, k: int) -> float:
@@ -144,51 +114,13 @@ def opt_gamma_inv_estimate(k: int) -> float:
 # sharp refinement of the Chebyshev bound
 
 
-class SharpConstants(NamedTuple):
-    """Spectrum-split constants of the sharp Chebyshev bound at degree k (n = 2k+1)."""
-
-    w: float            # inf over (4, 3 pi/2] of csc^2(phi) - n^{-2} csc^2(phi/n)
-    phi_star: float     # the level-w crossing closest to 2
-    lambda_star: float  # sin^2(phi*/n)
-    y: float            # (n^2 - 1) / (3 n^2 w)
-
-
-def _level_and_crossing(h) -> tuple[float, float]:
-    """``w = inf h`` on ``(4, 3 pi/2]`` (golden section) and the level-w
-    crossing ``phi*`` closest to 2 (bisection on [1.5, 2], where ``h`` increases)."""
-    w = h(golden_section_min(h, 4.0, 1.5 * math.pi, tol=1e-14))
-    return w, bisect_root(lambda p: h(p) - w, 1.5, 2.0, tol=1e-14)
-
-
 @lru_cache(maxsize=1)
-def limit_constants() -> SharpConstants:
-    """The k -> infinity limit of :func:`sharp_constants`, where ``lambda* = 0``
-    and ``y = 1/(3w)``."""
-    w, phi_star = _level_and_crossing(lambda phi: 1.0 / math.sin(phi) ** 2 - 1.0 / phi ** 2)
-    return SharpConstants(w=w, phi_star=phi_star, lambda_star=0.0, y=1.0 / (3.0 * w))
-
-
 def beta_constant() -> float:
-    """The sharp-bound discount constant ``beta = 1 - y = 0.650914713503148...`` at
-    k -> infinity."""
-    return 1.0 - limit_constants().y
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: True or 2.0 must not hit a cached 1 or 2
-def sharp_constants(k: int) -> SharpConstants:
-    """Numerically solve for ``(w, phi*, lambda*, y)`` at degree k, ``n = 2k+1``.
-
-    ``w`` minimizes ``csc^2(phi) - n^{-2} csc^2(phi/n)`` on ``(4, 3 pi/2]``
-    and ``phi*`` is the level-w crossing closest to 2;
-    ``lambda* = sin^2(phi*/n)`` and ``y = (n^2 - 1)/(3 n^2 w)``.
-    """
-    _check_degree(k)
-    n = 2 * k + 1
-    w, phi_star = _level_and_crossing(
-        lambda phi: 1.0 / math.sin(phi) ** 2 - (1.0 / n ** 2) / math.sin(phi / n) ** 2)
-    lambda_star = math.sin(phi_star / n) ** 2
-    y = (n * n - 1.0) / (3.0 * n * n * w)
-    return SharpConstants(w=w, phi_star=phi_star, lambda_star=lambda_star, y=y)
+    """The sharp-bound discount constant ``beta = 1 - 1/(3w) = 0.650914713503148...``,
+    with ``w = inf (csc^2 phi - phi^{-2})`` on ``(4, 3 pi/2]`` by golden section."""
+    def h(phi):
+        return 1.0 / math.sin(phi) ** 2 - 1.0 / phi ** 2
+    return 1.0 - 1.0 / (3.0 * h(golden_section_min(h, 4.0, 1.5 * math.pi, tol=1e-14)))
 
 
 def sharp_f_factor(C: float, k: int) -> float:
@@ -218,34 +150,3 @@ def bound_cheb_sharp(C: float, k: int) -> float:
     """
     c_prime = C - beta_constant() * sharp_f_factor(C, k)
     return c_prime / (c_prime + (4.0 / 3.0) * k * (k + 1))
-
-
-def sharp_g_factor(C: float) -> float:
-    """Factor ``g(C) = 1 + 2 (C-1)(1 - 1/sqrt(1 - 1/C)) = 1 / (C (1 + sqrt(1 - 1/C))^2)``.
-
-    The closed form on the right is what is evaluated: the left one cancels
-    ``1 - 1 + O(1/C)`` and loses all its digits by ``C ~ 1e8``.  It gives
-    ``g(1) = 1`` and is bounded below by ``(2 + 4C)/(16 C^2 - 5)``, which
-    yields the closed-form branch of the discount.
-    """
-    _check_c(C)
-    return 1.0 / (C * (1.0 + math.sqrt(1.0 - 1.0 / C)) ** 2)
-
-
-def cheb_sharp_exact_discount(C: float, k: int) -> float:
-    """Exact discount ``C - C'`` proved by the spectrum-split argument.
-
-    Dominates the closed-form ``beta * sharp_f_factor(C, k)`` everywhere
-    and tends to ``beta`` as ``k -> infinity`` at fixed ``C``.
-    """
-    _check_c(C)
-    sc = sharp_constants(k)
-    if 1.0 / C <= sc.lambda_star * (2.0 - sc.lambda_star):
-        return (1.0 - sc.y) / sc.lambda_star * sharp_g_factor(C)
-    return (1.0 - sc.lambda_star * C) / (1.0 - sc.lambda_star) * (1.0 - sc.y)
-
-
-def crossover_C() -> float:
-    """C below which the sharp Chebyshev bound beats the optimal conjecture
-    asymptotically: ``beta / (1 - pi^2/12) ~= 3.67``."""
-    return beta_constant() / (1.0 - math.pi ** 2 / 12.0)

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
 from . import bounds as bnd
-from .fem import GridSpec, two_level_C
+from .fem import _MAX_ASPECT, GridSpec, two_level_C
 from .multigrid import build_hierarchy, measure_contraction
 from .optpoly import _MAX_DEGREE, optimal_polynomial, optimal_roots
 from .poly import PolynomialSpec
@@ -98,8 +98,9 @@ _parse_degree = _checked(int, "degree", lambda k: 1 <= k <= _MAX_DEGREE,
 _parse_tol = _checked(float, "tolerance", lambda t: 0.0 < t < 1.0, "tol must lie in (0, 1)")
 # numpy's default_rng rejects negative seeds
 _parse_seed = _checked(int, "seed", lambda s: s >= 0, "seed must be >= 0")
-_parse_aspect = _checked(float, "aspect ratio", lambda a: math.isfinite(a) and a >= 1.0,
-                         "aspect must be finite and >= 1")
+# GridSpec checks the same range for library callers, with a ValueError
+_parse_aspect = _checked(float, "aspect ratio", lambda a: 1.0 <= a <= _MAX_ASPECT,
+                         "aspect must be finite and >= 1, at most 1e307")
 _parse_omega = _checked(float, "omega", lambda w: 0.0 < w < 2.0, "omega must lie in (0, 2)")
 _parse_c_list = _checked(lambda t: [float(tok) for tok in t.split(",") if tok], "C list",
                          lambda cs: cs and all(math.isfinite(c) and c >= 1.0 for c in cs),
@@ -289,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     size.add_argument("--full-scale", action="store_const", const=10, dest="m",
                       help="run at m=10 instead of the default")
     p.add_argument("--aspect", type=_parse_aspect, default=1.0,
-                   help="domain aspect ratio, finite and >= 1")
+                   help="domain aspect ratio, in [1, 1e307]")
     p.add_argument("--k", type=_parse_k_range, default=list(range(1, 7)), metavar="RANGE",
                    help="degrees, e.g. '1..6' or '1,2,4'")
     p.add_argument("--smoother", action="append", choices=tuple(COLUMNS),
@@ -323,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, choices=range(3, _MAX_M + 1), default=5, metavar="M",
                    help="refinement level of the fine grid (2^m cells per side)")
     p.add_argument("--aspect", type=_parse_aspect, default=1.0,
-                   help="domain aspect ratio, finite and >= 1")
+                   help="domain aspect ratio, in [1, 1e307]")
     p.set_defaults(func=_cmd_measure_c)
 
     return parser

@@ -37,6 +37,8 @@ from .smoothers import DiagonalSmoother
 
 __all__ = ["GridSpec", "assemble_poisson_q1", "two_level_C"]
 
+_MAX_ASPECT = 1e307  # two_level_C's blocks overflow above it, then the build
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -50,12 +52,8 @@ class GridSpec:
             raise ValueError(f"m must be an integer, got {self.m!r}")
         if self.m < 2:
             raise ValueError("need m >= 2 (at least a 3x3 interior)")
-        if not self.aspect >= 1.0:
-            raise ValueError("aspect ratio must be >= 1")
-        if not math.isfinite(self.aspect):
-            raise ValueError("aspect ratio must be finite")
-        if self.aspect > 1e307:  # two_level_C's blocks overflow above it, then the build
-            raise ValueError("aspect ratio must be at most 1e307")
+        if not 1.0 <= self.aspect <= _MAX_ASPECT:  # comparisons reject nan
+            raise ValueError("aspect ratio must be finite and >= 1, at most 1e307")
 
     @property
     def n_side(self) -> int:

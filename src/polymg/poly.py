@@ -21,16 +21,17 @@ form, and the expansion that gives its betas is computed from them.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-
-from .scalar import golden_section_min
 
 __all__ = ["PolynomialSpec", "gamma_mu"]
 
 _GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _signed_p(diff, roots):
@@ -150,6 +151,31 @@ class PolynomialSpec:
 def _gamma_objective(p: PolynomialSpec, lam):
     pv = p.evaluate(lam)
     return lam * pv * pv / (p.one_minus(lam) * (1.0 + pv))
+
+
+def golden_section_min(
+    f: Callable[[float], float], a: float, b: float, tol: float = 1e-14
+) -> float:
+    """Locate the minimizer of a unimodal ``f`` on ``[a, b]``.
+
+    Shrinks the bracket by the golden ratio until its width is below
+    ``tol`` (endpoints are never evaluated).  Returns the bracket midpoint.
+    """
+    if not b > a:
+        raise ValueError("need a < b")
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 def gamma_mu(p: PolynomialSpec) -> float:

@@ -14,6 +14,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from paper_results import (
+    cheb_sharp_exact_discount,
+    crossover_C,
+    limit_constants,
+    omega_max_asymptotic,
+    omega_max_exact,
+    sharp_constants,
+)
 from polymg import (
     GridSpec,
     PolynomialSpec,
@@ -31,13 +39,7 @@ from polymg.bounds import (
     bound_cheb_two_level,
     bound_opt_conjecture,
     bound_simple,
-    cheb_sharp_exact_discount,
-    crossover_C,
-    limit_constants,
     omega_condition_holds,
-    omega_max_asymptotic,
-    omega_max_exact,
-    sharp_constants,
     sharp_f_factor,
 )
 from polymg.cli import COLUMNS, emit_gamma_table

@@ -5,6 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from paper_results import (
+    cheb_sharp_exact_discount,
+    crossover_C,
+    limit_constants,
+    omega_max_asymptotic,
+    omega_max_exact,
+    sharp_constants,
+    sharp_g_factor,
+)
 from polymg.bounds import (
     beta_constant,
     bound_cheb,
@@ -12,16 +21,9 @@ from polymg.bounds import (
     bound_cheb_two_level,
     bound_opt_conjecture,
     bound_simple,
-    cheb_sharp_exact_discount,
-    crossover_C,
-    limit_constants,
     omega_condition_holds,
-    omega_max_asymptotic,
-    omega_max_exact,
     opt_gamma_inv_estimate,
-    sharp_constants,
     sharp_f_factor,
-    sharp_g_factor,
 )
 
 C_GRID = np.concatenate([np.linspace(1.0, 10.0, 19), [20.0, 50.0, 120.0, 200.0]])

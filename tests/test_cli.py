@@ -196,10 +196,12 @@ def test_measure_c_close_to_analytic():
 
 
 def test_measure_c_rejects_an_aspect_whose_constants_overflow():
-    # 1.2e307 passed, warned of an overflow in two_level_C and still printed a C
+    # finite, but two_level_C's blocks overflow: a usage error, as inf is
     res = run_cli("measure-c", "--m", "4", "--aspect", "1.2e307")
-    assert res.returncode == 1
-    assert res.stderr == "error: aspect ratio must be at most 1e307\n"
+    assert res.returncode == 2
+    assert res.stderr.endswith(
+        "polymg measure-c: error: argument --aspect: aspect must be finite and >= 1, "
+        "at most 1e307\n")
     assert res.stdout == ""
 
 
@@ -333,6 +335,7 @@ def test_run_prints_a_huge_C_in_exponent_form(tmp_path):
     pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "nan"), id="args17"),
     # no such command
     pytest.param(("assemble", "--m", "3", "--out", "never-written.mtx"), id="args18"),
+    pytest.param(("run", "--m", "3", "--aspect", "1.2e307"), id="args19"),  # above 1e307
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import beta_polynomial, fourth_kind_sum
+from paper_results import bisect_root
 from polymg import optpoly, poly
 from polymg.optpoly import optimal_polynomial, optimal_roots
-from polymg.poly import PolynomialSpec, _product_form, _signed_p, gamma_mu
-from polymg.scalar import bisect_root, golden_section_min
+from polymg.poly import (PolynomialSpec, _product_form, _signed_p, gamma_mu,
+                         golden_section_min)
 
 # printed reference values for the optimal 1/gamma (last column digit exact)
 GAMMA_INV_TABLE = {
