@@ -67,7 +67,7 @@ def _parse_k_range(text: str) -> list[int]:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            ks = list(range(int(lo), int(hi) + 1))
+            ks = range(int(lo), int(hi) + 1)  # lazy: the checks below stop at a bad degree
         else:
             ks = [int(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
@@ -76,7 +76,7 @@ def _parse_k_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"empty degree range {text!r}")
     if any(k < 1 or k > _MAX_DEGREE for k in ks):
         raise argparse.ArgumentTypeError(f"degrees must lie in [1, {_MAX_DEGREE}]")
-    return ks
+    return list(ks)
 
 
 def _checked(convert: Callable[[str], Any], name: str, ok: Callable[[Any], bool],

@@ -125,19 +125,17 @@ class Q1Operator:
     zero past the edge.  Its rounding differs from the band's product, within
     a few ulps of ``|A| |x|``.  ``scratch``, two ``n x n`` arrays' worth of
     floats or more, holds ``U`` and ``g X + d U``; the levels of a hierarchy
-    share one, since their products never nest.  Without it the operator
-    allocates its own.  A product allocates only its result.
+    share one, since their products never nest.  A product allocates only its
+    result.
     """
 
-    def __init__(self, grid: GridSpec, scratch: np.ndarray | None = None):
+    def __init__(self, grid: GridSpec, scratch: np.ndarray):
         entry = _stencil(grid)
         n = grid.n_side
         N = n * n
         self.shape = (N, N)
         # centre, y-neighbour, x-neighbour and corner
         self.a, self.b, self.g, self.d = map(float, entry[[1, 1, 0, 0], [1, 0, 1, 0]])
-        if scratch is None:
-            scratch = np.empty(2 * N)
         self._n = n
         self._U, self._V = U, V = scratch[:N], scratch[N:2 * N]
         # views for the product; at the first and last node of each x-row the

@@ -47,8 +47,8 @@ def lanczos_max(
     M,
     x0: np.ndarray,
     *,
-    tol: float = 1e-10,
-    max_iter: int = 5000,
+    tol: float,
+    max_iter: int,
 ) -> LanczosResult:
     """Upper estimate of the largest eigenvalue of an ``M``-self-adjoint operator.
 

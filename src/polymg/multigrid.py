@@ -87,10 +87,6 @@ class Hierarchy:
             for n in (lvl.op.shape[0] for lvl in self.levels[:-1])))
 
     @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
-    @property
     def finest(self) -> Level:
         return self.levels[0]
 

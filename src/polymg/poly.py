@@ -153,9 +153,7 @@ def _gamma_objective(p: PolynomialSpec, lam):
     return lam * pv * pv / (p.one_minus(lam) * (1.0 + pv))
 
 
-def golden_section_min(
-    f: Callable[[float], float], a: float, b: float, tol: float = 1e-14
-) -> float:
+def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Locate the minimizer of a unimodal ``f`` on ``[a, b]``.
 
     Shrinks the bracket by the golden ratio until its width is below

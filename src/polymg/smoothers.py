@@ -90,17 +90,16 @@ class SmootherConfig:
 
 
 def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,
-                   cfg: SmootherConfig, work=None) -> np.ndarray:
+                   cfg: SmootherConfig, work) -> np.ndarray:
     """Run the configured smoother on ``x`` in place and return ``x``.
 
     ``x`` must be a float array the caller may overwrite, or ``None`` to
     start from zero.  ``b`` is only read.  ``work`` holds four float arrays
     of ``b``'s shape that the call overwrites: the iterate of a zero start
     (returned as ``x``), the recurrence residual ``r``, the update ``z``
-    and a scratch ``t``; without it they are allocated once on entry.
-    Besides these, each product with ``A`` allocates its result.  Work
-    whose result is known is skipped, and each skip is exact in IEEE
-    arithmetic:
+    and a scratch ``t``.  Besides these, each product with ``A`` allocates
+    its result.  Work whose result is known is skipped, and each skip is
+    exact in IEEE arithmetic:
 
     * ``z_0 = 0``, so the first step's ``a z + t`` is ``t`` (``z = t``);
     * ``a_i = 0`` (every ``simple`` step) gives ``z = t`` as well;
@@ -116,7 +115,7 @@ def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,
     """
     if x is not None and not cfg.steps:
         return x
-    x0, r_out, z, t = [np.empty(b.shape) for _ in range(4)] if work is None else work
+    x0, r_out, z, t = work
     if x is None:
         x, r = x0, b  # b is only read: the first update writes r_out
         x.fill(0.0)

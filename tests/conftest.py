@@ -1,8 +1,9 @@
 """Shared fixtures: model-problem hierarchies reused across test modules.
 
-Also the fourth-kind Chebyshev polynomials ``W_n`` by their recurrence and
-the reference sums of fourth-kind expansions, which the library keeps only
-as betas: ``PolynomialSpec`` evaluates its polynomial from its roots.
+Also the smoother's work vectors, the fourth-kind Chebyshev polynomials
+``W_n`` by their recurrence and the reference sums of fourth-kind
+expansions, which the library keeps only as betas: ``PolynomialSpec``
+evaluates its polynomial from its roots.
 """
 
 import numpy as np
@@ -25,6 +26,11 @@ def cheb_w(n: int, x):
     for _ in range(n):
         w_prev, w = w, 2.0 * x * w - w_prev
     return w if w.ndim else float(w)
+
+
+def smoother_work(b):
+    """Fresh work vectors for ``apply_smoother``: the four arrays of ``b``'s shape it overwrites."""
+    return [np.empty(np.shape(b)) for _ in range(4)]
 
 
 def fourth_kind_sum(alphas, lam):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import smoother_work
 from paper_results import (
     cheb_sharp_exact_discount,
     crossover_C,
@@ -189,7 +190,7 @@ def test_iteration_realizes_polynomial(scorecard):
             return s_hat * (U @ (p_vals * (U.T @ (e / s_hat))))
 
         for k in (1, 2, 3, 5):
-            out = apply_smoother(A, B, x0.copy(), b, SmootherConfig.cheb4(k))
+            out = apply_smoother(A, B, x0.copy(), b, SmootherConfig.cheb4(k), smoother_work(b))
             want = x_star + realized_error(
                 PolynomialSpec.fourth_kind(k).evaluate(lam_hat))
             worst = max(worst, float(np.max(np.abs(out - want))
@@ -197,13 +198,15 @@ def test_iteration_realizes_polynomial(scorecard):
         for k in (1, 2, 4):
             spec = optimal_polynomial(k)
             out = apply_smoother(A, B, x0.copy(), b,
-                                 SmootherConfig.optimized(spec.iteration_betas))
+                                 SmootherConfig.optimized(spec.iteration_betas),
+                                 smoother_work(b))
             want = x_star + realized_error(spec.evaluate(lam_hat))
             worst = max(worst, float(np.max(np.abs(out - want))
                                      / np.linalg.norm(e0)))
         for k in (1, 3, 6):
-            ones = apply_smoother(A, B, x0.copy(), b, SmootherConfig.optimized(np.ones(k)))
-            ref = apply_smoother(A, B, x0.copy(), b, SmootherConfig.cheb4(k))
+            ones = apply_smoother(A, B, x0.copy(), b, SmootherConfig.optimized(np.ones(k)),
+                                  smoother_work(b))
+            ref = apply_smoother(A, B, x0.copy(), b, SmootherConfig.cheb4(k), smoother_work(b))
             exact_ties = exact_ties and bool(np.array_equal(ones, ref))
     with scorecard(f"05 smoothing realizes claimed polynomials (worst {worst:.2e})"):
         assert worst <= 1e-10
@@ -226,6 +229,7 @@ def test_beta_coefficients_range(optimal_states, scorecard):
         assert worst_res < 1e-8
 
 
+@pytest.mark.slow
 def test_measured_contraction_below_bounds(contraction_sweep, scorecard):
     factors, elapsed_m8 = contraction_sweep
     worst_ratio = 0.0
@@ -273,6 +277,7 @@ def test_two_level_chain_inequality(scorecard):
             assert links[0] <= 1e-6 and max(links[1:]) <= 1e-9, (key, links)
 
 
+@pytest.mark.slow
 def test_figure_trends(contraction_sweep, scorecard):
     factors, _ = contraction_sweep
     ordered = True

@@ -336,6 +336,10 @@ def test_run_prints_a_huge_C_in_exponent_form(tmp_path):
     # no such command
     pytest.param(("assemble", "--m", "3", "--out", "never-written.mtx"), id="args18"),
     pytest.param(("run", "--m", "3", "--aspect", "1.2e307"), id="args19"),  # above 1e307
+    # degree ranges far too long to expand, checked before they are expanded; '--k=' keeps
+    # argparse from reading a leading '-' as an option
+    pytest.param(("bounds", "--C", "2", "--k", "1..1000000000000"), id="args20"),
+    pytest.param(("gamma-table", "--k=-1000000000000..1"), id="args21"),
 ])
 def test_bad_usage_exits_2(args):
     res = run_cli(*args)
@@ -356,6 +360,13 @@ def _rejected_run_setting(tmp_path, *args):
 def test_empty_degree_range_is_named(tmp_path, k):
     # both ends of '3..1' lie in [1, 200]; the range between them is empty
     assert f"argument --k: empty degree range {k!r}" in _rejected_run_setting(tmp_path, "--k", k)
+
+
+@pytest.mark.parametrize("k", ["1..1000000000000", "-1000000000000..1"])
+def test_huge_degree_range_is_rejected_unexpanded(tmp_path, k):
+    # expanded before its check, either range raised MemoryError
+    stderr = _rejected_run_setting(tmp_path, f"--k={k}")
+    assert "argument --k: degrees must lie in [1, 200]" in stderr
 
 
 # a tol outside (0, 1) would run every cell to the cycle cap

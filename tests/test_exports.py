@@ -1,5 +1,5 @@
 """The exported names of every ``polymg`` module: they exist, no more are added unnoticed,
-and no top-level name lives on for its tests alone."""
+and no top-level name or internal parameter default lives on for its tests alone."""
 
 import ast
 import importlib
@@ -115,11 +115,105 @@ def test_unreached_flags_what_no_root_reaches():
     assert _unreached({"m": bench_only}) == ["m._part", "m.helper"]
 
 
-def test_no_src_name_is_reached_only_from_tests():
-    # a top-level def, class or assignment of src/polymg that neither polymg.__all__,
-    # cli.main, python -m polymg nor a bench script reaches is kept alive by its tests alone
+def _src_and_scripts():
+    """src/polymg's modules (name -> source) and the code of the entry-point scripts,
+    ``python -m polymg`` and the bench."""
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
                if path.name != "__main__.py"}
     scripts = [(SRC / "__main__.py").read_text()]
     scripts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
+    return modules, scripts
+
+
+def test_no_src_name_is_reached_only_from_tests():
+    # a top-level def, class or assignment of src/polymg that neither polymg.__all__,
+    # cli.main, python -m polymg nor a bench script reaches is kept alive by its tests alone
+    modules, scripts = _src_and_scripts()
     assert _unreached(modules, roots=set(polymg.__all__) | {"main"}, scripts=scripts) == []
+
+
+def _defaulted_params(tree, prefix="", owner=None):
+    """``(callee, label, index, name)`` for every defaulted parameter of the defs in ``tree``.
+
+    ``callee`` is the name a call uses, the class name for an ``__init__``; ``owner`` is
+    the class whose body is ``tree``.  ``index`` is the parameter's position in a call,
+    where a method's ``self`` or ``cls`` takes none, or ``None`` if it is keyword-only.
+    """
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _defaulted_params(node, f"{prefix}{node.name}.", node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            init = owner is not None and node.name == "__init__"
+            callee, label = (owner, prefix[:-1]) if init else (node.name, prefix + node.name)
+            bound = owner is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+            args = node.args
+            positional = (args.posonlyargs + args.args)[int(bound):]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield callee, f"{label}({arg.arg})", i, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield callee, f"{label}({arg.arg})", None, arg.arg
+            yield from _defaulted_params(node, f"{prefix}{node.name}.")
+        else:
+            yield from _defaulted_params(node, prefix, owner)
+
+
+def _constant_defaults(modules, scripts=()):
+    """The parameter defaults in ``modules`` (name -> source) that the calls in
+    ``modules`` and ``scripts`` do not both use and override.
+
+    A default no call uses is dead, and one no call overrides is a constant.  Calls match
+    defs by name, a class name standing for its ``__init__``.  Left out are the defs whose
+    name is in a module's ``__all__``, which a user may call either way, the defs no call
+    matches, which the reachability test covers, and calls that unpack ``*`` or ``**``.
+    """
+    trees = {module: ast.parse(source) for module, source in modules.items()}
+    exported = {elt.value for tree in trees.values() for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for elt in node.value.elts}
+    params = [(module, *param) for module, tree in trees.items()
+              for param in _defaulted_params(tree) if param[0] not in exported]
+    calls = {}
+    for tree in [*trees.values(), *map(ast.parse, scripts)]:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or any(
+                    isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                continue  # which parameters an unpacked argument fills is unknown
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    flagged = []
+    for module, callee, label, index, name in params:
+        if callee not in calls:
+            continue
+        passed = {(index is not None and index < len(call.args))
+                  or any(k.arg == name for k in call.keywords) for call in calls[callee]}
+        if passed != {True, False}:
+            flagged.append(f"{module}.{label}")
+    return sorted(flagged)
+
+
+def test_constant_defaults_flags_dead_and_never_overridden_defaults():
+    dead = "def f(x, tol=1e-3):\n    pass\n\n\ndef g():\n    return f(1, tol=2)\n"
+    assert _constant_defaults({"m": dead}) == ["m.f(tol)"]
+    fixed = "def f(x, tol=1e-3):\n    pass\n"
+    assert _constant_defaults({"m": fixed}, scripts=["f(1)\n", "m.f(2)\n"]) == ["m.f(tol)"]
+    assert _constant_defaults({"m": fixed}, scripts=["f(1)\n", "f(2, 1e-4)\n"]) == []
+    assert _constant_defaults({"m": fixed}) == []  # never called: left to reachability
+    assert _constant_defaults({"m": "__all__ = ['f']\n\n\n" + fixed}, scripts=["f(1)\n"]) == []
+    owned = ("class C:\n    def __init__(self, n, buf=None):\n        pass\n\n"
+             "    def run(self, k=2, *, out=None):\n        pass\n")
+    varied = "c = C(1)\nC(1, [])\nc.run()\nc.run(3, out=[])\n"
+    assert _constant_defaults({"m": owned}, scripts=[varied]) == []
+    assert _constant_defaults({"m": owned}, scripts=["c = C(1)\nc.run(k=3)\nc.run()\n"]) == [
+        "m.C(buf)", "m.C.run(out)"]
+
+
+def test_no_internal_default_is_a_constant_or_dead():
+    # a default of an unexported src def must be both used and overridden by the calls in
+    # src, python -m polymg and the bench; else only tests need it, or no call varies it
+    assert _constant_defaults(*_src_and_scripts()) == []

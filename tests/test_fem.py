@@ -127,7 +127,7 @@ def test_stencil_product_matches_the_band(m, aspect):
     # each entry of the stencil's product lies within a few rounding errors
     # of the band's; x is nonzero on the edge rows, so the Dirichlet cut-offs count
     grid = GridSpec(m=m, aspect=aspect)
-    band, op = assemble_poisson_q1(grid), Q1Operator(grid)
+    band, op = assemble_poisson_q1(grid), Q1Operator(grid, np.empty(2 * grid.n_interior))
     x = np.random.default_rng(m).standard_normal(grid.n_interior)
     X = x.reshape(grid.n_side, grid.n_side)
     assert np.all(X[[0, -1], :] != 0.0) and np.all(X[:, [0, -1]] != 0.0)
@@ -140,7 +140,7 @@ def test_stencil_product_matches_the_band(m, aspect):
 @pytest.mark.parametrize("m", [2, 3, 6])
 def test_stencil_coefficients_are_the_band_entries_bit_for_bit(m, aspect):
     grid = GridSpec(m=m, aspect=aspect)
-    band, op = assemble_poisson_q1(grid), Q1Operator(grid)
+    band, op = assemble_poisson_q1(grid), Q1Operator(grid, np.empty(2 * grid.n_interior))
     n = grid.n_side
     # centre, y-neighbour, x-neighbour and corner, each on both sides of the middle node
     for coefficient, offsets in ((op.a, [0]), (op.b, [-1, 1]), (op.g, [-n, n]),
@@ -154,7 +154,7 @@ def test_stencil_coefficients_are_the_band_entries_bit_for_bit(m, aspect):
 @pytest.mark.parametrize("aspect", _ASPECTS)
 def test_stencil_product_is_symmetric(aspect):
     grid = GridSpec(m=5, aspect=aspect)
-    op = Q1Operator(grid)
+    op = Q1Operator(grid, np.empty(2 * grid.n_interior))
     x, y = np.random.default_rng(5).standard_normal((2, grid.n_interior))
     scale = np.abs(x) @ (abs(assemble_poisson_q1(grid)) @ np.abs(y))
     assert abs(y @ (op @ x) - x @ (op @ y)) <= 64 * np.finfo(float).eps * scale
@@ -167,9 +167,10 @@ def test_stencils_may_share_scratch():
     rng = np.random.default_rng(4)
     for grid in (fine, coarse, fine):
         x = rng.standard_normal(grid.n_interior)
-        assert np.array_equal(Q1Operator(grid, scratch) @ x, Q1Operator(grid) @ x)
+        own = np.empty(2 * grid.n_interior)
+        assert np.array_equal(Q1Operator(grid, scratch) @ x, Q1Operator(grid, own) @ x)
     with pytest.raises(ValueError, match="shape"):
-        Q1Operator(coarse) @ np.ones(fine.n_interior)
+        Q1Operator(coarse, scratch) @ np.ones(fine.n_interior)
 
 
 def test_prolongation_weights():

@@ -36,7 +36,8 @@ def _start(n, seed=0):
 
 def test_lanczos_max_diagonal_operator():
     d = np.array([0.3, 1.7, 0.9, 2.4, 2.399, 0.01] * 20)
-    res = lanczos_max(lambda v: d * v, sp.eye_array(d.size), _start(d.size, 1), tol=1e-12)
+    res = lanczos_max(lambda v: d * v, sp.eye_array(d.size), _start(d.size, 1), tol=1e-12,
+                      max_iter=5000)
     assert res.converged
     assert 0.0 <= res.residual <= 1e-12 * res.value
     # theta + residual: an upper estimate
@@ -48,7 +49,7 @@ def test_lanczos_max_matches_dense_spectrum():
     A = _random_spd(20, seed=11)
     s = 1.0 / np.sqrt(np.diag(A))
     S = s[:, None] * A * s[None, :]
-    res = lanczos_max(lambda v: S @ v, sp.eye_array(20), _start(20, 2), tol=1e-13)
+    res = lanczos_max(lambda v: S @ v, sp.eye_array(20), _start(20, 2), tol=1e-13, max_iter=5000)
     expected = scipy.linalg.eigh(S, eigvals_only=True)[-1]
     assert res.converged
     assert res.value == pytest.approx(expected, rel=1e-9)
@@ -71,12 +72,13 @@ def test_lanczos_max_flags_exhaustion():
     assert res.iterations == 3
     assert res.residual > 1e-12 * res.value
     with pytest.raises(ValueError, match="max_iter"):
-        lanczos_max(lambda v: d * v, sp.eye_array(200), _start(200), max_iter=0)
+        lanczos_max(lambda v: d * v, sp.eye_array(200), _start(200), tol=1e-10, max_iter=0)
 
 
 def test_lanczos_max_deterministic_per_seed():
     A = _random_sparse_symmetric(300, seed=6)
-    runs = [lanczos_max(lambda v: A @ v, sp.eye_array(300), _start(300, seed), tol=1e-10)
+    runs = [lanczos_max(lambda v: A @ v, sp.eye_array(300), _start(300, seed), tol=1e-10,
+                        max_iter=5000)
             for seed in (3, 3, 4)]
     assert runs[0] == runs[1]
     assert runs[0].value == pytest.approx(runs[2].value, rel=1e-9)

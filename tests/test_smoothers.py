@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import beta_polynomial, cheb_w
+from conftest import beta_polynomial, cheb_w, smoother_work
 from polymg.linalg import as_csr
 from polymg.optpoly import optimal_polynomial
 from polymg.poly import PolynomialSpec
@@ -29,15 +29,15 @@ def _setup(n, seed):
 
 
 def _simple(A, B, x, b, omega, k):
-    return apply_smoother(A, B, x.copy(), b, SmootherConfig.simple(omega, k))
+    return apply_smoother(A, B, x.copy(), b, SmootherConfig.simple(omega, k), smoother_work(b))
 
 
 def _cheb4(A, B, x, b, k):
-    return apply_smoother(A, B, x.copy(), b, SmootherConfig.cheb4(k))
+    return apply_smoother(A, B, x.copy(), b, SmootherConfig.cheb4(k), smoother_work(b))
 
 
 def _opt(A, B, x, b, betas):
-    return apply_smoother(A, B, x.copy(), b, SmootherConfig.optimized(betas))
+    return apply_smoother(A, B, x.copy(), b, SmootherConfig.optimized(betas), smoother_work(b))
 
 
 def _apply_poly(p_vals, s, U, e):
@@ -198,7 +198,7 @@ def test_apply_smoother_updates_x_in_place():
     for cfg in (SmootherConfig.simple(1.3, 2), SmootherConfig.cheb4(3),
                 SmootherConfig.optimized(optimal_polynomial(2).iteration_betas)):
         y = x.copy()
-        assert apply_smoother(A, B, y, b, cfg) is y
+        assert apply_smoother(A, B, y, b, cfg, smoother_work(b)) is y
         assert not np.array_equal(y, x)
         assert np.array_equal(b, b_before)
 
@@ -228,7 +228,7 @@ def test_the_first_step_never_reads_a(start):
     b, x0 = rng.standard_normal(30), rng.standard_normal(30)
     for cfg in (SmootherConfig.cheb4(3), SmootherConfig.optimized([1.25, 1.5, 1.125])):
         full = SmootherConfig(((-1 / 3, *cfg.steps[0][1:]),) + cfg.steps[1:])
-        runs = [apply_smoother(A, B, None if start == "zero" else x0.copy(), b, c)
+        runs = [apply_smoother(A, B, None if start == "zero" else x0.copy(), b, c, smoother_work(b))
                 for c in (cfg, full)]
         assert np.array_equal(*runs)
 
