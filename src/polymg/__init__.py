@@ -16,7 +16,7 @@ from .bounds import (
 from .fem import GridSpec, assemble_poisson_q1, two_level_C
 from .multigrid import build_hierarchy, measure_contraction, v_cycle
 from .optpoly import optimal_polynomial
-from .poly import PolynomialSpec, gamma_mu
+from .poly import PolynomialSpec
 from .smoothers import SmootherConfig
 
 __version__ = "0.1.0"
@@ -31,7 +31,6 @@ __all__ = [
     "two_level_C",
     "PolynomialSpec",
     "optimal_polynomial",
-    "gamma_mu",
     "bound_simple",
     "bound_cheb",
     "bound_cheb_sharp",

@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .poly import _check_degree, golden_section_min
+from .poly import _check_degree
 
 __all__ = [
     "omega_condition_holds",
@@ -47,6 +47,9 @@ __all__ = [
     "opt_gamma_inv_estimate",
     "beta_constant",
 ]
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _check_c(C: float) -> None:
@@ -112,6 +115,29 @@ def opt_gamma_inv_estimate(k: int) -> float:
 
 # ---------------------------------------------------------------------------
 # sharp refinement of the Chebyshev bound
+
+
+def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
+    """Locate the minimizer of a unimodal ``f`` on ``[a, b]``.
+
+    Shrinks the bracket by the golden ratio until its width is below
+    ``tol`` (endpoints are never evaluated).  Returns the bracket midpoint.
+    """
+    if not b > a:
+        raise ValueError("need a < b")
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = f(c), f(d)
+    while (b - a) > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
 
 
 @lru_cache(maxsize=1)

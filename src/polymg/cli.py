@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
@@ -330,8 +331,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_option_values(argv: Sequence[str]) -> list[str]:
+    """``argv`` with each ``--option -3..1`` written ``--option=-3..1``.
+
+    argparse takes a word that starts with '-' for an option unless it is a plain
+    negative number, so a value such as ``-3..1`` or ``-1e3`` would fail as a missing
+    argument before its own parser could name the fault.
+    """
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        option = prev.startswith("--") and len(prev) > 2 and "=" not in prev
+        if option and re.match(r"-\.?\d", arg):
+            out[-1] = f"{prev}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_joined_option_values(argv))
     try:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:

@@ -8,7 +8,9 @@ A smoother polynomial ``p`` of degree ``k`` satisfies ``p(0) = 1`` and
 smaller being better.  The fourth-kind Chebyshev smoother is
 ``p_k(lam) = W_k(1 - 2 lam) / (2k + 1)`` with ``W_k`` the fourth-kind
 Chebyshev polynomial; it equioscillates ``sqrt(lam) |p_k|`` at the level
-``1/(2k+1)`` and gives ``gamma = 3 / ((2k+1)^2 - 1)``.
+``1/(2k+1)`` and gives ``gamma = 3 / ((2k+1)^2 - 1)``.  The library reads
+gamma only in such closed forms and as the equioscillation level of
+:func:`polymg.optpoly.optimal_roots`; its numerical sup is a test oracle.
 
 Every smoother polynomial is realized as an iteration through its
 expansion in fourth-kind Chebyshev polynomials: with
@@ -21,17 +23,12 @@ form, and the expansion that gives its betas is computed from them.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-__all__ = ["PolynomialSpec", "gamma_mu"]
-
-_GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+__all__ = ["PolynomialSpec"]
 
 
 def _signed_p(diff, roots):
@@ -49,12 +46,12 @@ def _product_form(lam, roots):
     return _signed_p(roots.reshape((-1,) + (1,) * lam.ndim) - lam, roots)
 
 
-def _check_degree(k, lowest: int = 1) -> None:
-    """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= lowest``."""
-    if type(k) is int and k >= lowest:  # the common case, without the ABC check below
+def _check_degree(k) -> None:
+    """Raise ``ValueError`` unless the polynomial degree ``k`` is an integer ``>= 1``."""
+    if type(k) is int and k >= 1:  # the common case, without the ABC check below
         return
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < lowest:
-        raise ValueError(f"polynomial degree k must be an integer >= {lowest}, got {k!r}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+        raise ValueError(f"polynomial degree k must be an integer >= 1, got {k!r}")
 
 
 def _check_roots(r):
@@ -136,69 +133,3 @@ class PolynomialSpec:
         """Evaluate ``p`` at scalar or array ``lam``."""
         out = _product_form(lam, self.roots)
         return out if out.ndim else float(out)
-
-    def one_minus(self, lam):
-        """``1 - p(lam)`` without cancellation near 0; roots on the last axis, for pairwise sums."""
-        lam = np.asarray(lam, dtype=float)
-        # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no
-        # cancellation; degree 0 (no roots, p = 1) takes that branch everywhere
-        s = np.minimum(lam[..., None] / self.roots, 0.5)
-        out = np.where(lam <= 0.5 * np.min(self.roots, initial=np.inf),
-                       -np.expm1(np.sum(np.log1p(-s), axis=-1)), 1.0 - self.evaluate(lam))
-        return out if out.ndim else float(out)
-
-
-def _gamma_objective(p: PolynomialSpec, lam):
-    pv = p.evaluate(lam)
-    return lam * pv * pv / (p.one_minus(lam) * (1.0 + pv))
-
-
-def golden_section_min(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Locate the minimizer of a unimodal ``f`` on ``[a, b]``.
-
-    Shrinks the bracket by the golden ratio until its width is below
-    ``tol`` (endpoints are never evaluated).  Returns the bracket midpoint.
-    """
-    if not b > a:
-        raise ValueError("need a < b")
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def gamma_mu(p: PolynomialSpec) -> float:
-    """Evaluate ``sup_{0 < lam <= 1} lam p(lam)^2 / (1 - p(lam)^2)``.
-
-    A Chebyshev-spaced grid on ``[eps^2, 1]`` locates candidate maxima,
-    each refined by golden section.  ``1 - p`` comes from
-    :meth:`PolynomialSpec.one_minus`, so the left end gives the limit
-    ``1 / (-2 p'(0))`` at 0 to rounding.  Raises ``ValueError`` when the
-    polynomial is not a contraction on ``(0, 1]``.
-    """
-    lo = np.finfo(float).eps ** 2  # keeps lam / r_i clear of underflow
-    n_grid = _GAMMA_GRID_PER_DEGREE * (p.degree + 1)
-    j = np.arange(n_grid + 1)
-    xs = lo + (1.0 - lo) * 0.5 * (1.0 - np.cos(np.pi * j / n_grid))
-    pv, dv = p.evaluate(xs), p.one_minus(xs)
-    if np.any(dv <= 0.0) or np.any(pv <= -1.0):
-        raise ValueError("|p| >= 1 inside (0, 1]: not a valid smoother polynomial")
-    h = xs * pv * pv / (dv * (1.0 + pv))
-    best = float(np.max(h))
-    # golden-section refinement around each interior local maximum
-    for t in range(1, len(xs) - 1):
-        if h[t] >= h[t - 1] and h[t] >= h[t + 1]:
-            xm = golden_section_min(
-                lambda x: -_gamma_objective(p, x), xs[t - 1], xs[t + 1], tol=1e-13
-            )
-            best = max(best, float(_gamma_objective(p, xm)))
-    return best

@@ -70,7 +70,7 @@ class SmootherConfig:
     def simple(cls, omega: float, k: int) -> "SmootherConfig":
         if not 0.0 < omega < 2.0:
             raise ValueError("simple smoother needs 0 < omega < 2")
-        _check_degree(k, lowest=0)
+        _check_degree(k)
         return cls(((0.0, float(omega), 1.0),) * k)
 
     @classmethod
@@ -113,8 +113,6 @@ def apply_smoother(A, B: DiagonalSmoother, x: np.ndarray | None, b: np.ndarray,
     entry that is exactly ``-0.0`` (making it ``+0.0``), the skip keeps the
     sign of that zero.
     """
-    if x is not None and not cfg.steps:
-        return x
     x0, r_out, z, t = work
     if x is None:
         x, r = x0, b  # b is only read: the first update writes r_out

@@ -1,17 +1,27 @@
 """Shared fixtures: model-problem hierarchies reused across test modules.
 
-Also the smoother's work vectors, the fourth-kind Chebyshev polynomials
-``W_n`` by their recurrence and the reference sums of fourth-kind
-expansions, which the library keeps only as betas: ``PolynomialSpec``
-evaluates its polynomial from its roots.
+Also README.md's Python examples, the smoother's work vectors, the
+fourth-kind Chebyshev polynomials ``W_n`` by their recurrence and the
+reference sums of fourth-kind expansions, which the library keeps only as
+betas: ``PolynomialSpec`` evaluates its polynomial from its roots.
 """
+
+import numbers
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polymg import GridSpec, build_hierarchy
 from polymg.optpoly import optimal_roots
-from polymg.poly import _check_degree
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_python_blocks() -> list[str]:
+    """The code of README.md's ``python`` blocks, in order."""
+    return re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
 
 
 def cheb_w(n: int, x):
@@ -20,7 +30,8 @@ def cheb_w(n: int, x):
     Uses ``W_0 = 1``, ``W_1 = 2x + 1``, ``W_n = 2x W_{n-1} - W_{n-2}``,
     which is stable on ``[-1, 1]``.  ``x`` may be a scalar or array.
     """
-    _check_degree(n, lowest=0)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"degree n must be an integer >= 0, got {n!r}")
     x = np.asarray(x, dtype=float)
     w_prev, w = -np.ones_like(x), np.ones_like(x)  # W_{-1} = -1 gives W_1 = 2x + 1
     for _ in range(n):

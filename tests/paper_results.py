@@ -21,6 +21,12 @@ and ``omega_condition_holds``; the derivations' numbers live here, as oracles:
   ``2 - log(4k)/(2k)``.  Read by acceptance check 11 and ``test_bounds.py``.
 * ``bisect_root``: the bisection behind them, also a reference for the
   interior extrema of ``polymg.optpoly`` in ``test_optpoly.py``.
+* ``gamma_mu(p)``: the smoothing functional ``sup lam p^2 / (1 - p^2)`` of a
+  polynomial by grid search and golden section, with ``one_minus(p, lam)``,
+  ``1 - p`` free of cancellation near 0.  The library reads gamma only in
+  closed form and as ``optimal_roots(k).gamma_inv``; check 08,
+  ``test_poly.py``, ``test_optpoly.py`` and ``test_multigrid.py`` tie those
+  to this sup.
 """
 
 from __future__ import annotations
@@ -29,8 +35,12 @@ import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
-from polymg.bounds import _check_c, beta_constant
-from polymg.poly import _check_degree, golden_section_min
+import numpy as np
+
+from polymg.bounds import _check_c, beta_constant, golden_section_min
+from polymg.poly import PolynomialSpec, _check_degree
+
+_GAMMA_GRID_PER_DEGREE = 64  # gamma_mu scans 64 (k + 1) Chebyshev-spaced points
 
 
 def bisect_root(
@@ -154,3 +164,47 @@ def crossover_C() -> float:
     """C below which the sharp Chebyshev bound beats the optimal conjecture
     asymptotically: ``beta / (1 - pi^2/12) ~= 3.67``."""
     return beta_constant() / (1.0 - math.pi ** 2 / 12.0)
+
+
+def one_minus(p: PolynomialSpec, lam):
+    """``1 - p(lam)`` without cancellation near 0; roots on the last axis, for pairwise sums."""
+    lam = np.asarray(lam, dtype=float)
+    # up to half the smallest root, -expm1(sum_i log1p(-lam/r_i)) has no
+    # cancellation; degree 0 (no roots, p = 1) takes that branch everywhere
+    s = np.minimum(lam[..., None] / p.roots, 0.5)
+    out = np.where(lam <= 0.5 * np.min(p.roots, initial=np.inf),
+                   -np.expm1(np.sum(np.log1p(-s), axis=-1)), 1.0 - p.evaluate(lam))
+    return out if out.ndim else float(out)
+
+
+def _gamma_objective(p: PolynomialSpec, lam):
+    pv = p.evaluate(lam)
+    return lam * pv * pv / (one_minus(p, lam) * (1.0 + pv))
+
+
+def gamma_mu(p: PolynomialSpec) -> float:
+    """Evaluate ``sup_{0 < lam <= 1} lam p(lam)^2 / (1 - p(lam)^2)``.
+
+    A Chebyshev-spaced grid on ``[eps^2, 1]`` locates candidate maxima,
+    each refined by golden section.  ``1 - p`` comes from
+    :func:`one_minus`, so the left end gives the limit
+    ``1 / (-2 p'(0))`` at 0 to rounding.  Raises ``ValueError`` when the
+    polynomial is not a contraction on ``(0, 1]``.
+    """
+    lo = np.finfo(float).eps ** 2  # keeps lam / r_i clear of underflow
+    n_grid = _GAMMA_GRID_PER_DEGREE * (p.degree + 1)
+    j = np.arange(n_grid + 1)
+    xs = lo + (1.0 - lo) * 0.5 * (1.0 - np.cos(np.pi * j / n_grid))
+    pv, dv = p.evaluate(xs), one_minus(p, xs)
+    if np.any(dv <= 0.0) or np.any(pv <= -1.0):
+        raise ValueError("|p| >= 1 inside (0, 1]: not a valid smoother polynomial")
+    h = xs * pv * pv / (dv * (1.0 + pv))
+    best = float(np.max(h))
+    # golden-section refinement around each interior local maximum
+    for t in range(1, len(xs) - 1):
+        if h[t] >= h[t - 1] and h[t] >= h[t + 1]:
+            xm = golden_section_min(
+                lambda x: -_gamma_objective(p, x), xs[t - 1], xs[t + 1], tol=1e-13
+            )
+            best = max(best, float(_gamma_objective(p, xm)))
+    return best

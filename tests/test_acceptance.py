@@ -18,6 +18,7 @@ from conftest import smoother_work
 from paper_results import (
     cheb_sharp_exact_discount,
     crossover_C,
+    gamma_mu,
     limit_constants,
     omega_max_asymptotic,
     omega_max_exact,
@@ -28,7 +29,6 @@ from polymg import (
     PolynomialSpec,
     SmootherConfig,
     build_hierarchy,
-    gamma_mu,
     measure_contraction,
     optimal_polynomial,
     two_level_C,

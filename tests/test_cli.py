@@ -309,42 +309,57 @@ def test_run_prints_a_huge_C_in_exponent_form(tmp_path):
     assert max(len(ln) for ln in res.stderr.splitlines()) <= 100
 
 
-# explicit ids, spelled as pytest once numbered the rows, so deleting a row renames no other
-@pytest.mark.parametrize("args", [
-    pytest.param(("run", "--bogus"), id="args0"),
-    pytest.param(("run", "--smoother", "foo"), id="args1"),
-    pytest.param(("run", "--k", "0..3"), id="args2"),
-    pytest.param(("opt-poly", "--k", "201"), id="args3"),
-    pytest.param(("bounds", "--C", "2"), id="args4"),  # missing required --k
-    pytest.param((), id="args5"),
-    pytest.param(("measure-c", "--m", "1"), id="args6"),
+_DEGREES = "degrees must lie in [1, 200]"
+_ASPECT = "aspect must be finite and >= 1, at most 1e307"
+_OMEGA = "omega must lie in (0, 2)"
+
+
+# explicit ids, spelled as pytest once numbered the rows, so deleting a row renames no other;
+# each row names a phrase its stderr shows besides the usage line
+@pytest.mark.parametrize("args, says", [
+    pytest.param(("run", "--bogus"), "unrecognized arguments: --bogus", id="args0"),
+    pytest.param(("run", "--smoother", "foo"), "--smoother: invalid choice", id="args1"),
+    pytest.param(("run", "--k", "0..3"), _DEGREES, id="args2"),
+    pytest.param(("opt-poly", "--k", "201"), "degree must lie in [1, 200]", id="args3"),
+    pytest.param(("bounds", "--C", "2"), "required: --k", id="args4"),  # missing required --k
+    pytest.param((), "required: command", id="args5"),
+    pytest.param(("measure-c", "--m", "1"), "--m: invalid choice", id="args6"),
     # above cli._MAX_M, rejected before any assembly
-    pytest.param(("measure-c", "--m", "12"), id="args7"),
-    pytest.param(("bounds", "--C", "inf", "--k", "1"), id="args8"),  # would write nan bounds
-    pytest.param(("bounds", "--C", "nan", "--k", "1"), id="args9"),
+    pytest.param(("measure-c", "--m", "12"), "--m: invalid choice", id="args7"),
+    # a non-finite C would write nan bounds
+    pytest.param(("bounds", "--C", "inf", "--k", "1"), "C values must be finite", id="args8"),
+    pytest.param(("bounds", "--C", "nan", "--k", "1"), "C values must be finite", id="args9"),
     # each non-finite or below-one aspect is rejected before any assembly
-    pytest.param(("measure-c", "--m", "3", "--aspect", "nan"), id="args10"),
-    pytest.param(("measure-c", "--m", "3", "--aspect", "inf"), id="args11"),
-    pytest.param(("measure-c", "--m", "3", "--aspect", "0.5"), id="args12"),
-    # --full-scale sets m=10, so --m would be ignored
-    pytest.param(("run", "--full-scale", "--m", "6"), id="args13"),
-    pytest.param(("run", "--m", "8", "--full-scale"), id="args14"),  # 8 was the default of --m
-    pytest.param(("measure-c", "--m", "2"), id="args15"),  # m = 2 has no coarse level
+    pytest.param(("measure-c", "--m", "3", "--aspect", "nan"), _ASPECT, id="args10"),
+    pytest.param(("measure-c", "--m", "3", "--aspect", "inf"), _ASPECT, id="args11"),
+    pytest.param(("measure-c", "--m", "3", "--aspect", "0.5"), _ASPECT, id="args12"),
+    # --full-scale sets m=10, so --m would be ignored; 8 was the default of --m
+    pytest.param(("run", "--full-scale", "--m", "6"), "not allowed with argument --full-scale",
+                 id="args13"),
+    pytest.param(("run", "--m", "8", "--full-scale"), "not allowed with argument --m", id="args14"),
+    # m = 2 has no coarse level
+    pytest.param(("measure-c", "--m", "2"), "--m: invalid choice", id="args15"),
     # the simple bound needs 0 < omega < 2
-    pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "2.5"), id="args16"),
-    pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "nan"), id="args17"),
+    pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "2.5"), _OMEGA, id="args16"),
+    pytest.param(("bounds", "--C", "2", "--k", "1", "--omega", "nan"), _OMEGA, id="args17"),
     # no such command
-    pytest.param(("assemble", "--m", "3", "--out", "never-written.mtx"), id="args18"),
-    pytest.param(("run", "--m", "3", "--aspect", "1.2e307"), id="args19"),  # above 1e307
-    # degree ranges far too long to expand, checked before they are expanded; '--k=' keeps
-    # argparse from reading a leading '-' as an option
-    pytest.param(("bounds", "--C", "2", "--k", "1..1000000000000"), id="args20"),
-    pytest.param(("gamma-table", "--k=-1000000000000..1"), id="args21"),
+    pytest.param(("assemble", "--m", "3", "--out", "never-written.mtx"),
+                 "command: invalid choice", id="args18"),
+    pytest.param(("run", "--m", "3", "--aspect", "1.2e307"), _ASPECT, id="args19"),  # above 1e307
+    # degree ranges far too long to expand, checked before they are expanded
+    pytest.param(("bounds", "--C", "2", "--k", "1..1000000000000"), _DEGREES, id="args20"),
+    pytest.param(("gamma-table", "--k=-1000000000000..1"), _DEGREES, id="args21"),
+    # a separate-word value that starts with '-' reaches the degree check, not argparse's
+    # 'expected one argument'
+    pytest.param(("gamma-table", "--k", "-3..1"), _DEGREES, id="args22"),
+    pytest.param(("run", "--k", "-3..1"), _DEGREES, id="args23"),
+    pytest.param(("bounds", "--C", "2", "--k", "-1000000000000..1"), _DEGREES, id="args24"),
 ])
-def test_bad_usage_exits_2(args):
+def test_bad_usage_exits_2(args, says):
     res = run_cli(*args)
     assert res.returncode == 2
     assert "usage" in res.stderr.lower()
+    assert says in res.stderr
 
 
 def _rejected_run_setting(tmp_path, *args):

@@ -1,5 +1,7 @@
 """The exported names of every ``polymg`` module: they exist, no more are added unnoticed,
-and no top-level name or internal parameter default lives on for its tests alone."""
+and no top-level name or internal parameter default lives on for its tests alone: an
+entry point (the CLI, ``python -m polymg``, the bench or README's Python example) reaches
+every src name, an exported one included."""
 
 import ast
 import importlib
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import polymg
+from conftest import readme_python_blocks
 from polymg import bounds
 
 REPO = Path(__file__).resolve().parent.parent
@@ -30,7 +33,7 @@ def test_package_exports_only_what_a_user_calls():
     assert polymg.__all__ == [
         "GridSpec", "assemble_poisson_q1", "build_hierarchy", "SmootherConfig", "v_cycle",
         "measure_contraction", "two_level_C", "PolynomialSpec",
-        "optimal_polynomial", "gamma_mu", "bound_simple", "bound_cheb", "bound_cheb_sharp",
+        "optimal_polynomial", "bound_simple", "bound_cheb", "bound_cheb_sharp",
         "bound_cheb_two_level", "bound_opt_conjecture", "__version__",
     ]
 
@@ -48,7 +51,7 @@ def test_modules_export_a_pinned_number_of_names():
     # the package's names, cli's three, optimal_roots, the bounds and the result types;
     # helpers such as Level, lanczos_max or apply_smoother stay importable, not exported
     modules = [importlib.import_module(name) for name in MODULES[1:]]
-    assert sum(len(module.__all__) for module in modules) == 27
+    assert sum(len(module.__all__) for module in modules) == 26
 
 
 def _referenced_names(tree):
@@ -115,21 +118,31 @@ def test_unreached_flags_what_no_root_reaches():
     assert _unreached({"m": bench_only}) == ["m._part", "m.helper"]
 
 
+def test_unreached_flags_an_export_no_entry_point_calls():
+    # a package's __all__ and its import of f are no use of f; a README-style script is
+    package = 'from .m import f\n\n__all__ = ["f"]\n'
+    modules = {"__init__": package, "m": '__all__ = ["f"]\n\n\ndef f():\n    pass\n'}
+    assert _unreached(modules, roots={"main"}) == ["m.f"]
+    readme = "from pkg import f\n\nprint(f())\n"
+    assert _unreached(modules, roots={"main"}, scripts=[readme]) == []
+
+
 def _src_and_scripts():
-    """src/polymg's modules (name -> source) and the code of the entry-point scripts,
-    ``python -m polymg`` and the bench."""
+    """src/polymg's modules (name -> source) and the code of the entry-point scripts:
+    ``python -m polymg``, the bench and README's Python example."""
     modules = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))
                if path.name != "__main__.py"}
     scripts = [(SRC / "__main__.py").read_text()]
     scripts += [path.read_text() for path in sorted(BENCH.glob("*.py"))]
-    return modules, scripts
+    return modules, scripts + readme_python_blocks()
 
 
 def test_no_src_name_is_reached_only_from_tests():
-    # a top-level def, class or assignment of src/polymg that neither polymg.__all__,
-    # cli.main, python -m polymg nor a bench script reaches is kept alive by its tests alone
+    # a top-level def, class or assignment of src/polymg, exported or not, that neither
+    # cli.main, python -m polymg, a bench script nor README's example reaches is kept
+    # alive by its tests alone
     modules, scripts = _src_and_scripts()
-    assert _unreached(modules, roots=set(polymg.__all__) | {"main"}, scripts=scripts) == []
+    assert _unreached(modules, roots={"main"}, scripts=scripts) == []
 
 
 def _defaulted_params(tree, prefix="", owner=None):

@@ -11,13 +11,14 @@ import scipy.sparse as sp
 
 import polymg
 from conftest import smoother_work
+from paper_results import gamma_mu
 from polymg.cli import COLUMNS
 from polymg.fem import (GridSpec, Q1Operator, assemble_poisson_q1, build_prolongation,
                         jacobi_smoother, measure_C, measure_CN, sine_symbol, two_level_C)
 from polymg.linalg import as_csr, lanczos_max
 from polymg.multigrid import Level, build_hierarchy, measure_contraction, v_cycle
 from polymg.optpoly import optimal_polynomial
-from polymg.poly import PolynomialSpec, gamma_mu
+from polymg.poly import PolynomialSpec
 from polymg.smoothers import DiagonalSmoother, SmootherConfig, apply_smoother
 
 # dense measurements of C on the m=4 model problem, by aspect ratio
@@ -338,7 +339,7 @@ def test_zero_smoothing_cycle_is_coarse_projection(two_level_m5_a2):
     assert len(h.levels) == 2
     top = h.levels[0]
     pif = _fine_space_projector(top.A, top.P, h.levels[1].A)
-    cfg = SmootherConfig.simple(4.0 / 3.0, 0)  # no smoothing steps
+    cfg = SmootherConfig(())  # no smoothing steps
     e = np.random.default_rng(3).standard_normal(top.A.shape[0])
     out = v_cycle(h, cfg, e, np.zeros_like(e))
     assert np.max(np.abs(out - pif @ e)) < 1e-10 * np.linalg.norm(e)

@@ -2,20 +2,18 @@
 
 import re
 import shlex
-from pathlib import Path
 
 import pytest
 
 import polymg.cli
+from conftest import README, readme_python_blocks
 
-README = Path(__file__).resolve().parent.parent / "README.md"
-TEXT = README.read_text()
 # the lines each ``$ polymg ...`` block shows, by its arguments
-SHOWN = dict(re.findall(r"```\n\$ polymg (.*?)\n(.*?)```", TEXT, flags=re.S))
+SHOWN = dict(re.findall(r"```\n\$ polymg (.*?)\n(.*?)```", README.read_text(), flags=re.S))
 
 
 def test_readme_python_example_runs(capsys):
-    blocks = re.findall(r"```python\n(.*?)```", TEXT, flags=re.S)
+    blocks = readme_python_blocks()
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     factor, _, bound = capsys.readouterr().out.split()

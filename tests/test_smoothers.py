@@ -108,12 +108,10 @@ def test_fixed_point_is_preserved():
     assert np.array_equal(_opt(A, B, x_star, b, np.array([1.1, 1.2])), x_star)
 
 
-def test_simple_zero_steps_copies():
-    A, B, _, _, _ = _setup(10, seed=6)
-    x = np.arange(10, dtype=float)
-    out = _simple(A, B, x, np.zeros(10), 1.0, 0)
-    assert np.array_equal(out, x)
-    assert out is not x
+def test_simple_rejects_zero_steps():
+    # a smoother takes at least one step, as cheb4 and optimized do
+    with pytest.raises(ValueError, match="integer >= 1, got 0"):
+        SmootherConfig.simple(1.0, 0)
 
 
 def test_cheb4_k1_matches_simple_four_thirds():
@@ -255,7 +253,7 @@ def test_smoother_config_validation():
         SmootherConfig.simple(float("nan"), 1)
     # a degree is an integer: True is not one step, 2.5 and nan are no degree
     for k in (2.5, True, float("nan")):
-        with pytest.raises(ValueError, match="integer >= 0"):
+        with pytest.raises(ValueError, match="integer >= 1"):
             SmootherConfig.simple(1.0, k)
         with pytest.raises(ValueError, match="integer >= 1"):
             SmootherConfig.cheb4(k)
